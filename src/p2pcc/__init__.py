@@ -2,22 +2,4 @@
 deterministic single-bottleneck simulator and the experiment scenarios that
 exercise it."""
 
-from .control import (BOOTSTRAP_QUOTA, Controller, ControllerParams,
-                      ControllerState, NoLatencySamples, ReceiverStats,
-                      TickSnapshot, compute_dref, compute_send_quota,
-                      compute_window, estimate_bandwidth,
-                      lambda_squared_shares, lemma2_min_window, qmax_estimate,
-                      rtt_reference)
-from .fluid import (LemmaReport, closed_form_next, fluid_queue_trace,
-                    verify_lemma1, verify_lemma2)
-from .metrics import MetricsLog, emit_csv
-from .scenarios import (BUILTIN_SCENARIOS, BlockSourceConfig, BottleneckConfig,
-                        ReceiverConfig, ScenarioConfig, ScenarioError,
-                        Schedule, TcpFlowConfig, build_experiment_1,
-                        build_experiment_2, build_experiment_3, constant,
-                        load_scenario, uniform_resample)
-from .sim import Bottleneck, DelayLink, EventLoop, SimPacket, run
-from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
-                      bic_on_loss, reno_on_ack, reno_on_loss)
-
 __version__ = "0.1.0"

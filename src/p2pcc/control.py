@@ -75,7 +75,6 @@ class ControllerParams:
 class ReceiverStats:
     """Per-receiver latency tracking and in-flight bookkeeping."""
 
-    receiver_id: str
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
     in_flight: int = 0
@@ -86,8 +85,27 @@ class ReceiverStats:
 
 @dataclass
 class _Outstanding:
+    """A sent, not yet acknowledged packet of either sender."""
+
     send_time: float
     acks_after: int = 0
+    retransmitted: bool = False
+
+
+def dupgap_losses(pending: dict, seq) -> list[int]:
+    """Duplicate-gap loss rule shared by the controller and the TCP senders.
+
+    An ack for ``seq`` counts as a later ack for every pending packet with a
+    lower seq; returns, in ``pending``'s order, the seqs that have now seen
+    DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
+    """
+    lost = []
+    for other_seq, other in pending.items():
+        if other_seq < seq:
+            other.acks_after += 1
+            if other.acks_after >= DUPACK_LOSS_THRESHOLD:
+                lost.append(other_seq)
+    return lost
 
 
 @dataclass
@@ -103,7 +121,6 @@ class ControllerState:
     est_bandwidth_U: float = 0.0    # packets per second
     d_ref: float = 0.0
     avg_queue_delay_d: float = 0.0  # d(kT) of the last closed interval
-    epoch_k: int = 0
     duplicate_acks: int = 0
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
     qdelay_samples: list = field(default_factory=list)   # current interval
@@ -118,7 +135,6 @@ class TickSnapshot:
     """What one control step decided, for metrics logging."""
 
     time: float
-    epoch: int
     quota: int
     window: int
     est_bandwidth_pps: float
@@ -130,7 +146,7 @@ class TickSnapshot:
 
 
 def new_state(receiver_ids) -> ControllerState:
-    receivers = {rid: ReceiverStats(rid) for rid in receiver_ids}
+    receivers = {rid: ReceiverStats() for rid in receiver_ids}
     state = ControllerState(receivers=receivers)
     state.outstanding = {rid: {} for rid in receiver_ids}
     return state
@@ -277,12 +293,7 @@ class Controller:
         recv.in_flight -= 1
         state.cumulative_acked += 1
 
-        lost = []
-        for other_seq, other in pending.items():
-            if other_seq < seq:
-                other.acks_after += 1
-                if other.acks_after >= DUPACK_LOSS_THRESHOLD:
-                    lost.append(other_seq)
+        lost = dupgap_losses(pending, seq)
         for lost_seq in lost:
             self.on_loss(receiver_id, lost_seq, ack_time)
         return [(receiver_id, s) for s in lost]
@@ -352,10 +363,8 @@ class Controller:
             bootstrap = True
             state.quota_u = BOOTSTRAP_QUOTA
 
-        state.epoch_k += 1
         return TickSnapshot(
             time=now,
-            epoch=state.epoch_k,
             quota=state.quota_u,
             window=state.window_w,
             est_bandwidth_pps=state.est_bandwidth_U,

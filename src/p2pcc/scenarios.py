@@ -8,16 +8,76 @@ Identical scenario + seed must reproduce identical metrics.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .control import ControllerParams
 
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _leaves(obj, path: str = ""):
+    """(field path, value) of every scalar field of a config object."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _leaves(getattr(obj, f.name), _join(path, f.name))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _from_json(tp, value, path: str = ""):
+    """``value``, as read from JSON, converted to the annotated type ``tp``.
+
+    Unknown keys, missing required keys and values of the wrong type raise
+    ScenarioError naming the field path; absent fields take their default.
+    """
+    where = path or "scenario"
+    if isinstance(tp, types.UnionType):             # "X | None"
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    want = dict if is_dataclass(tp) else typing.get_origin(tp) or tp
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if want is float else want):
+        raise ScenarioError(
+            f"{where}: expected {want.__name__}, got {type(value).__name__}")
+    if want is list:
+        (item,) = typing.get_args(tp)
+        return [_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if want is not dict:
+        return float(value) if want is float else value
+    known = {f.name: f for f in fields(tp)}
+    for key in value:
+        if key not in known:
+            raise ScenarioError(f"{_join(path, key)}: unknown key")
+    hints = _type_hints(tp)
+    kwargs = {}
+    for name, f in known.items():
+        if name in value:
+            kwargs[name] = _from_json(hints[name], value[name], _join(path, name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{_join(path, name)}: missing required key")
+    try:
+        return tp(**kwargs)
+    except ValueError as exc:                       # the type's own range checks
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -73,9 +133,6 @@ class PiecewiseConstant:
         idx = bisect.bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
 
-    def steps(self) -> list[tuple[float, float]]:
-        return list(zip(self.times, self.values))
-
 
 def constant(value: float) -> Schedule:
     return Schedule(kind="constant", value=value)
@@ -126,6 +183,9 @@ class ScenarioConfig:
     p2p_start: float = 0.0
 
     def validate(self) -> None:
+        for path, value in _leaves(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{path}: must be a finite number")
         if self.duration <= 0.0:
             raise ScenarioError("duration must be positive")
         if not self.receivers:
@@ -177,22 +237,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        cfg = cls(
-            name=data["name"],
-            duration=float(data["duration"]),
-            seed=int(data["seed"]),
-            controller=ControllerParams(**data.get("controller", {})),
-            sender_latency=Schedule(**data.get("sender_latency", {})),
-            receivers=[ReceiverConfig(r["receiver_id"], Schedule(**r["latency"]))
-                       for r in data.get("receivers", [])],
-            bottleneck=BottleneckConfig(
-                rate=Schedule(**data["bottleneck"]["rate"]),
-                buffer_capacity=data["bottleneck"].get("buffer_capacity"),
-            ),
-            source=BlockSourceConfig(**data.get("source", {})),
-            flows=[TcpFlowConfig(**f) for f in data.get("flows", [])],
-            p2p_start=float(data.get("p2p_start", 0.0)),
-        )
+        """Build and validate a config from its ``to_dict`` form.
+
+        A scenario must state its bottleneck; other absent sections take
+        their defaults.  Malformed input raises ScenarioError naming the field.
+        """
+        if isinstance(data, dict) and "bottleneck" not in data:
+            raise ScenarioError("bottleneck: missing required key")
+        cfg = _from_json(cls, data)
         cfg.validate()
         return cfg
 

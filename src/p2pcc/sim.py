@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from .control import Controller
+from .control import Controller, _Outstanding, dupgap_losses, rtt_reference
 from .metrics import MetricsLog
 from .scenarios import ScenarioConfig
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
@@ -23,10 +22,9 @@ from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
 
 P2P_FLOW_ID = "p2p"
 
-# TCP retransmission timer bounds (seconds) and duplicate-gap threshold.
+# TCP retransmission timer bounds and polling interval (seconds).
 TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
-TCP_DUPACK_THRESHOLD = 3
 TCP_TIMER_INTERVAL = 0.05
 
 
@@ -36,7 +34,6 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
-        self.now = 0.0
 
     def schedule(self, time: float, fn) -> None:
         heapq.heappush(self._heap, (time, next(self._counter), fn))
@@ -44,7 +41,6 @@ class EventLoop:
     def run(self, until: float) -> None:
         while self._heap and self._heap[0][0] <= until:
             time, _, fn = heapq.heappop(self._heap)
-            self.now = time
             fn(time)
 
 
@@ -53,12 +49,9 @@ class SimPacket:
     seq: int
     receiver_id: str
     flow_id: str
-    block_id: int
     size_bits: float
     send_time: float
     base_rtt: float               # queue-free round trip at send time
-    enqueue_time: float = 0.0
-    retransmitted: bool = False
 
 
 class DelayLink:
@@ -90,7 +83,6 @@ class Bottleneck:
         self.queue: deque[SimPacket] = deque()
         self.busy = False
         self.drops = 0
-        self.drops_by_flow: dict[str, int] = {}
         self.served_bits: dict[str, float] = {}
         self.enqueued = 0
         self.served = 0
@@ -102,9 +94,7 @@ class Bottleneck:
     def enqueue(self, pkt: SimPacket, now: float) -> bool:
         if len(self.queue) >= self.capacity:
             self.drops += 1
-            self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             return False
-        pkt.enqueue_time = now
         self.queue.append(pkt)
         self.enqueued += 1
         if not self.busy:
@@ -127,31 +117,29 @@ class Bottleneck:
             self._start_service(now)
 
 
-@dataclass
-class _TcpOutstanding:
-    send_time: float
-    acks_after: int = 0
-    retransmitted: bool = False
-
-
 class TcpSender:
     """Endpoint state machine for one competing TCP flow.
 
-    Window growth/decay lives in the traffic-model flow object; this class
-    owns sequencing, duplicate-gap loss detection, the retransmission timer
-    and pushing packets into the shared path.
+    Window growth/decay lives in the traffic-model flow object and loss
+    detection in the duplicate-gap rule it shares with the controller; this
+    class owns sequencing, the retransmission timer and pushing packets into
+    the shared path.
     """
 
     def __init__(self, run: "_Run", flow_id: str, kind: str, receiver_id: str,
                  start: float, stop: float):
         self.run = run
         self.flow_id = flow_id
-        self.kind = kind
         self.receiver_id = receiver_id
         self.start = start
         self.stop = stop
-        self.cc = TcpRenoFlow() if kind == "reno" else TcpBicFlow()
-        self.outstanding: dict[int, _TcpOutstanding] = {}
+        # the update functions are looked up when the sender is built, so a
+        # tracer that replaces the module attributes beforehand sees the calls
+        if kind == "reno":
+            self.cc, self._cc_ack, self._cc_loss = TcpRenoFlow(), reno_on_ack, reno_on_loss
+        else:
+            self.cc, self._cc_ack, self._cc_loss = TcpBicFlow(), bic_on_ack, bic_on_loss
+        self.outstanding: dict[int, _Outstanding] = {}
         self.retransmit_q: deque[int] = deque()
         self.next_seq = 0
         self.highest_sent = -1
@@ -174,25 +162,13 @@ class TcpSender:
         if now >= self.stop:
             return
         if self.outstanding and now - self.last_progress > self.rto:
-            self._on_cc_loss("timeout")
+            self._cc_loss(self.cc, "timeout")
             self.retransmit_q.extend(sorted(self.outstanding))
             self.outstanding.clear()
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
             self.try_send(now)
         self.run.loop.schedule(now + TCP_TIMER_INTERVAL, self._timer)
-
-    def _on_cc_ack(self) -> None:
-        if self.kind == "reno":
-            reno_on_ack(self.cc)
-        else:
-            bic_on_ack(self.cc)
-
-    def _on_cc_loss(self, loss_kind: str) -> None:
-        if self.kind == "reno":
-            reno_on_loss(self.cc, loss_kind)
-        else:
-            bic_on_loss(self.cc, loss_kind)
 
     def try_send(self, now: float) -> None:
         if not self.active(now):
@@ -205,9 +181,9 @@ class TcpSender:
                 seq = self.next_seq
                 self.next_seq += 1
                 retransmitted = False
-            self.outstanding[seq] = _TcpOutstanding(now, retransmitted=retransmitted)
+            self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
             self.highest_sent = max(self.highest_sent, seq)
-            self.run.send_tcp(self, seq, now, retransmitted)
+            self.run.send_tcp(self, seq, now)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -216,16 +192,11 @@ class TcpSender:
         self.last_progress = now
         if not info.retransmitted:
             self._update_rtt(now - info.send_time)
-        self._on_cc_ack()
-        lost = []
-        for other_seq, other in self.outstanding.items():
-            if other_seq < seq:
-                other.acks_after += 1
-                if other.acks_after >= TCP_DUPACK_THRESHOLD:
-                    lost.append(other_seq)
+        self._cc_ack(self.cc)
+        lost = dupgap_losses(self.outstanding, seq)
         if lost:
             if max(lost) > self.recover_until:
-                self._on_cc_loss("triple-dup")
+                self._cc_loss(self.cc, "triple-dup")
                 self.recover_until = self.highest_sent
             for lost_seq in lost:
                 del self.outstanding[lost_seq]
@@ -239,7 +210,6 @@ class TcpSender:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.cc.rtt_estimate = self.srtt
         self.rto = min(max(self.srtt + 4.0 * self.rttvar, TCP_RTO_MIN), TCP_RTO_MAX)
 
 
@@ -317,16 +287,16 @@ class _Run:
         if not assignments:
             return
         spacing = self.T / len(assignments)
-        for i, (rid, block_id) in enumerate(assignments):
+        for i, (rid, _) in enumerate(assignments):
             self.loop.schedule(now + i * spacing,
-                               lambda t, r=rid, b=block_id: self._send_p2p(r, b, t))
+                               lambda t, r=rid: self._send_p2p(r, t))
 
-    def _send_p2p(self, rid: str, block_id: int, now: float) -> None:
+    def _send_p2p(self, rid: str, now: float) -> None:
         seq = self.next_seq
         self.next_seq += 1
         self.controller.on_send(rid, seq, now)
         pkt = SimPacket(
-            seq=seq, receiver_id=rid, flow_id=P2P_FLOW_ID, block_id=block_id,
+            seq=seq, receiver_id=rid, flow_id=P2P_FLOW_ID,
             size_bits=self.cfg.controller.packet_size_s, send_time=now,
             base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
         )
@@ -334,14 +304,12 @@ class _Run:
 
     # -- TCP side ---------------------------------------------------------
 
-    def send_tcp(self, sender: TcpSender, seq: int, now: float,
-                 retransmitted: bool) -> None:
+    def send_tcp(self, sender: TcpSender, seq: int, now: float) -> None:
         rid = sender.receiver_id
         pkt = SimPacket(
-            seq=seq, receiver_id=rid, flow_id=sender.flow_id, block_id=-1,
+            seq=seq, receiver_id=rid, flow_id=sender.flow_id,
             size_bits=self.cfg.controller.packet_size_s, send_time=now,
             base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
-            retransmitted=retransmitted,
         )
         self._dispatch(pkt, now)
 
@@ -392,8 +360,7 @@ class _Run:
         if acks:
             self.carry["rtt_avg_ms"] = 1000.0 * sum(a[1] for a in acks) / len(acks)
             self.carry["path_rtt_ms"] = 1000.0 * sum(a[2] for a in acks) / len(acks)
-        refs = [r.d_min + state.d_ref for r in state.receivers.values()
-                if r.d_min is not None]
+        refs = list(rtt_reference(state.receivers, state.d_ref).values())
         if refs:
             self.carry["rtt_ref_ms"] = 1000.0 * sum(refs) / len(refs)
         row.update(self.carry)

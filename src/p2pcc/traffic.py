@@ -3,7 +3,7 @@ TCP competitor state machines (Reno, plus an experimental BIC-style flow)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # BIC shaping constants, taken from the usual binary-increase defaults.
 BIC_S_MAX = 32.0
@@ -51,14 +51,6 @@ class TcpRenoFlow:
     cwnd: float = 2.0
     # initial slow-start threshold is effectively unbounded (RFC 5681)
     ssthresh: float = float("inf")
-    state: str = "slow-start"
-    rtt_estimate: float = 0.1
-
-    def __post_init__(self) -> None:
-        self._sync_state()
-
-    def _sync_state(self) -> None:
-        self.state = "slow-start" if self.cwnd < self.ssthresh else "congestion-avoidance"
 
 
 def reno_on_ack(flow: TcpRenoFlow) -> TcpRenoFlow:
@@ -66,7 +58,6 @@ def reno_on_ack(flow: TcpRenoFlow) -> TcpRenoFlow:
         flow.cwnd += 1.0
     else:
         flow.cwnd += 1.0 / flow.cwnd
-    flow._sync_state()
     return flow
 
 
@@ -76,7 +67,6 @@ def reno_on_loss(flow: TcpRenoFlow, kind: str) -> TcpRenoFlow:
         flow.cwnd = 1.0
     else:  # triple-dup
         flow.cwnd = flow.ssthresh
-    flow._sync_state()
     return flow
 
 
@@ -90,7 +80,6 @@ class TcpBicFlow:
     s_max: float = BIC_S_MAX
     s_min: float = BIC_S_MIN
     beta: float = BIC_BETA
-    rtt_estimate: float = 0.1
 
 
 def bic_on_ack(flow: TcpBicFlow) -> TcpBicFlow:

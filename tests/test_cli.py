@@ -85,3 +85,38 @@ def test_output_directory_env_used_for_default_path(tmp_path, monkeypatch, capsy
     path = short_scenario_file(tmp_path, duration=1.0)
     assert main(["run", path]) == 0
     assert (tmp_path / "exp1.csv").exists()
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, extra_args, field_path", [
+    (_set(["bogus"], 1), [], "bogus"),
+    (_set(["receivers", 0, "latency", "vaule"], 0.01), [],
+     "receivers[0].latency.vaule"),
+    (lambda data: data.pop("bottleneck"), [], "bottleneck"),
+    (_set(["controller"], {"gamma": "0.5"}), [], "controller.gamma"),
+    (_set(["duration"], "NaN"), [], "duration"),
+    (_set(["receivers", 0, "latency", "high"], float("nan")), [],
+     "receivers[0].latency.high"),
+    (lambda data: None, ["--gamma2", "nan"], "controller.gamma2"),
+])
+def test_malformed_scenario_is_usage_error_naming_the_field(
+        tmp_path, capsys, mutate, extra_args, field_path):
+    cfg = build_experiment_1()
+    cfg.duration = 1.0
+    data = cfg.to_dict()
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(tmp_path / "x.csv")] + extra_args)
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and field_path in line

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2pcc.metrics import MetricsLog, emit_csv
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, BottleneckConfig,
@@ -20,15 +22,14 @@ def test_constant_schedule_materializes_flat():
     import random
     sched = constant(5.0).materialize(random.Random(0), 100.0)
     assert sched(0.0) == sched(50.0) == sched(99.9) == 5.0
-    assert sched.steps() == [(0.0, 5.0)]
+    assert (sched.times, sched.values) == ([0.0], [5.0])
 
 
 def test_resampled_schedule_steps_on_interval_grid():
     import random
     sched = uniform_resample(2.0, 22.0, 10.0).materialize(random.Random(3), 100.0)
-    times = [t for t, _ in sched.steps()]
-    assert times == [float(x) for x in range(0, 100, 10)]
-    assert all(2.0 <= v <= 22.0 for _, v in sched.steps())
+    assert sched.times == [float(x) for x in range(0, 100, 10)]
+    assert all(2.0 <= v <= 22.0 for v in sched.values)
 
 
 def test_schedule_validation():
@@ -215,3 +216,49 @@ def test_csv_write_failure_names_the_path(tmp_path):
     bad = tmp_path / "missing-dir" / "out.csv"
     with pytest.raises(OSError, match="out.csv"):
         emit_csv(log, str(bad))
+
+
+# -- the JSON boundary ------------------------------------------------------
+
+builtin_configs = st.builds(
+    lambda name, seed: BUILTIN_SCENARIOS[name](seed),
+    st.sampled_from(sorted(BUILTIN_SCENARIOS)), st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(builtin_configs)
+def test_from_dict_inverts_to_dict(cfg):
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def _containers(tree):
+    """Every dict and list in a to_dict() tree, the tree included."""
+    yield tree
+    for value in tree.values() if isinstance(tree, dict) else tree:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(builtin_configs, st.data())
+def test_mutated_dicts_raise_only_scenario_error(cfg, data):
+    tree = cfg.to_dict()
+    container = data.draw(st.sampled_from(list(_containers(tree))))
+    keys = list(container) if isinstance(container, dict) else list(range(len(container)))
+    op = data.draw(st.sampled_from(["drop", "add", "string", "nan"]))
+    if op == "add":
+        if isinstance(container, dict):
+            container["unexpected"] = 1
+        else:
+            container.append(1)
+    elif keys:
+        key = data.draw(st.sampled_from(keys))
+        if op == "drop":
+            del container[key]
+        else:
+            container[key] = "1" if op == "string" else float("nan")
+    try:
+        ScenarioConfig.from_dict(tree)
+    except ScenarioError:
+        pass

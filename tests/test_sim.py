@@ -7,11 +7,12 @@ import pytest
 from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BottleneckConfig, ReceiverConfig, ScenarioConfig,
                              build_experiment_1, build_experiment_2, constant)
-from p2pcc.sim import Bottleneck, DelayLink, EventLoop, SimPacket, run
+from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
+                       run)
 
 
 def packet(seq, rid="r1", size=12000.0):
-    return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p", block_id=0,
+    return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
                      size_bits=size, send_time=0.0, base_rtt=0.0)
 
 
@@ -20,12 +21,11 @@ def packet(seq, rid="r1", size=12000.0):
 def test_events_pop_in_time_order_with_insertion_tiebreak():
     loop = EventLoop()
     seen = []
-    loop.schedule(2.0, lambda t: seen.append("late"))
+    loop.schedule(2.0, lambda t: seen.append(t))
     loop.schedule(1.0, lambda t: seen.append("a"))
     loop.schedule(1.0, lambda t: seen.append("b"))
     loop.run(until=10.0)
-    assert seen == ["a", "b", "late"]
-    assert loop.now == 2.0
+    assert seen == ["a", "b", 2.0]
 
 
 def test_events_beyond_horizon_stay_pending():
@@ -116,6 +116,43 @@ def test_link_stays_fifo_across_latency_decrease():
     first = link.transit(0.99)   # assigned 100 ms
     second = link.transit(1.0)   # nominal 1 ms would overtake
     assert second >= first
+
+
+# -- TCP sender -------------------------------------------------------------
+
+class RecordingRun:
+    """The part of a run a TcpSender uses; records each transmitted seq."""
+
+    def __init__(self):
+        self.loop = EventLoop()
+        self.sent = []
+
+    def send_tcp(self, sender, seq, now):
+        self.sent.append(seq)
+
+
+def test_tcp_sender_retransmits_on_third_later_ack_and_cuts_once():
+    run_ = RecordingRun()
+    sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
+    sender.cc.cwnd = 5.0
+    sender.try_send(0.0)
+    assert run_.sent == [0, 1, 2, 3, 4]
+
+    sender.on_ack(1, 0.1)
+    sender.on_ack(2, 0.2)
+    assert 0 in sender.outstanding and not sender.retransmit_q
+    sender.on_ack(3, 0.3)            # third later ack: seq 0 is lost
+    assert 0 not in sender.outstanding and list(sender.retransmit_q) == [0]
+    assert sender.cc.cwnd == sender.cc.ssthresh == 4.0   # 8 halved, once
+    sender.on_ack(4, 0.4)
+    assert sender.cc.ssthresh == 4.0
+
+    # seq 5 was sent before the cut, so its loss falls in the same recovery
+    # and must not cut the window again
+    for seq in (6, 7, 8):
+        sender.on_ack(seq, 0.5 + seq / 100.0)
+    assert run_.sent.count(0) == 2 and run_.sent.count(5) == 2
+    assert sender.cc.ssthresh == 4.0
 
 
 # -- whole runs -------------------------------------------------------------

@@ -56,12 +56,12 @@ def test_exponential_growth_doubles_per_round_trip():
     reno_on_ack(flow)
     reno_on_ack(flow)
     assert flow.cwnd == 4.0
-    assert flow.state == "slow-start"
+    assert flow.cwnd < flow.ssthresh
 
 
 def test_triple_duplicate_halves_window():
     flow = TcpRenoFlow(cwnd=10.0, ssthresh=8.0)
-    assert flow.state == "congestion-avoidance"
+    assert flow.cwnd >= flow.ssthresh
     reno_on_loss(flow, "triple-dup")
     assert flow.cwnd == 5.0
     assert flow.ssthresh == 5.0
