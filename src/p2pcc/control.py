@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
 # loop has something to start from.
@@ -27,6 +28,9 @@ U_TRUST_RATIO = 0.25
 # outstanding for longer than TIMEOUT_FACTOR * (d_min + q_max estimate).
 DUPACK_LOSS_THRESHOLD = 3
 TIMEOUT_FACTOR = 2.0
+
+# A loss sets d_max to the peak latency over at most this many latest acks.
+ACK_HISTORY_LEN = 2048
 
 
 class NoLatencySamples(Exception):
@@ -79,8 +83,12 @@ class ReceiverStats:
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
     in_flight: int = 0
     lambda_sq: float = 0.0          # share of all unacknowledged packets
-    ack_history: deque = field(default_factory=lambda: deque(maxlen=2048))
+    acks: int = 0                   # acks received; numbers latency_peaks
+    # (ack number, ack time, latency) of the latest ACK_HISTORY_LEN acks that
+    # no later ack reaches in latency: the front is their peak
+    latency_peaks: deque = field(default_factory=deque)
     last_ack_latency: float | None = None
+    last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
 
 
 @dataclass
@@ -92,19 +100,23 @@ class _Outstanding:
     retransmitted: bool = False
 
 
-def dupgap_losses(pending: dict, seq) -> list[int]:
+def dupgap_losses(pairs, seq) -> list[int]:
     """Duplicate-gap loss rule shared by the controller and the TCP senders.
 
-    An ack for ``seq`` counts as a later ack for every pending packet with a
-    lower seq; returns, in ``pending``'s order, the seqs that have now seen
+    An ack for ``seq`` counts as a later ack for each pending packet with a
+    lower seq.  ``pairs`` yields pending ``(seq, record)`` pairs, and the walk
+    stops at the first that is not below ``seq``: a sender whose pending
+    packets are in seq order passes them all and only their prefix below
+    ``seq`` is visited.  Returns, in walk order, the seqs that have now seen
     DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
     """
     lost = []
-    for other_seq, other in pending.items():
-        if other_seq < seq:
-            other.acks_after += 1
-            if other.acks_after >= DUPACK_LOSS_THRESHOLD:
-                lost.append(other_seq)
+    for other_seq, other in pairs:
+        if other_seq >= seq:
+            break
+        other.acks_after += 1
+        if other.acks_after >= DUPACK_LOSS_THRESHOLD:
+            lost.append(other_seq)
     return lost
 
 
@@ -267,10 +279,19 @@ class Controller:
         self.state = new_state(receiver_ids)
 
     def on_send(self, receiver_id: str, seq: int, now: float) -> None:
+        """Track a sent packet.  Per receiver, seqs must rise and send times
+        must not fall (ValueError otherwise): the dup-gap and timeout walks
+        stop at the first packet they leave alone, so they rely on that order."""
         state = self.state
+        recv = state.receivers[receiver_id]
+        last_seq, last_time = recv.last_sent
+        if seq <= last_seq or now < last_time:
+            raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
+                             f"after seq {last_seq} sent at {last_time}")
+        recv.last_sent = (seq, now)
         state.outstanding[receiver_id][seq] = _Outstanding(now)
         state.cumulative_sent += 1
-        state.receivers[receiver_id].in_flight += 1
+        recv.in_flight += 1
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> list[tuple[str, int]]:
         """Process one ack; returns packets newly declared lost by the
@@ -288,12 +309,18 @@ class Controller:
             recv.d_min = latency
         state.qdelay_samples.append(latency - recv.d_min)
         state.ack_arrivals.append(ack_time)
-        recv.ack_history.append((ack_time, latency))
+        recv.acks += 1
+        peaks = recv.latency_peaks
+        while peaks and peaks[-1][2] <= latency:
+            peaks.pop()
+        peaks.append((recv.acks, ack_time, latency))
+        if peaks[0][0] <= recv.acks - ACK_HISTORY_LEN:
+            peaks.popleft()
         recv.last_ack_latency = latency
         recv.in_flight -= 1
         state.cumulative_acked += 1
 
-        lost = dupgap_losses(pending, seq)
+        lost = dupgap_losses(pending.items(), seq)
         for lost_seq in lost:
             self.on_loss(receiver_id, lost_seq, ack_time)
         return [(receiver_id, s) for s in lost]
@@ -311,12 +338,15 @@ class Controller:
         recv = state.receivers[receiver_id]
         recv.in_flight -= 1
         state.cumulative_lost += 1
-        horizon = 2.0 * self.params.bw_window_tc
-        candidates = [lat for t, lat in recv.ack_history if t >= now - horizon]
-        if not candidates and recv.last_ack_latency is not None:
-            candidates = [recv.last_ack_latency]
-        if candidates:
-            recv.d_max = max(candidates)
+        # time never goes back, so a peak that left the window is gone for good
+        peaks = recv.latency_peaks
+        horizon = now - 2.0 * self.params.bw_window_tc
+        while peaks and peaks[0][1] < horizon:
+            peaks.popleft()
+        if peaks:
+            recv.d_max = peaks[0][2]
+        elif recv.last_ack_latency is not None:
+            recv.d_max = recv.last_ack_latency
 
     def _expire_timeouts(self, now: float) -> int:
         state = self.state
@@ -330,7 +360,9 @@ class Controller:
             # after a capacity drop)
             observed = recv.last_ack_latency or 0.0
             deadline = TIMEOUT_FACTOR * max(base + qmax, observed)
-            expired = [s for s, o in pending.items() if now - o.send_time > deadline]
+            # send times never fall along the dict, so the expired are a prefix
+            expired = [s for s, _ in takewhile(
+                lambda item: now - item[1].send_time > deadline, pending.items())]
             for seq in expired:
                 self.on_loss(rid, seq, now)
                 count += 1

@@ -193,7 +193,8 @@ class TcpSender:
         if not info.retransmitted:
             self._update_rtt(now - info.send_time)
         self._cc_ack(self.cc)
-        lost = dupgap_losses(self.outstanding, seq)
+        # retransmissions break seq order, so pass every lower seq, not a prefix
+        lost = dupgap_losses(((s, o) for s, o in self.outstanding.items() if s < seq), seq)
         if lost:
             if max(lost) > self.recover_until:
                 self._cc_loss(self.cc, "triple-dup")

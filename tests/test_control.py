@@ -1,17 +1,19 @@
 """Unit and property tests for the periodic controller."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2pcc.control import (BOOTSTRAP_QUOTA, Controller, ControllerParams,
-                           NoLatencySamples, compute_dref, compute_send_quota,
-                           compute_window, current_ack_rate,
-                           estimate_bandwidth, lambda_squared_shares,
-                           lemma2_min_window, new_state, qmax_estimate,
-                           rtt_reference)
+from p2pcc.control import (ACK_HISTORY_LEN, BOOTSTRAP_QUOTA,
+                           DUPACK_LOSS_THRESHOLD, TIMEOUT_FACTOR, Controller,
+                           ControllerParams, NoLatencySamples, compute_dref,
+                           compute_send_quota, compute_window,
+                           current_ack_rate, estimate_bandwidth,
+                           lambda_squared_shares, lemma2_min_window,
+                           new_state, qmax_estimate, rtt_reference)
 
 
 def make_state(receiver_ids=("r1",)):
@@ -296,6 +298,50 @@ def test_loss_recalibration_can_move_down():
     assert c.state.receivers["r1"].d_max == pytest.approx(0.090)
 
 
+def test_loss_dmax_count_cap_binds_inside_the_horizon():
+    # a 500 ms ack followed by n 10 ms acks, all well inside 2 * 10 s: the
+    # peak stays visible for the latest ACK_HISTORY_LEN acks, not one more
+    for n, expected in ((ACK_HISTORY_LEN - 1, 0.5), (ACK_HISTORY_LEN, 0.01)):
+        c = Controller(ControllerParams(bw_window_tc=10.0), ["r1"])
+        c.on_send("r1", 0, 0.0)
+        c.on_ack("r1", 0, 0.5)
+        for seq in range(1, n + 1):
+            t = 0.5 + seq * 1e-3
+            c.on_send("r1", seq, t)
+            c.on_ack("r1", seq, t + 0.01)
+        c.on_send("r1", n + 1, 3.0)
+        c.on_loss("r1", n + 1, 3.0)
+        assert c.state.receivers["r1"].d_max == pytest.approx(expected)
+        assert len(c.state.receivers["r1"].latency_peaks) <= ACK_HISTORY_LEN
+
+
+def test_loss_dmax_time_horizon_binds_at_two_bw_windows():
+    # the peak acked at t = 1.0 is inside [now - 2 * 0.5, now] up to now = 2.0
+    for now, expected in ((2.0, 0.5), (2.0 + 1e-9, 0.05)):
+        c = Controller(ControllerParams(bw_window_tc=0.5), ["r1"])
+        c.on_send("r1", 0, 0.5)
+        c.on_ack("r1", 0, 1.0)           # 500 ms peak
+        c.on_send("r1", 1, 1.95)
+        c.on_ack("r1", 1, 2.0)           # 50 ms afterwards
+        c.on_send("r1", 2, 2.0)
+        c.on_loss("r1", 2, now)
+        assert c.state.receivers["r1"].d_max == pytest.approx(expected)
+
+
+def test_loss_dmax_falls_back_to_last_ack_latency():
+    c = Controller(ControllerParams(bw_window_tc=0.1), ["r1"])
+    c.on_send("r1", 0, 0.0)
+    c.on_loss("r1", 0, 0.1)              # no ack ever: d_max stays unset
+    assert c.state.receivers["r1"].d_max is None
+    c.on_send("r1", 1, 0.2)
+    c.on_ack("r1", 1, 0.5)               # 300 ms
+    c.on_send("r1", 2, 0.95)
+    c.on_ack("r1", 2, 1.0)               # 50 ms, the last ack
+    c.on_send("r1", 3, 1.0)
+    c.on_loss("r1", 3, 5.0)              # both acks older than 2 * 0.1 s
+    assert c.state.receivers["r1"].d_max == pytest.approx(0.05)
+
+
 def test_control_tick_bootstrap_quota():
     c = Controller(ControllerParams(), ["r1"])
     snap = c.control_tick(0.05)
@@ -335,6 +381,148 @@ def test_timeout_deadline_respects_observed_latency():
     c.on_send("r1", 1, 0.5)
     snap = c.control_tick(1.2)  # age 0.7 < 2*0.4
     assert snap.timeout_losses == 0
+
+
+@pytest.mark.parametrize("seq, now", [(4, 2.0), (5, 2.0), (6, 0.9)])
+def test_on_send_rejects_out_of_order_sends(seq, now):
+    c = Controller(ControllerParams(), ["r1", "r2"])
+    c.on_send("r1", 5, 1.0)
+    c.on_send("r2", 0, 0.0)              # order is kept per receiver
+    with pytest.raises(ValueError, match=r"'r1'.*seq %d.*seq 5 sent at 1.0" % seq):
+        c.on_send("r1", seq, now)
+    c.on_send("r1", 6, 1.0)              # same instant, higher seq: fine
+    assert list(c.state.outstanding["r1"]) == [5, 6]
+
+
+class CountingDict(dict):
+    """A dict that counts the entries its ``items()`` iterators hand out."""
+
+    visits = 0
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
+@pytest.mark.parametrize("skip_every", [None, 10])
+def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
+    n = 5000
+    c = Controller(ControllerParams(), ["r1"])
+    pending = c.state.outstanding["r1"] = CountingDict()
+    for seq in range(n):
+        c.on_send("r1", seq, seq * 1e-4)
+    unacked = list(range(0, n, skip_every)) if skip_every else []
+    acked = sorted(set(range(n)) - set(unacked))
+    lost = []
+    for seq in acked:
+        lost += c.on_ack("r1", seq, 1.0 + seq * 1e-4)
+    # a full scan would visit ~n/2 entries per ack
+    assert pending.visits <= 2 * len(acked)
+    assert lost == [("r1", seq) for seq in unacked]
+    assert not pending
+
+
+class FullScanReference:
+    """The loss bookkeeping before it walked prefixes: every ack bumps every
+    outstanding packet with a lower seq, and every loss takes the maximum
+    over the whole ack history."""
+
+    def __init__(self, params, receiver_ids):
+        self.params = params
+        self.pending = {rid: {} for rid in receiver_ids}
+        self.history = {rid: deque(maxlen=ACK_HISTORY_LEN) for rid in receiver_ids}
+        self.last = dict.fromkeys(receiver_ids)
+        self.d_min = dict.fromkeys(receiver_ids)
+        self.d_max = dict.fromkeys(receiver_ids)
+
+    def send(self, rid, seq, now):
+        self.pending[rid][seq] = [now, 0]
+
+    def ack(self, rid, seq, now):
+        record = self.pending[rid].pop(seq, None)
+        if record is None:
+            return []
+        latency = now - record[0]
+        if self.d_min[rid] is None or latency < self.d_min[rid]:
+            self.d_min[rid] = latency
+        self.history[rid].append((now, latency))
+        self.last[rid] = latency
+        lost = []
+        for other_seq, other in self.pending[rid].items():
+            if other_seq < seq:
+                other[1] += 1
+                if other[1] >= DUPACK_LOSS_THRESHOLD:
+                    lost.append(other_seq)
+        for lost_seq in lost:
+            self.loss(rid, lost_seq, now)
+        return [(rid, s) for s in lost]
+
+    def loss(self, rid, seq, now):
+        self.pending[rid].pop(seq, None)
+        horizon = 2.0 * self.params.bw_window_tc
+        candidates = [lat for t, lat in self.history[rid] if t >= now - horizon]
+        if not candidates and self.last[rid] is not None:
+            candidates = [self.last[rid]]
+        if candidates:
+            self.d_max[rid] = max(candidates)
+
+    def timeouts(self, now):
+        calibrated = [self.d_max[r] - self.d_min[r] for r in self.pending
+                      if self.d_max[r] is not None and self.d_min[r] is not None]
+        qmax = min(calibrated) if calibrated else self.params.initial_qmax_offset
+        count = 0
+        for rid, pending in self.pending.items():
+            base = (self.d_min[rid] if self.d_min[rid] is not None
+                    else self.params.initial_qmax_offset)
+            deadline = TIMEOUT_FACTOR * max(base + qmax, self.last[rid] or 0.0)
+            expired = [s for s, r in pending.items() if now - r[0] > deadline]
+            for seq in expired:
+                self.loss(rid, seq, now)
+                count += 1
+        return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_loss_bookkeeping_matches_full_scan(data):
+    ids = [f"r{i}" for i in range(data.draw(st.integers(1, 3)))]
+    params = ControllerParams(period_T=0.05, bw_window_tc=0.1,
+                              initial_qmax_offset=0.05)
+    c = Controller(params, ids)
+    ref = FullScanReference(params, ids)
+    next_seq = 0
+    sent = {rid: [] for rid in ids}
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["send", "send", "ack", "ack", "reordered-ack",
+                         "duplicate-ack", "loss", "tick"]),
+        st.sampled_from(ids),
+        st.sampled_from([0.0, 0.001, 0.01, 0.04, 0.3]),
+        st.integers(0, 10**6)), min_size=40, max_size=160))
+    t = 0.0
+    for op, rid, dt, pick in ops:
+        t += dt
+        live = list(c.state.outstanding[rid])
+        if op == "send":
+            c.on_send(rid, next_seq, t)
+            ref.send(rid, next_seq, t)
+            sent[rid].append(next_seq)
+            next_seq += 1
+        elif op in ("ack", "reordered-ack") and live:
+            seq = live[0] if op == "ack" else live[pick % len(live)]
+            assert c.on_ack(rid, seq, t) == ref.ack(rid, seq, t)
+        elif op == "duplicate-ack" and sent[rid]:    # any seq sent so far
+            seq = sent[rid][pick % len(sent[rid])]
+            assert c.on_ack(rid, seq, t) == ref.ack(rid, seq, t)
+        elif op == "loss" and live:
+            seq = live[pick % len(live)]
+            c.on_loss(rid, seq, t)
+            ref.loss(rid, seq, t)
+        elif op == "tick":
+            assert c.control_tick(t).timeout_losses == ref.timeouts(t)
+        for r in ids:
+            assert c.state.receivers[r].d_max == ref.d_max[r]
+            assert list(c.state.outstanding[r]) == list(ref.pending[r])
 
 
 # -- parameter validation ---------------------------------------------------
