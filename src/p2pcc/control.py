@@ -91,7 +91,7 @@ class ReceiverStats:
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
 
 
-@dataclass
+@dataclass(slots=True)
 class _Outstanding:
     """A sent, not yet acknowledged packet of either sender."""
 

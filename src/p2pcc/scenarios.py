@@ -18,6 +18,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .control import ControllerParams
 
+P2P_FLOW_ID = "p2p"     # the stream's flow id; TCP flows may not take it
+
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
@@ -205,7 +207,11 @@ class ScenarioConfig:
             raise ScenarioError("buffer_capacity must be >= 1 packet")
         if self.source.block_size < 1:
             raise ScenarioError("block_size must be >= 1")
-        for f in self.flows:
+        flow_ids = [P2P_FLOW_ID]
+        for i, f in enumerate(self.flows):
+            if f.flow_id in flow_ids:
+                raise ScenarioError(f"flows[{i}].flow_id: {f.flow_id!r} is already in use")
+            flow_ids.append(f.flow_id)
             if f.kind not in ("reno", "bic"):
                 raise ScenarioError(f"unknown TCP kind {f.kind!r}")
             if f.receiver_id not in ids:

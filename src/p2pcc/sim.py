@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 from .control import Controller, _Outstanding, dupgap_losses, rtt_reference
 from .metrics import MetricsLog
-from .scenarios import ScenarioConfig
+from .scenarios import P2P_FLOW_ID, ScenarioConfig
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
                       bic_on_loss, reno_on_ack, reno_on_loss)
-
-P2P_FLOW_ID = "p2p"
 
 # TCP retransmission timer bounds and polling interval (seconds).
 TCP_RTO_MIN = 0.2
@@ -29,22 +27,24 @@ TCP_TIMER_INTERVAL = 0.05
 
 
 class EventLoop:
-    """Time-ordered event queue; ties break by insertion order."""
+    """Time-ordered event queue; ties break by insertion order.  An event
+    scheduled as ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``."""
 
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
 
-    def schedule(self, time: float, fn) -> None:
-        heapq.heappush(self._heap, (time, next(self._counter), fn))
+    def schedule(self, time: float, fn, *args) -> None:
+        heapq.heappush(self._heap, (time, next(self._counter), fn, args))
 
     def run(self, until: float) -> None:
-        while self._heap and self._heap[0][0] <= until:
-            time, _, fn = heapq.heappop(self._heap)
-            fn(time)
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            time, _, fn, args = heapq.heappop(heap)
+            fn(*args, time)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimPacket:
     seq: int
     receiver_id: str
@@ -81,7 +81,6 @@ class Bottleneck:
         self.capacity = capacity
         self.on_depart = on_depart
         self.queue: deque[SimPacket] = deque()
-        self.busy = False
         self.drops = 0
         self.served_bits: dict[str, float] = {}
         self.enqueued = 0
@@ -97,12 +96,11 @@ class Bottleneck:
             return False
         self.queue.append(pkt)
         self.enqueued += 1
-        if not self.busy:
+        if len(self.queue) == 1:            # the server was idle
             self._start_service(now)
         return True
 
     def _start_service(self, now: float) -> None:
-        self.busy = True
         pkt = self.queue[0]
         duration = pkt.size_bits / self.rate_fn(now)
         self.loop.schedule(now + duration, self._finish)
@@ -111,7 +109,6 @@ class Bottleneck:
         pkt = self.queue.popleft()
         self.served += 1
         self.served_bits[pkt.flow_id] = self.served_bits.get(pkt.flow_id, 0.0) + pkt.size_bits
-        self.busy = False
         self.on_depart(pkt, now)
         if self.queue:
             self._start_service(now)
@@ -142,7 +139,6 @@ class TcpSender:
         self.outstanding: dict[int, _Outstanding] = {}
         self.retransmit_q: deque[int] = deque()
         self.next_seq = 0
-        self.highest_sent = -1
         self.recover_until = -1
         self.srtt: float | None = None
         self.rttvar = 0.0
@@ -182,8 +178,7 @@ class TcpSender:
                 self.next_seq += 1
                 retransmitted = False
             self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            self.highest_sent = max(self.highest_sent, seq)
-            self.run.send_tcp(self, seq, now)
+            self.run.send(self.receiver_id, self.flow_id, seq, now)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -198,7 +193,8 @@ class TcpSender:
         if lost:
             if max(lost) > self.recover_until:
                 self._cc_loss(self.cc, "triple-dup")
-                self.recover_until = self.highest_sent
+                # retransmissions resend only lower seqs
+                self.recover_until = self.next_seq - 1
             for lost_seq in lost:
                 del self.outstanding[lost_seq]
                 self.retransmit_q.append(lost_seq)
@@ -289,45 +285,31 @@ class _Run:
             return
         spacing = self.T / len(assignments)
         for i, (rid, _) in enumerate(assignments):
-            self.loop.schedule(now + i * spacing,
-                               lambda t, r=rid: self._send_p2p(r, t))
+            self.loop.schedule(now + i * spacing, self._send_p2p, rid)
 
     def _send_p2p(self, rid: str, now: float) -> None:
         seq = self.next_seq
         self.next_seq += 1
         self.controller.on_send(rid, seq, now)
-        pkt = SimPacket(
-            seq=seq, receiver_id=rid, flow_id=P2P_FLOW_ID,
-            size_bits=self.cfg.controller.packet_size_s, send_time=now,
-            base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
-        )
-        self._dispatch(pkt, now)
-
-    # -- TCP side ---------------------------------------------------------
-
-    def send_tcp(self, sender: TcpSender, seq: int, now: float) -> None:
-        rid = sender.receiver_id
-        pkt = SimPacket(
-            seq=seq, receiver_id=rid, flow_id=sender.flow_id,
-            size_bits=self.cfg.controller.packet_size_s, send_time=now,
-            base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
-        )
-        self._dispatch(pkt, now)
+        self.send(rid, P2P_FLOW_ID, seq, now)
 
     # -- Shared path ------------------------------------------------------
 
-    def _dispatch(self, pkt: SimPacket, now: float) -> None:
-        arrival = self.access_link.transit(now)
-        self.loop.schedule(arrival, lambda t, p=pkt: self.bottleneck.enqueue(p, t))
+    def send(self, rid: str, flow_id: str, seq: int, now: float) -> None:
+        pkt = SimPacket(
+            seq=seq, receiver_id=rid, flow_id=flow_id,
+            size_bits=self.cfg.controller.packet_size_s, send_time=now,
+            base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
+        )
+        self.loop.schedule(self.access_link.transit(now), self.bottleneck.enqueue, pkt)
 
     def _on_depart(self, pkt: SimPacket, now: float) -> None:
-        delivery = self.forward_links[pkt.receiver_id].transit(now)
-        self.loop.schedule(delivery, lambda t, p=pkt: self._deliver(p, t))
-
-    def _deliver(self, pkt: SimPacket, now: float) -> None:
-        # receivers ack every packet immediately
-        ack_arrival = self.ack_links[pkt.receiver_id].transit(now)
-        self.loop.schedule(ack_arrival, lambda t, p=pkt: self._on_ack(p, t))
+        # receivers ack every packet on delivery and the return path is
+        # uncongested, so the ack's arrival is fixed at departure; the ack
+        # link still sees the delivery instant, in delivery order
+        rid = pkt.receiver_id
+        delivery = self.forward_links[rid].transit(now)
+        self.loop.schedule(self.ack_links[rid].transit(delivery), self._on_ack, pkt)
 
     def _on_ack(self, pkt: SimPacket, now: float) -> None:
         if pkt.flow_id == P2P_FLOW_ID:

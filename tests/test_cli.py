@@ -96,6 +96,13 @@ def _set(path, value):
     return mutate
 
 
+def _add_flows(*flow_ids):
+    def mutate(data):
+        data["flows"] += [{"flow_id": fid, "kind": "reno", "receiver_id": "r1",
+                           "start": 0.0, "stop": 1.0} for fid in flow_ids]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, extra_args, field_path", [
     (_set(["bogus"], 1), [], "bogus"),
     (_set(["receivers", 0, "latency", "vaule"], 0.01), [],
@@ -106,6 +113,8 @@ def _set(path, value):
     (_set(["receivers", 0, "latency", "high"], float("nan")), [],
      "receivers[0].latency.high"),
     (lambda data: None, ["--gamma2", "nan"], "controller.gamma2"),
+    (_add_flows("tcp1", "tcp1"), [], "flows[1].flow_id"),
+    (_add_flows("p2p"), [], "flows[0].flow_id"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

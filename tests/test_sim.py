@@ -8,7 +8,7 @@ from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BottleneckConfig, ReceiverConfig, ScenarioConfig,
                              build_experiment_1, build_experiment_2, constant)
 from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
-                       run)
+                       _Run, run)
 
 
 def packet(seq, rid="r1", size=12000.0):
@@ -24,8 +24,9 @@ def test_events_pop_in_time_order_with_insertion_tiebreak():
     loop.schedule(2.0, lambda t: seen.append(t))
     loop.schedule(1.0, lambda t: seen.append("a"))
     loop.schedule(1.0, lambda t: seen.append("b"))
+    loop.schedule(1.0, lambda arg, t: seen.append((arg, t)), "c")
     loop.run(until=10.0)
-    assert seen == ["a", "b", 2.0]
+    assert seen == ["a", "b", ("c", 1.0), 2.0]
 
 
 def test_events_beyond_horizon_stay_pending():
@@ -44,8 +45,11 @@ def test_service_time_follows_rate():
     bn = Bottleneck(loop, lambda t: 4_000_000.0, 100,
                     lambda p, t: departures.append(t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(0), t))
+    # arrives after the queue drained: service restarts from the arrival
+    loop.schedule(1.0, lambda t: bn.enqueue(packet(1), t))
     loop.run(10.0)
-    assert departures == [pytest.approx(0.003)]  # 12000 bits at 4 Mbps
+    # 12000 bits at 4 Mbps
+    assert departures == [pytest.approx(0.003), pytest.approx(1.003)]
 
 
 def test_service_time_tracks_rate_step():
@@ -127,7 +131,7 @@ class RecordingRun:
         self.loop = EventLoop()
         self.sent = []
 
-    def send_tcp(self, sender, seq, now):
+    def send(self, rid, flow_id, seq, now):
         self.sent.append(seq)
 
 
@@ -164,6 +168,26 @@ def small_single_receiver(duration=5.0, seed=7):
         receivers=[ReceiverConfig("r1", constant(0.010))],
         bottleneck=BottleneckConfig(rate=constant(4_000_000.0)),
     )
+
+
+def test_each_packet_takes_at_most_four_events(monkeypatch):
+    # send, bottleneck arrival, departure and ack; the rest are control ticks
+    # and metric samples
+    schedule = EventLoop.schedule
+    calls = [0]
+
+    def counting_schedule(loop, *args):
+        calls[0] += 1
+        schedule(loop, *args)
+
+    monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
+    run_ = _Run(small_single_receiver())
+    run_.execute()
+    assert run_.bottleneck.drops == 0
+    sent = run_.controller.state.cumulative_sent
+    ticks = samples = len(run_.log.rows)     # one of each per period
+    assert sent > 1000
+    assert calls[0] <= 4 * sent + ticks + samples
 
 
 def test_identical_config_and_seed_reproduce_identical_logs():
