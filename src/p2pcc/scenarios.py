@@ -100,14 +100,16 @@ class Schedule:
     def validate(self, name: str) -> None:
         if self.kind == "constant":
             if self.value < 0.0:
-                raise ScenarioError(f"{name}: constant value must be >= 0")
+                raise ScenarioError(f"{name}.value: must be >= 0")
         elif self.kind == "uniform_resample":
-            if not 0.0 <= self.low <= self.high:
-                raise ScenarioError(f"{name}: need 0 <= low <= high")
+            if self.low < 0.0:
+                raise ScenarioError(f"{name}.low: must be >= 0")
+            if self.high < self.low:
+                raise ScenarioError(f"{name}.high: must be >= low")
             if self.interval <= 0.0:
-                raise ScenarioError(f"{name}: interval must be positive")
+                raise ScenarioError(f"{name}.interval: must be positive")
         else:
-            raise ScenarioError(f"{name}: unknown schedule kind {self.kind!r}")
+            raise ScenarioError(f"{name}.kind: unknown schedule kind {self.kind!r}")
 
     def max_value(self) -> float:
         return self.value if self.kind == "constant" else self.high
@@ -125,15 +127,30 @@ class Schedule:
 
 
 class PiecewiseConstant:
-    """Materialized schedule: step function with breakpoints."""
+    """Materialized schedule: step function with breakpoints.
+
+    ``values[i]`` holds on ``[times[i], times[i + 1])``; the first value also
+    holds before ``times[0]`` and the last one forever after.  A call answers
+    from the step the previous call landed in when ``t`` falls inside it, and
+    bisects only on a miss, so a constant schedule never bisects.
+    """
 
     def __init__(self, times: list[float], values: list[float]):
         self.times = times
         self.values = values
+        self._lo = -math.inf
+        self._hi = times[1] if len(times) > 1 else math.inf
+        self._value = values[0]
 
     def __call__(self, t: float) -> float:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.values[max(idx, 0)]
+        if self._lo <= t < self._hi:
+            return self._value
+        times = self.times
+        idx = max(bisect.bisect_right(times, t) - 1, 0)
+        self._lo = times[idx] if idx else -math.inf
+        self._hi = times[idx + 1] if idx + 1 < len(times) else math.inf
+        self._value = self.values[idx]
+        return self._value
 
 
 def constant(value: float) -> Schedule:
@@ -189,37 +206,43 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{path}: must be a finite number")
         if self.duration <= 0.0:
-            raise ScenarioError("duration must be positive")
+            raise ScenarioError("duration: must be positive")
         if not self.receivers:
-            raise ScenarioError("at least one receiver is required")
-        ids = [r.receiver_id for r in self.receivers]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("receiver ids must be unique")
+            raise ScenarioError("receivers: at least one receiver is required")
         self.sender_latency.validate("sender_latency")
-        for r in self.receivers:
-            r.latency.validate(f"receiver {r.receiver_id} latency")
-        self.bottleneck.rate.validate("bottleneck rate")
-        if self.bottleneck.rate.kind == "constant" and self.bottleneck.rate.value <= 0.0:
-            raise ScenarioError("bottleneck rate must be positive")
-        if self.bottleneck.rate.kind == "uniform_resample" and self.bottleneck.rate.low <= 0.0:
-            raise ScenarioError("bottleneck rate must stay positive")
+        ids = []
+        for i, r in enumerate(self.receivers):
+            if r.receiver_id in ids:
+                raise ScenarioError(
+                    f"receivers[{i}].receiver_id: {r.receiver_id!r} is already in use")
+            ids.append(r.receiver_id)
+            r.latency.validate(f"receivers[{i}].latency")
+        rate = self.bottleneck.rate
+        rate.validate("bottleneck.rate")
+        if rate.kind == "constant" and rate.value <= 0.0:
+            raise ScenarioError("bottleneck.rate.value: must be positive")
+        if rate.kind == "uniform_resample" and rate.low <= 0.0:
+            raise ScenarioError("bottleneck.rate.low: must be positive")
         if self.bottleneck.buffer_capacity is not None and self.bottleneck.buffer_capacity < 1:
-            raise ScenarioError("buffer_capacity must be >= 1 packet")
+            raise ScenarioError("bottleneck.buffer_capacity: must be >= 1 packet")
         if self.source.block_size < 1:
-            raise ScenarioError("block_size must be >= 1")
+            raise ScenarioError("source.block_size: must be >= 1")
         flow_ids = [P2P_FLOW_ID]
         for i, f in enumerate(self.flows):
             if f.flow_id in flow_ids:
                 raise ScenarioError(f"flows[{i}].flow_id: {f.flow_id!r} is already in use")
             flow_ids.append(f.flow_id)
             if f.kind not in ("reno", "bic"):
-                raise ScenarioError(f"unknown TCP kind {f.kind!r}")
+                raise ScenarioError(f"flows[{i}].kind: unknown TCP kind {f.kind!r}")
             if f.receiver_id not in ids:
-                raise ScenarioError(f"flow {f.flow_id}: unknown receiver {f.receiver_id!r}")
-            if not 0.0 <= f.start < f.stop:
-                raise ScenarioError(f"flow {f.flow_id}: need 0 <= start < stop")
-        if not 0.0 <= self.p2p_start:
-            raise ScenarioError("p2p_start must be >= 0")
+                raise ScenarioError(
+                    f"flows[{i}].receiver_id: unknown receiver {f.receiver_id!r}")
+            if f.start < 0.0:
+                raise ScenarioError(f"flows[{i}].start: must be >= 0")
+            if f.stop <= f.start:
+                raise ScenarioError(f"flows[{i}].stop: must be greater than start")
+        if self.p2p_start < 0.0:
+            raise ScenarioError("p2p_start: must be >= 0")
 
     def default_buffer_capacity(self) -> int:
         """Twice the minimum-window bound computed from the worst-case round

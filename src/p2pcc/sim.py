@@ -12,6 +12,7 @@ import heapq
 import itertools
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .control import Controller, _Outstanding, dupgap_losses, rtt_reference
@@ -52,18 +53,21 @@ class SimPacket:
     size_bits: float
     send_time: float
     base_rtt: float               # queue-free round trip at send time
+    on_ack: Callable[[SimPacket, float], None]    # the sender's ack handler
 
 
 class DelayLink:
-    """One-way link with a time-varying latency; delivery order is FIFO even
-    across a latency decrease (in-flight packets keep their assigned delay)."""
+    """One-way link with a time-varying latency, which the caller reads at the
+    send instant; delivery order is FIFO even across a latency decrease
+    (in-flight packets keep their assigned delay)."""
 
-    def __init__(self, latency_fn):
-        self.latency_fn = latency_fn
+    def __init__(self):
         self._last_out = 0.0
 
-    def transit(self, now: float) -> float:
-        out = max(now + self.latency_fn(now), self._last_out)
+    def transit(self, now: float, latency: float) -> float:
+        out = now + latency
+        if out < self._last_out:
+            out = self._last_out
         self._last_out = out
         return out
 
@@ -178,7 +182,10 @@ class TcpSender:
                 self.next_seq += 1
                 retransmitted = False
             self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            self.run.send(self.receiver_id, self.flow_id, seq, now)
+            self.run.send(self.receiver_id, self.flow_id, seq, now, self._on_packet_ack)
+
+    def _on_packet_ack(self, pkt: SimPacket, now: float) -> None:
+        self.on_ack(pkt.seq, now)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -220,6 +227,7 @@ class _Run:
         self.loop = EventLoop()
         params = cfg.controller
         self.T = params.period_T
+        self.packet_size_s = params.packet_size_s
         duration = cfg.duration
 
         self.sender_lat = cfg.sender_latency.materialize(self.rng, duration)
@@ -229,12 +237,9 @@ class _Run:
         self.capacity = cfg.buffer_capacity()
 
         self.bottleneck = Bottleneck(self.loop, self.rate, self.capacity, self._on_depart)
-        self.access_link = DelayLink(self.sender_lat)
-        self.forward_links = {rid: DelayLink(fn) for rid, fn in self.receiver_lat.items()}
-        self.ack_links = {
-            rid: DelayLink(lambda t, fn=fn: fn(t) + self.sender_lat(t))
-            for rid, fn in self.receiver_lat.items()
-        }
+        self.access_link = DelayLink()
+        self.forward_links = {rid: DelayLink() for rid in self.receiver_lat}
+        self.ack_links = {rid: DelayLink() for rid in self.receiver_lat}
 
         receiver_ids = [r.receiver_id for r in cfg.receivers]
         self.controller = Controller(params, receiver_ids)
@@ -243,10 +248,10 @@ class _Run:
         self.next_seq = 0
         self.last_snapshot = None
 
-        self.tcp_senders = {
-            f.flow_id: TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
-            for f in cfg.flows
-        }
+        # a sender schedules its own start and its packets carry its ack
+        # handler, so the run needs no reference to it
+        for f in cfg.flows:
+            TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
         self.flow_ids = [P2P_FLOW_ID] + [f.flow_id for f in cfg.flows]
 
         # Per-period collectors and carry-forward values for sparse columns.
@@ -291,39 +296,41 @@ class _Run:
         seq = self.next_seq
         self.next_seq += 1
         self.controller.on_send(rid, seq, now)
-        self.send(rid, P2P_FLOW_ID, seq, now)
+        self.send(rid, P2P_FLOW_ID, seq, now, self._on_p2p_ack)
+
+    def _on_p2p_ack(self, pkt: SimPacket, now: float) -> None:
+        self.controller.on_ack(pkt.receiver_id, pkt.seq, now)
+        self.period_acks.append((pkt.receiver_id, now - pkt.send_time, pkt.base_rtt))
 
     # -- Shared path ------------------------------------------------------
 
-    def send(self, rid: str, flow_id: str, seq: int, now: float) -> None:
-        pkt = SimPacket(
-            seq=seq, receiver_id=rid, flow_id=flow_id,
-            size_bits=self.cfg.controller.packet_size_s, send_time=now,
-            base_rtt=2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now)),
-        )
-        self.loop.schedule(self.access_link.transit(now), self.bottleneck.enqueue, pkt)
+    def send(self, rid: str, flow_id: str, seq: int, now: float,
+             on_ack: Callable[[SimPacket, float], None]) -> None:
+        """Put a packet on the path; ``on_ack(pkt, now)`` runs when its ack
+        reaches the sender."""
+        sender_lat = self.sender_lat(now)
+        pkt = SimPacket(seq, rid, flow_id, self.packet_size_s, now,
+                        2.0 * (sender_lat + self.receiver_lat[rid](now)), on_ack)
+        self.loop.schedule(self.access_link.transit(now, sender_lat),
+                           self.bottleneck.enqueue, pkt)
 
     def _on_depart(self, pkt: SimPacket, now: float) -> None:
         # receivers ack every packet on delivery and the return path is
         # uncongested, so the ack's arrival is fixed at departure; the ack
         # link still sees the delivery instant, in delivery order
         rid = pkt.receiver_id
-        delivery = self.forward_links[rid].transit(now)
-        self.loop.schedule(self.ack_links[rid].transit(delivery), self._on_ack, pkt)
-
-    def _on_ack(self, pkt: SimPacket, now: float) -> None:
-        if pkt.flow_id == P2P_FLOW_ID:
-            self.controller.on_ack(pkt.receiver_id, pkt.seq, now)
-            self.period_acks.append(
-                (pkt.receiver_id, now - pkt.send_time, pkt.base_rtt))
-        else:
-            self.tcp_senders[pkt.flow_id].on_ack(pkt.seq, now)
+        lat = self.receiver_lat[rid]
+        delivery = self.forward_links[rid].transit(now, lat(now))
+        # both return latencies are summed first: the ack hop adds them as one
+        # delay, and the CSVs depend on that order of float additions
+        ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
+        self.loop.schedule(ack, pkt.on_ack, pkt)
 
     # -- Metrics ----------------------------------------------------------
 
     def _sample(self, now: float) -> None:
         snap = self.last_snapshot
-        s_kbit = self.cfg.controller.packet_size_s / 1000.0
+        s_kbit = self.packet_size_s / 1000.0
         state = self.controller.state
 
         row = {

@@ -1,5 +1,6 @@
 """Scenario builders, JSON round-trip, validation and CSV output."""
 
+import bisect
 import json
 import math
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from p2pcc.metrics import MetricsLog, emit_csv
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, BottleneckConfig,
-                             ReceiverConfig, ScenarioConfig, ScenarioError,
+                             PiecewiseConstant, ReceiverConfig,
+                             ScenarioConfig, ScenarioError,
                              Schedule, TcpFlowConfig, build_experiment_1,
                              build_experiment_2, build_experiment_3, constant,
                              load_scenario, uniform_resample)
@@ -40,6 +42,24 @@ def test_schedule_validation():
     with pytest.raises(ScenarioError):
         Schedule(kind="uniform_resample", low=1.0, high=2.0,
                  interval=0.0).validate("x")
+
+
+# sorted breakpoints from 0.0, repeats allowed; one breakpoint is a constant
+breakpoints = st.lists(st.floats(0.0, 100.0), max_size=8).map(
+    lambda extra: [0.0] + sorted(extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(breakpoints, st.data())
+def test_cached_step_matches_bisect_oracle(times, data):
+    values = [float(i) for i in range(len(times))]
+    sched = PiecewiseConstant(times, values)
+    # any order: exact breakpoints, negative times, times past the last step
+    queries = data.draw(st.lists(
+        st.one_of(st.sampled_from(times), st.floats(-10.0, 200.0)),
+        min_size=1, max_size=40))
+    for t in queries:
+        assert sched(t) == values[max(bisect.bisect_right(times, t) - 1, 0)]
 
 
 # -- builders ---------------------------------------------------------------

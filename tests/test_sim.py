@@ -5,7 +5,8 @@ import statistics
 import pytest
 
 from p2pcc.fluid import fluid_queue_trace
-from p2pcc.scenarios import (BottleneckConfig, ReceiverConfig, ScenarioConfig,
+from p2pcc.scenarios import (BottleneckConfig, PiecewiseConstant,
+                             ReceiverConfig, ScenarioConfig, TcpFlowConfig,
                              build_experiment_1, build_experiment_2, constant)
 from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
                        _Run, run)
@@ -13,7 +14,7 @@ from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
 
 def packet(seq, rid="r1", size=12000.0):
     return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
-                     size_bits=size, send_time=0.0, base_rtt=0.0)
+                     size_bits=size, send_time=0.0, base_rtt=0.0, on_ack=None)
 
 
 # -- event loop -------------------------------------------------------------
@@ -111,14 +112,14 @@ def test_queue_conservation_counters():
 # -- delay links ------------------------------------------------------------
 
 def test_link_applies_current_latency():
-    link = DelayLink(lambda t: 0.010)
-    assert link.transit(1.0) == pytest.approx(1.010)
+    link = DelayLink()
+    assert link.transit(1.0, 0.010) == pytest.approx(1.010)
 
 
 def test_link_stays_fifo_across_latency_decrease():
-    link = DelayLink(lambda t: 0.100 if t < 1.0 else 0.001)
-    first = link.transit(0.99)   # assigned 100 ms
-    second = link.transit(1.0)   # nominal 1 ms would overtake
+    link = DelayLink()
+    first = link.transit(0.99, 0.100)   # assigned 100 ms
+    second = link.transit(1.0, 0.001)   # nominal 1 ms would overtake
     assert second >= first
 
 
@@ -131,7 +132,7 @@ class RecordingRun:
         self.loop = EventLoop()
         self.sent = []
 
-    def send(self, rid, flow_id, seq, now):
+    def send(self, rid, flow_id, seq, now, on_ack):
         self.sent.append(seq)
 
 
@@ -188,6 +189,44 @@ def test_each_packet_takes_at_most_four_events(monkeypatch):
     ticks = samples = len(run_.log.rows)     # one of each per period
     assert sent > 1000
     assert calls[0] <= 4 * sent + ticks + samples
+
+
+def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
+    # two at send (sender and receiver latency), the service rate, the
+    # forward hop and two for the ack hop; each metric sample reads the rate
+    read = PiecewiseConstant.__call__
+    calls = [0]
+
+    def counting_read(schedule, t):
+        calls[0] += 1
+        return read(schedule, t)
+
+    monkeypatch.setattr(PiecewiseConstant, "__call__", counting_read)
+    run_ = _Run(small_single_receiver())
+    run_.execute()
+    assert run_.bottleneck.drops == 0
+    sent = run_.controller.state.cumulative_sent
+    samples = len(run_.log.rows)
+    assert sent > 1000
+    assert calls[0] <= 6 * sent + samples
+
+
+def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
+    # packets carry their sender's ack handler; a TCP flow's must still run
+    # through TcpSender.on_ack, the method a tracer wraps
+    acked = []
+    on_ack = TcpSender.on_ack
+
+    def recording_on_ack(sender, seq, now):
+        acked.append(seq)
+        on_ack(sender, seq, now)
+
+    monkeypatch.setattr(TcpSender, "on_ack", recording_on_ack)
+    cfg = small_single_receiver(duration=2.0)
+    cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 2.0)]
+    run_ = _Run(cfg)
+    run_.execute()
+    assert len(acked) > 100
 
 
 def test_identical_config_and_seed_reproduce_identical_logs():
