@@ -10,8 +10,8 @@ idles).
 Run:  python3 demos/queue_model_check.py
 """
 
-from p2pcc.control import lemma2_min_window
-from p2pcc.fluid import fluid_queue_trace, verify_lemma1, verify_lemma2
+from p2pcc.fluid import (fluid_queue_trace, lemma2_min_window, verify_lemma1,
+                         verify_lemma2)
 
 
 def main():

@@ -63,8 +63,6 @@ def _load(args) -> "ScenarioConfig":
     for name, value in overrides.items():
         if value is not None:
             setattr(cfg.controller, name, value)
-    # re-check the parameter invariants after overrides
-    cfg.controller.__post_init__()
     cfg.validate()
     return cfg
 

@@ -33,10 +33,6 @@ TIMEOUT_FACTOR = 2.0
 ACK_HISTORY_LEN = 2048
 
 
-class NoLatencySamples(Exception):
-    """No receiver has produced a latency observation yet."""
-
-
 @dataclass
 class ControllerParams:
     """Tuning constants for the periodic controller.
@@ -61,28 +57,31 @@ class ControllerParams:
     packet_size_s: float = 12000.0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Range checks; each error message starts with its field's name."""
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
+            raise ValueError("gamma: must be in (0, 1]")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise ValueError("alpha: must be in (0, 1)")
         if self.period_T <= 0.0:
-            raise ValueError("period_T must be positive")
+            raise ValueError("period_T: must be positive")
         if self.bw_window_tc < self.period_T:
-            raise ValueError("bw_window_tc must be >= period_T")
+            raise ValueError("bw_window_tc: must be >= period_T")
         if self.initial_qmax_offset <= 0.0:
-            raise ValueError("initial_qmax_offset must be positive")
+            raise ValueError("initial_qmax_offset: must be positive")
         if self.packet_size_s <= 0.0:
-            raise ValueError("packet_size_s must be positive")
+            raise ValueError("packet_size_s: must be positive")
 
 
 @dataclass
 class ReceiverStats:
-    """Per-receiver latency tracking and in-flight bookkeeping."""
+    """Per-receiver latency tracking; its unacknowledged packets are
+    ``ControllerState.outstanding[rid]``."""
 
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
-    in_flight: int = 0
-    lambda_sq: float = 0.0          # share of all unacknowledged packets
     acks: int = 0                   # acks received; numbers latency_peaks
     # (ack number, ack time, latency) of the latest ACK_HISTORY_LEN acks that
     # no later ack reaches in latency: the front is their peak
@@ -129,7 +128,6 @@ class ControllerState:
     cumulative_acked: int = 0
     cumulative_lost: int = 0
     window_w: int = 1
-    quota_u: int = 0
     est_bandwidth_U: float = 0.0    # packets per second
     d_ref: float = 0.0
     avg_queue_delay_d: float = 0.0  # d(kT) of the last closed interval
@@ -139,7 +137,7 @@ class ControllerState:
     outstanding: dict = field(default_factory=dict)      # rid -> {seq: _Outstanding}
 
     def in_flight_total(self) -> int:
-        return sum(r.in_flight for r in self.receivers.values())
+        return sum(len(pending) for pending in self.outstanding.values())
 
 
 @dataclass
@@ -178,13 +176,13 @@ def lambda_squared_shares(state: ControllerState) -> dict[str, float]:
     """Each receiver's share of the currently unacknowledged packets."""
     total = state.in_flight_total()
     if total <= 0:
-        return {rid: 0.0 for rid in state.receivers}
-    return {rid: r.in_flight / total for rid, r in state.receivers.items()}
+        return {rid: 0.0 for rid in state.outstanding}
+    return {rid: len(pending) / total for rid, pending in state.outstanding.items()}
 
 
 def qmax_estimate(receivers: dict[str, ReceiverStats],
-                  params: ControllerParams) -> tuple[float, bool]:
-    """Estimated maximum queue delay and whether a loss has calibrated it.
+                  params: ControllerParams) -> float:
+    """Estimated maximum queue delay.
 
     Loss-calibrated receivers contribute d_max - d_min; the minimum across
     them respects the tightest buffer.  Before any loss the configured
@@ -193,31 +191,28 @@ def qmax_estimate(receivers: dict[str, ReceiverStats],
     calibrated = [r.d_max - r.d_min for r in receivers.values()
                   if r.d_max is not None and r.d_min is not None]
     if calibrated:
-        return min(calibrated), True
-    return params.initial_qmax_offset, False
+        return min(calibrated)
+    return params.initial_qmax_offset
 
 
 def compute_dref(receivers: dict[str, ReceiverStats],
                  params: ControllerParams) -> float:
     """Queue-delay reference: alpha times the estimated maximum queue delay.
-
-    Raises NoLatencySamples when no receiver has observed any latency.  The
-    per-receiver RTT-level target is d_min + d_ref.
-    """
-    if all(r.d_min is None for r in receivers.values()):
-        raise NoLatencySamples("no receiver has a latency sample")
-    qmax, _ = qmax_estimate(receivers, params)
-    return params.alpha * qmax
+    The per-receiver RTT-level target is d_min + d_ref."""
+    return params.alpha * qmax_estimate(receivers, params)
 
 
-def compute_window(state: ControllerState, params: ControllerParams) -> int:
-    """Window: bandwidth-delay term from the minimum-window bound plus a
-    proportional correction that steers the queue delay toward d_ref."""
+def compute_window(state: ControllerState, params: ControllerParams,
+                   shares: dict[str, float]) -> int:
+    """Window: bandwidth-delay term from the minimum-window bound, weighted by
+    each receiver's ``lambda_squared_shares``, plus a proportional correction
+    that steers the queue delay toward d_ref."""
     bdp = 0.0
-    for r in state.receivers.values():
-        if r.lambda_sq > 0.0:
+    for rid, share in shares.items():
+        if share > 0.0:
+            r = state.receivers[rid]
             d_min = r.d_min if r.d_min is not None else 0.0
-            bdp += r.lambda_sq * (d_min + state.d_ref + params.period_T)
+            bdp += share * (d_min + state.d_ref + params.period_T)
     first = math.ceil(state.est_bandwidth_U * bdp + 1.0 - 1e-9)
     correction = params.gamma2 * (state.d_ref - state.avg_queue_delay_d)
     return max(1, int(math.floor(first + correction + 0.5)))
@@ -246,18 +241,6 @@ def estimate_bandwidth(state: ControllerState, params: ControllerParams,
     if state.avg_queue_delay_d >= gate or raw > state.est_bandwidth_U:
         return raw
     return state.est_bandwidth_U
-
-
-def lemma2_min_window(u_max: float, shares, n_p, gamma: float) -> float:
-    """Strict lower bound on the window that keeps the queue non-empty.
-
-    u_max is the most packets the bottleneck can serve in one period, shares
-    are the per-receiver unacknowledged ratios and n_p the per-receiver
-    round-trip delays in periods.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
-    return u_max * (sum(l * n for l, n in zip(shares, n_p)) + 1.0 / gamma)
 
 
 def rtt_reference(receivers: dict[str, ReceiverStats],
@@ -291,7 +274,6 @@ class Controller:
         recv.last_sent = (seq, now)
         state.outstanding[receiver_id][seq] = _Outstanding(now)
         state.cumulative_sent += 1
-        recv.in_flight += 1
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> list[tuple[str, int]]:
         """Process one ack; returns packets newly declared lost by the
@@ -317,7 +299,6 @@ class Controller:
         if peaks[0][0] <= recv.acks - ACK_HISTORY_LEN:
             peaks.popleft()
         recv.last_ack_latency = latency
-        recv.in_flight -= 1
         state.cumulative_acked += 1
 
         lost = dupgap_losses(pending.items(), seq)
@@ -336,7 +317,6 @@ class Controller:
         state = self.state
         state.outstanding[receiver_id].pop(seq, None)
         recv = state.receivers[receiver_id]
-        recv.in_flight -= 1
         state.cumulative_lost += 1
         # time never goes back, so a peak that left the window is gone for good
         peaks = recv.latency_peaks
@@ -350,7 +330,7 @@ class Controller:
 
     def _expire_timeouts(self, now: float) -> int:
         state = self.state
-        qmax, _ = qmax_estimate(state.receivers, self.params)
+        qmax = qmax_estimate(state.receivers, self.params)
         count = 0
         for rid, pending in state.outstanding.items():
             recv = state.receivers[rid]
@@ -382,22 +362,18 @@ class Controller:
         state.est_bandwidth_U = estimate_bandwidth(state, params, now)
         ack_rate = len(state.ack_arrivals) / params.bw_window_tc
 
-        shares = lambda_squared_shares(state)
-        for rid, share in shares.items():
-            state.receivers[rid].lambda_sq = share
-
-        bootstrap = False
-        try:
+        # until some receiver has a latency sample there is no d_min to aim at
+        bootstrap = all(r.d_min is None for r in state.receivers.values())
+        if bootstrap:
+            quota = BOOTSTRAP_QUOTA
+        else:
             state.d_ref = compute_dref(state.receivers, params)
-            state.window_w = compute_window(state, params)
-            state.quota_u = compute_send_quota(state, params)
-        except NoLatencySamples:
-            bootstrap = True
-            state.quota_u = BOOTSTRAP_QUOTA
+            state.window_w = compute_window(state, params, lambda_squared_shares(state))
+            quota = compute_send_quota(state, params)
 
         return TickSnapshot(
             time=now,
-            quota=state.quota_u,
+            quota=quota,
             window=state.window_w,
             est_bandwidth_pps=state.est_bandwidth_U,
             ack_rate_pps=ack_rate,

@@ -14,8 +14,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .control import lemma2_min_window
-
 # Slack for floating-point accumulation in the strict < / > comparisons.
 _EPS = 1e-9
 
@@ -55,17 +53,16 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
     return trace, served_hist
 
 
-def closed_form_next(gamma: float, w: float, y_l: float, shares, delays,
-                     served_hist, l: int) -> float:
-    """One step of the algebraic closed form of the recursion: the next queue
-    length from the current one, the recently served (still unacknowledged)
-    packets per receiver and the current period's service."""
-    unacked = 0.0
-    for share, n in zip(shares, delays):
-        lo = max(0, l - n)
-        unacked += share * sum(served_hist[lo:l])
-    return (w - (1.0 - gamma) * (w - y_l)
-            - gamma * unacked - served_hist[l])
+def lemma2_min_window(u_max: float, shares, n_p, gamma: float) -> float:
+    """Strict lower bound on the window that keeps the queue non-empty.
+
+    u_max is the most packets the bottleneck can serve in one period, shares
+    are the per-receiver unacknowledged ratios and n_p the per-receiver
+    round-trip delays in periods.
+    """
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must be in (0, 1]")
+    return u_max * (sum(l * n for l, n in zip(shares, n_p)) + 1.0 / gamma)
 
 
 @dataclass

@@ -17,6 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .control import ControllerParams
+from .fluid import lemma2_min_window
 
 P2P_FLOW_ID = "p2p"     # the stream's flow id; TCP flows may not take it
 
@@ -50,7 +51,6 @@ def _from_json(tp, value, path: str = ""):
     Unknown keys, missing required keys and values of the wrong type raise
     ScenarioError naming the field path; absent fields take their default.
     """
-    where = path or "scenario"
     if isinstance(tp, types.UnionType):             # "X | None"
         if value is None:
             return None
@@ -58,8 +58,8 @@ def _from_json(tp, value, path: str = ""):
     want = dict if is_dataclass(tp) else typing.get_origin(tp) or tp
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if want is float else want):
-        raise ScenarioError(
-            f"{where}: expected {want.__name__}, got {type(value).__name__}")
+        raise ScenarioError(f"{path or 'scenario'}: expected {want.__name__}, "
+                            f"got {type(value).__name__}")
     if want is list:
         (item,) = typing.get_args(tp)
         return [_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -78,8 +78,8 @@ def _from_json(tp, value, path: str = ""):
             raise ScenarioError(f"{_join(path, name)}: missing required key")
     try:
         return tp(**kwargs)
-    except ValueError as exc:                       # the type's own range checks
-        raise ScenarioError(f"{where}: {exc}") from None
+    except ValueError as exc:       # the type's own range checks name the field
+        raise ScenarioError(_join(path, str(exc))) from None
 
 
 @dataclass
@@ -205,6 +205,10 @@ class ScenarioConfig:
         for path, value in _leaves(self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{path}: must be a finite number")
+        try:
+            self.controller.validate()
+        except ValueError as exc:
+            raise ScenarioError(_join("controller", str(exc))) from None
         if self.duration <= 0.0:
             raise ScenarioError("duration: must be positive")
         if not self.receivers:
@@ -244,22 +248,20 @@ class ScenarioConfig:
         if self.p2p_start < 0.0:
             raise ScenarioError("p2p_start: must be >= 0")
 
-    def default_buffer_capacity(self) -> int:
-        """Twice the minimum-window bound computed from the worst-case round
-        trip and the fastest scheduled service rate."""
+    def buffer_capacity(self) -> int:
+        """The configured buffer, or by default twice the minimum-window bound
+        for one receiver at the worst-case round trip and the fastest
+        scheduled service rate."""
+        if self.bottleneck.buffer_capacity is not None:
+            return self.bottleneck.buffer_capacity
         params = self.controller
         max_rate = self.bottleneck.rate.max_value()
         u_max = math.ceil(max_rate * params.period_T / params.packet_size_s)
         max_rtt = 2.0 * (self.sender_latency.max_value()
                          + max(r.latency.max_value() for r in self.receivers))
         n_m = math.ceil(max_rtt / params.period_T)
-        bound = u_max * (n_m + 1.0 / params.gamma)
+        bound = lemma2_min_window(u_max, [1.0], [n_m], params.gamma)
         return int(math.ceil(2.0 * bound))
-
-    def buffer_capacity(self) -> int:
-        if self.bottleneck.buffer_capacity is not None:
-            return self.bottleneck.buffer_capacity
-        return self.default_buffer_capacity()
 
     def to_dict(self) -> dict:
         return asdict(self)

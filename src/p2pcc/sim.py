@@ -50,7 +50,6 @@ class SimPacket:
     seq: int
     receiver_id: str
     flow_id: str
-    size_bits: float
     send_time: float
     base_rtt: float               # queue-free round trip at send time
     on_ack: Callable[[SimPacket, float], None]    # the sender's ack handler
@@ -73,16 +72,19 @@ class DelayLink:
 
 
 class Bottleneck:
-    """Drop-tail FIFO served at the scheduled bitrate.
+    """Drop-tail FIFO served at the scheduled bitrate; every packet is
+    ``packet_bits`` long.
 
     The service time of a packet is fixed when its service starts; the server
     is never idle while the queue is non-empty.
     """
 
-    def __init__(self, loop: EventLoop, rate_fn, capacity: int, on_depart):
+    def __init__(self, loop: EventLoop, rate_fn, capacity: int, packet_bits: float,
+                 on_depart):
         self.loop = loop
         self.rate_fn = rate_fn
         self.capacity = capacity
+        self.packet_bits = packet_bits
         self.on_depart = on_depart
         self.queue: deque[SimPacket] = deque()
         self.drops = 0
@@ -105,14 +107,13 @@ class Bottleneck:
         return True
 
     def _start_service(self, now: float) -> None:
-        pkt = self.queue[0]
-        duration = pkt.size_bits / self.rate_fn(now)
+        duration = self.packet_bits / self.rate_fn(now)
         self.loop.schedule(now + duration, self._finish)
 
     def _finish(self, now: float) -> None:
         pkt = self.queue.popleft()
         self.served += 1
-        self.served_bits[pkt.flow_id] = self.served_bits.get(pkt.flow_id, 0.0) + pkt.size_bits
+        self.served_bits[pkt.flow_id] = self.served_bits.get(pkt.flow_id, 0.0) + self.packet_bits
         self.on_depart(pkt, now)
         if self.queue:
             self._start_service(now)
@@ -223,20 +224,20 @@ class _Run:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.rng = random.Random(cfg.seed)
+        rng = random.Random(cfg.seed)
         self.loop = EventLoop()
         params = cfg.controller
         self.T = params.period_T
         self.packet_size_s = params.packet_size_s
         duration = cfg.duration
 
-        self.sender_lat = cfg.sender_latency.materialize(self.rng, duration)
-        self.receiver_lat = {r.receiver_id: r.latency.materialize(self.rng, duration)
+        self.sender_lat = cfg.sender_latency.materialize(rng, duration)
+        self.receiver_lat = {r.receiver_id: r.latency.materialize(rng, duration)
                              for r in cfg.receivers}
-        self.rate = cfg.bottleneck.rate.materialize(self.rng, duration)
-        self.capacity = cfg.buffer_capacity()
+        self.rate = cfg.bottleneck.rate.materialize(rng, duration)
 
-        self.bottleneck = Bottleneck(self.loop, self.rate, self.capacity, self._on_depart)
+        self.bottleneck = Bottleneck(self.loop, self.rate, cfg.buffer_capacity(),
+                                     self.packet_size_s, self._on_depart)
         self.access_link = DelayLink()
         self.forward_links = {rid: DelayLink() for rid in self.receiver_lat}
         self.ack_links = {rid: DelayLink() for rid in self.receiver_lat}
@@ -309,7 +310,7 @@ class _Run:
         """Put a packet on the path; ``on_ack(pkt, now)`` runs when its ack
         reaches the sender."""
         sender_lat = self.sender_lat(now)
-        pkt = SimPacket(seq, rid, flow_id, self.packet_size_s, now,
+        pkt = SimPacket(seq, rid, flow_id, now,
                         2.0 * (sender_lat + self.receiver_lat[rid](now)), on_ack)
         self.loop.schedule(self.access_link.transit(now, sender_lat),
                            self.bottleneck.enqueue, pkt)

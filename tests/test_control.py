@@ -9,23 +9,27 @@ from hypothesis import strategies as st
 
 from p2pcc.control import (ACK_HISTORY_LEN, BOOTSTRAP_QUOTA,
                            DUPACK_LOSS_THRESHOLD, TIMEOUT_FACTOR, Controller,
-                           ControllerParams, NoLatencySamples, compute_dref,
+                           ControllerParams, _Outstanding, compute_dref,
                            compute_send_quota, compute_window,
                            current_ack_rate, estimate_bandwidth,
-                           lambda_squared_shares, lemma2_min_window,
-                           new_state, qmax_estimate, rtt_reference)
+                           lambda_squared_shares, new_state, qmax_estimate,
+                           rtt_reference)
+from p2pcc.fluid import lemma2_min_window
 
 
 def make_state(receiver_ids=("r1",)):
     return new_state(list(receiver_ids))
 
 
+def set_in_flight(state, rid, n):
+    state.outstanding[rid] = {seq: _Outstanding(0.0) for seq in range(n)}
+
+
 def seed_counts(state, sent, acked):
     state.cumulative_sent = sent
     state.cumulative_acked = acked
-    # distribute the in-flight difference onto the first receiver
-    first = next(iter(state.receivers.values()))
-    first.in_flight = sent - acked
+    # the in-flight difference is outstanding at the first receiver
+    set_in_flight(state, next(iter(state.outstanding)), sent - acked)
 
 
 # -- send quota -------------------------------------------------------------
@@ -86,18 +90,27 @@ def test_dref_takes_minimum_across_calibrated_receivers():
 
 
 def test_dref_requires_at_least_one_sample():
-    state = make_state()
-    with pytest.raises(NoLatencySamples):
-        compute_dref(state.receivers, ControllerParams())
+    # packets in flight but no ack yet: the tick stays in bootstrap and sets
+    # neither d_ref nor the window
+    c = Controller(ControllerParams(), ["a", "b"])
+    c.on_send("a", 0, 0.0)
+    c.on_send("b", 1, 0.0)
+    snap = c.control_tick(0.05)
+    assert snap.bootstrap
+    assert (snap.quota, snap.d_ref, snap.window) == (BOOTSTRAP_QUOTA, 0.0, 1)
+    c.on_ack("b", 1, 0.03)
+    snap = c.control_tick(0.10)
+    assert not snap.bootstrap
+    assert snap.d_ref == pytest.approx(0.75 * 0.1)   # alpha * initial offset
 
 
 def test_qmax_estimate_flags_calibration():
     state = make_state()
     params = ControllerParams(initial_qmax_offset=0.1)
-    assert qmax_estimate(state.receivers, params) == (0.1, False)
+    assert qmax_estimate(state.receivers, params) == 0.1
     state.receivers["r1"].d_min = 0.02
     state.receivers["r1"].d_max = 0.07
-    assert qmax_estimate(state.receivers, params) == (pytest.approx(0.05), True)
+    assert qmax_estimate(state.receivers, params) == pytest.approx(0.05)
 
 
 # -- window -----------------------------------------------------------------
@@ -105,12 +118,12 @@ def test_qmax_estimate_flags_calibration():
 def test_window_single_receiver_bandwidth_delay_term():
     state = make_state()
     r = state.receivers["r1"]
-    r.d_min, r.lambda_sq = 0.020, 1.0
+    r.d_min = 0.020
     state.est_bandwidth_U = 333.0
     state.d_ref = 0.075
     state.avg_queue_delay_d = 0.075  # correction term zero
     params = ControllerParams(period_T=0.050)
-    assert compute_window(state, params) == 50  # ceil(333 * 0.145 + 1)
+    assert compute_window(state, params, {"r1": 1.0}) == 50  # ceil(333 * 0.145 + 1)
 
 
 def test_window_cold_start_opens_on_correction_term():
@@ -119,7 +132,7 @@ def test_window_cold_start_opens_on_correction_term():
     state.d_ref = 0.075
     state.avg_queue_delay_d = 0.0
     params = ControllerParams(gamma2=200.0)
-    assert compute_window(state, params) == 16  # 1 + 200 * 0.075
+    assert compute_window(state, params, {"r1": 0.0}) == 16  # 1 + 200 * 0.075
 
 
 def test_window_four_receiver_regression():
@@ -129,11 +142,11 @@ def test_window_four_receiver_regression():
     state = make_state(["r1", "r2", "r3", "r4"])
     for rid, d in zip(state.receivers, (0.012, 0.022, 0.007, 0.016)):
         state.receivers[rid].d_min = d
-        state.receivers[rid].lambda_sq = 0.25
     state.est_bandwidth_U = 333.0
     state.d_ref = 0.040
     state.avg_queue_delay_d = 0.040
-    assert compute_window(state, ControllerParams(period_T=0.050)) == 36
+    shares = dict.fromkeys(state.receivers, 0.25)
+    assert compute_window(state, ControllerParams(period_T=0.050), shares) == 36
 
 
 def test_window_never_below_one_packet():
@@ -141,7 +154,7 @@ def test_window_never_below_one_packet():
     state.est_bandwidth_U = 0.0
     state.d_ref = 0.0
     state.avg_queue_delay_d = 10.0  # huge negative correction
-    assert compute_window(state, ControllerParams()) == 1
+    assert compute_window(state, ControllerParams(), {"r1": 0.0}) == 1
 
 
 # -- bandwidth estimate -----------------------------------------------------
@@ -195,8 +208,8 @@ def test_bandwidth_estimate_trusts_nonempty_queue():
 
 def test_shares_ratio():
     state = make_state(["a", "b"])
-    state.receivers["a"].in_flight = 10
-    state.receivers["b"].in_flight = 30
+    set_in_flight(state, "a", 10)
+    set_in_flight(state, "b", 30)
     assert lambda_squared_shares(state) == {"a": 0.25, "b": 0.75}
 
 
@@ -207,7 +220,7 @@ def test_shares_all_zero_when_nothing_in_flight():
 
 def test_shares_single_receiver_normalizes_to_one():
     state = make_state()
-    state.receivers["r1"].in_flight = 7
+    set_in_flight(state, "r1", 7)
     assert lambda_squared_shares(state) == {"r1": 1.0}
 
 
@@ -237,7 +250,7 @@ def test_on_ack_initializes_and_tracks_minimum_latency():
     c.on_send("r1", 0, 0.0)
     c.on_ack("r1", 0, 0.020)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.020)
-    assert c.state.receivers["r1"].in_flight == 0
+    assert c.state.outstanding["r1"] == {}
     c.on_send("r1", 1, 0.100)
     c.on_ack("r1", 1, 0.118)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.018)
@@ -247,10 +260,10 @@ def test_duplicate_ack_counted_but_state_unchanged():
     c = Controller(ControllerParams(), ["r1"])
     c.on_send("r1", 0, 0.0)
     c.on_ack("r1", 0, 0.020)
-    before = (c.state.cumulative_acked, c.state.receivers["r1"].in_flight)
+    before = (c.state.cumulative_acked, c.state.in_flight_total())
     c.on_ack("r1", 0, 0.025)
     assert c.state.duplicate_acks == 1
-    assert (c.state.cumulative_acked, c.state.receivers["r1"].in_flight) == before
+    assert (c.state.cumulative_acked, c.state.in_flight_total()) == before
 
 
 def test_gap_of_three_later_acks_declares_loss():
@@ -555,7 +568,7 @@ def test_property_share_normalization(counts):
     ids = [f"r{i}" for i in range(len(counts))]
     state = make_state(ids)
     for rid, n in zip(ids, counts):
-        state.receivers[rid].in_flight = n
+        set_in_flight(state, rid, n)
     shares = lambda_squared_shares(state)
     assert all(0.0 <= s <= 1.0 for s in shares.values())
     if sum(counts) > 0:

@@ -4,8 +4,19 @@ import random
 
 import pytest
 
-from p2pcc.fluid import (closed_form_next, fluid_queue_trace, verify_lemma1,
-                         verify_lemma2)
+from p2pcc.fluid import fluid_queue_trace, verify_lemma1, verify_lemma2
+
+
+def closed_form_next(gamma, w, y_l, shares, delays, served_hist, l):
+    """One step of the algebraic closed form of the recursion: the next queue
+    length from the current one, the recently served (still unacknowledged)
+    packets per receiver and the current period's service."""
+    unacked = 0.0
+    for share, n in zip(shares, delays):
+        lo = max(0, l - n)
+        unacked += share * sum(served_hist[lo:l])
+    return (w - (1.0 - gamma) * (w - y_l)
+            - gamma * unacked - served_hist[l])
 
 
 def test_trace_shapes_and_initial_condition():

@@ -12,9 +12,12 @@ from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
                        _Run, run)
 
 
-def packet(seq, rid="r1", size=12000.0):
+PACKET_BITS = 12000.0
+
+
+def packet(seq, rid="r1"):
     return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
-                     size_bits=size, send_time=0.0, base_rtt=0.0, on_ack=None)
+                     send_time=0.0, base_rtt=0.0, on_ack=None)
 
 
 # -- event loop -------------------------------------------------------------
@@ -43,7 +46,7 @@ def test_events_beyond_horizon_stay_pending():
 def test_service_time_follows_rate():
     loop = EventLoop()
     departures = []
-    bn = Bottleneck(loop, lambda t: 4_000_000.0, 100,
+    bn = Bottleneck(loop, lambda t: 4_000_000.0, 100, PACKET_BITS,
                     lambda p, t: departures.append(t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(0), t))
     # arrives after the queue drained: service restarts from the arrival
@@ -57,7 +60,7 @@ def test_service_time_tracks_rate_step():
     loop = EventLoop()
     departures = []
     rate = lambda t: 4_000_000.0 if t < 0.003 else 1_000_000.0
-    bn = Bottleneck(loop, rate, 100, lambda p, t: departures.append(t))
+    bn = Bottleneck(loop, rate, 100, PACKET_BITS, lambda p, t: departures.append(t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(0), t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(1), t))
     loop.run(10.0)
@@ -67,7 +70,7 @@ def test_service_time_tracks_rate_step():
 
 def test_drop_tail_boundary():
     loop = EventLoop()
-    bn = Bottleneck(loop, lambda t: 1.0, 2, lambda p, t: None)
+    bn = Bottleneck(loop, lambda t: 1.0, 2, PACKET_BITS, lambda p, t: None)
     assert bn.enqueue(packet(0), 0.0)
     assert bn.enqueue(packet(1), 0.0)
     assert not bn.enqueue(packet(2), 0.0)
@@ -78,7 +81,7 @@ def test_drop_tail_boundary():
 def test_departures_preserve_enqueue_order():
     loop = EventLoop()
     order = []
-    bn = Bottleneck(loop, lambda t: 1_000_000.0, 100,
+    bn = Bottleneck(loop, lambda t: 1_000_000.0, 100, PACKET_BITS,
                     lambda p, t: order.append(p.seq))
     for seq in range(10):
         loop.schedule(seq * 0.001, lambda t, s=seq: bn.enqueue(packet(s), t))
@@ -89,7 +92,7 @@ def test_departures_preserve_enqueue_order():
 def test_work_conservation_back_to_back_service():
     loop = EventLoop()
     departures = []
-    bn = Bottleneck(loop, lambda t: 12_000_00.0, 100,
+    bn = Bottleneck(loop, lambda t: 12_000_00.0, 100, PACKET_BITS,
                     lambda p, t: departures.append(t))
     for seq in range(5):
         loop.schedule(0.0, lambda t, s=seq: bn.enqueue(packet(s), t))
@@ -100,7 +103,7 @@ def test_work_conservation_back_to_back_service():
 
 def test_queue_conservation_counters():
     loop = EventLoop()
-    bn = Bottleneck(loop, lambda t: 12_000_000.0, 3, lambda p, t: None)
+    bn = Bottleneck(loop, lambda t: 12_000_000.0, 3, PACKET_BITS, lambda p, t: None)
     for seq in range(6):
         loop.schedule(0.0, lambda t, s=seq: bn.enqueue(packet(s), t))
     loop.schedule(0.0015, lambda t: bn.enqueue(packet(6), t))
