@@ -122,8 +122,6 @@ def _repeat_receiver(data):
     (_set(["receivers", 0, "latency", "high"], float("nan")), [],
      "receivers[0].latency.high"),
     (lambda data: None, ["--gamma2", "nan"], "controller.gamma2"),
-    (_set(["controller", "gamma"], 2.0), [], "controller.gamma"),
-    (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
     (_add_flows("tcp1", "tcp1"), [], "flows[1].flow_id"),
     (_add_flows("p2p"), [], "flows[0].flow_id"),
     (_set(["flows"], [_flow(kind="cubic")]), [], "flows[0].kind"),
@@ -137,6 +135,8 @@ def _repeat_receiver(data):
     (_set(["p2p_start"], -1.0), [], "p2p_start"),
     (_repeat_receiver, [], "receivers[1].receiver_id"),
     (_set(["receivers"], []), [], "receivers"),
+    (_set(["controller", "gamma"], 2.0), [], "controller.gamma"),
+    (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):
