@@ -4,12 +4,23 @@ Sender -> fixed-latency access link -> drop-tail FIFO bottleneck with a
 time-varying service rate -> per-receiver delay links -> receivers, which ack
 every packet over an uncongested return path.  The block-source sender is
 driven by the periodic controller; competing TCP flows share the same FIFO.
+
+The access link is one FIFO, so packets reach the bottleneck in send order and
+a packet's whole path is known when it is sent: its admission, its service
+start (the Lindley recursion, ``max(arrival, previous departure)``), its
+departure and its ack time.  ``_Run.send`` computes them at once, so a P2P
+packet takes two events (its paced send and its ack) and a TCP packet one (its
+ack; TCP sends happen inside ack and timer handlers).  The bottleneck's
+counters catch up lazily when a metric sample reads them.  The ``Bottleneck``
+and ``EventLoop`` docstrings give the three rules that order exact-time ties
+as an event per arrival and per departure would.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -28,20 +39,36 @@ TCP_TIMER_INTERVAL = 0.05
 
 
 class EventLoop:
-    """Time-ordered event queue; ties break by insertion order.  An event
-    scheduled as ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``."""
+    """Time-ordered event queue.  An event scheduled as
+    ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``.
+
+    Each event is filed as ``(time, origin, counter, fn, args)``, where
+    ``origin`` is the time it was scheduled at: the running event's time, or
+    ``-inf`` before the run starts.  Origins never fall as the counter grows,
+    so events at one instant run in the order they were scheduled in.  A
+    caller may instead pass the ``origin`` of the instant an event stands for:
+    a packet's ack is scheduled when the packet is sent, with ``origin`` = its
+    departure, where an event per departure would have scheduled it (tie rule
+    2 of ``Bottleneck``).  The running event's origin is ``self.origin``.
+    """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
+        self.now = -math.inf           # time of the running event
+        self.origin = -math.inf        # origin of the running event
 
-    def schedule(self, time: float, fn, *args) -> None:
-        heapq.heappush(self._heap, (time, next(self._counter), fn, args))
+    def schedule(self, time: float, fn, *args, origin: float | None = None) -> None:
+        if origin is None:
+            origin = self.now
+        heapq.heappush(self._heap, (time, origin, next(self._counter), fn, args))
 
     def run(self, until: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= until:
-            time, _, fn, args = heapq.heappop(heap)
+            time, origin, _, fn, args = heapq.heappop(heap)
+            self.now = time
+            self.origin = origin
             fn(*args, time)
 
 
@@ -73,10 +100,37 @@ class DelayLink:
 
 class Bottleneck:
     """Drop-tail FIFO served at the scheduled bitrate; every packet is
-    ``packet_bits`` long.
+    ``packet_bits`` long.  A packet's fate is computed when it is sent.
 
-    The service time of a packet is fixed when its service starts; the server
-    is never idle while the queue is non-empty.
+    ``enqueue(pkt, arrival)`` runs at the send instant, with the packet's
+    arrival at the queue.  Earlier packets arrive no later, so it first
+    forgets the queued packets that have left by ``arrival`` and decides
+    admission against what is left.  An admitted packet's service starts at
+    the previous departure, or at its arrival if the server is idle, and
+    lasts ``packet_bits / rate(start)``; ``on_depart(pkt, departure)`` runs
+    at once.  The counters (``drops``, ``occupancy``, ``served_bits``,
+    ``enqueued``, ``served``) move only in ``advance(now)``, which counts the
+    arrivals and departures before ``now``.
+
+    Ties are broken as an event per arrival (filed at the send) and per
+    departure (filed when service starts) would break them:
+
+    1. A metric sample at ``t`` is filed before the run starts, so it runs
+       first among the events at ``t``: ``advance(t)`` counts only arrivals
+       and departures strictly before ``t``.
+    2. Events carry their origin (see ``EventLoop``); a packet's ack is filed
+       with ``origin`` = its departure.
+    3. A queued packet whose departure equals an arrival has left before that
+       arrival iff ``(its service start, origin of the event that started
+       it)`` < ``(arriving packet's send time, loop.origin of the sending
+       event)``.  Service is started by the packet's own arrival, filed at its
+       send, if the server was idle, and otherwise by the previous departure,
+       filed at that packet's service start.
+
+    The rules look two levels deep.  Where the origins tie as well, an ack
+    runs before the other event (say, a send filed by a control tick at the
+    ack's departure), and a departing packet still counts as queued at the
+    arrival; an event per hop may order either tie the other way.
     """
 
     def __init__(self, loop: EventLoop, rate_fn, capacity: int, packet_bits: float,
@@ -86,7 +140,13 @@ class Bottleneck:
         self.capacity = capacity
         self.packet_bits = packet_bits
         self.on_depart = on_depart
-        self.queue: deque[SimPacket] = deque()
+        # admitted packets that may still be queued at the next arrival:
+        # (departure, service start, origin of the event that started service)
+        self._queued: deque[tuple[float, float, float]] = deque()
+        # arrivals not yet counted: (arrival, departure or None if dropped, flow)
+        self._arrivals: deque[tuple[float, float | None, str]] = deque()
+        # the counted arrivals not yet departed, as recorded in _arrivals
+        self._in_queue: deque[tuple[float, float, str]] = deque()
         self.drops = 0
         self.served_bits: dict[str, float] = {}
         self.enqueued = 0
@@ -94,29 +154,46 @@ class Bottleneck:
 
     @property
     def occupancy(self) -> int:
-        return len(self.queue)
+        """Packets queued or in service, as of the last ``advance``."""
+        return len(self._in_queue)
 
-    def enqueue(self, pkt: SimPacket, now: float) -> bool:
-        if len(self.queue) >= self.capacity:
-            self.drops += 1
+    def enqueue(self, pkt: SimPacket, arrival: float) -> bool:
+        queued = self._queued
+        while queued and queued[0][0] <= arrival:
+            departure, start, origin = queued[0]
+            if departure == arrival and (start, origin) >= (pkt.send_time, self.loop.origin):
+                break                       # rule 3: it leaves after this arrival
+            queued.popleft()
+        if len(queued) >= self.capacity:
+            self._arrivals.append((arrival, None, pkt.flow_id))
             return False
-        self.queue.append(pkt)
-        self.enqueued += 1
-        if len(self.queue) == 1:            # the server was idle
-            self._start_service(now)
+        if queued:          # the previous departure, filed at its start, starts it
+            start, origin, _ = queued[-1]
+        else:               # the arrival, filed at the send, starts the idle server
+            start = arrival
+            origin = pkt.send_time
+        departure = start + self.packet_bits / self.rate_fn(start)
+        queued.append((departure, start, origin))
+        self._arrivals.append((arrival, departure, pkt.flow_id))
+        self.on_depart(pkt, departure)
         return True
 
-    def _start_service(self, now: float) -> None:
-        duration = self.packet_bits / self.rate_fn(now)
-        self.loop.schedule(now + duration, self._finish)
-
-    def _finish(self, now: float) -> None:
-        pkt = self.queue.popleft()
-        self.served += 1
-        self.served_bits[pkt.flow_id] = self.served_bits.get(pkt.flow_id, 0.0) + self.packet_bits
-        self.on_depart(pkt, now)
-        if self.queue:
-            self._start_service(now)
+    def advance(self, now: float) -> None:
+        """Count the arrivals and departures strictly before ``now``."""
+        arrivals = self._arrivals
+        in_queue = self._in_queue
+        while arrivals and arrivals[0][0] < now:
+            record = arrivals.popleft()
+            if record[1] is None:
+                self.drops += 1
+            else:
+                self.enqueued += 1
+                in_queue.append(record)
+        served_bits = self.served_bits
+        while in_queue and in_queue[0][1] < now:
+            flow_id = in_queue.popleft()[2]
+            self.served += 1
+            served_bits[flow_id] = served_bits.get(flow_id, 0.0) + self.packet_bits
 
 
 class TcpSender:
@@ -312,24 +389,25 @@ class _Run:
         sender_lat = self.sender_lat(now)
         pkt = SimPacket(seq, rid, flow_id, now,
                         2.0 * (sender_lat + self.receiver_lat[rid](now)), on_ack)
-        self.loop.schedule(self.access_link.transit(now, sender_lat),
-                           self.bottleneck.enqueue, pkt)
+        self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
 
     def _on_depart(self, pkt: SimPacket, now: float) -> None:
-        # receivers ack every packet on delivery and the return path is
-        # uncongested, so the ack's arrival is fixed at departure; the ack
-        # link still sees the delivery instant, in delivery order
+        # runs at send time with ``now`` = the departure: receivers ack every
+        # packet on delivery and the return path is uncongested, so the ack's
+        # arrival is fixed at departure.  Departures keep send order, so each
+        # receiver's links still see the delivery instants in delivery order.
         rid = pkt.receiver_id
         lat = self.receiver_lat[rid]
         delivery = self.forward_links[rid].transit(now, lat(now))
         # both return latencies are summed first: the ack hop adds them as one
         # delay, and the CSVs depend on that order of float additions
         ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
-        self.loop.schedule(ack, pkt.on_ack, pkt)
+        self.loop.schedule(ack, pkt.on_ack, pkt, origin=now)
 
     # -- Metrics ----------------------------------------------------------
 
     def _sample(self, now: float) -> None:
+        self.bottleneck.advance(now)
         snap = self.last_snapshot
         s_kbit = self.packet_size_s / 1000.0
         state = self.controller.state

@@ -1,8 +1,14 @@
 """Event loop, bottleneck queue, delay links and whole-run properties."""
 
+import bisect
+import itertools
+import math
 import statistics
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BottleneckConfig, PiecewiseConstant,
@@ -31,6 +37,11 @@ def test_events_pop_in_time_order_with_insertion_tiebreak():
     loop.schedule(1.0, lambda arg, t: seen.append((arg, t)), "c")
     loop.run(until=10.0)
     assert seen == ["a", "b", ("c", 1.0), 2.0]
+    # at one instant, an event filed at an earlier time runs first
+    loop.schedule(3.0, lambda t: seen.append("filed at 2.5"), origin=2.5)
+    loop.schedule(3.0, lambda t: seen.append("filed at 1.0"), origin=1.0)
+    loop.run(until=10.0)
+    assert seen[-2:] == ["filed at 1.0", "filed at 2.5"]
 
 
 def test_events_beyond_horizon_stay_pending():
@@ -74,6 +85,7 @@ def test_drop_tail_boundary():
     assert bn.enqueue(packet(0), 0.0)
     assert bn.enqueue(packet(1), 0.0)
     assert not bn.enqueue(packet(2), 0.0)
+    bn.advance(1.0)
     assert bn.drops == 1
     assert bn.occupancy == 2
 
@@ -108,8 +120,127 @@ def test_queue_conservation_counters():
         loop.schedule(0.0, lambda t, s=seq: bn.enqueue(packet(s), t))
     loop.schedule(0.0015, lambda t: bn.enqueue(packet(6), t))
     loop.run(10.0)
+    bn.advance(0.0025)      # 1 ms per packet: two served, two queued
+    assert (bn.served, bn.occupancy) == (2, 2)
+    assert bn.enqueued == bn.served + bn.occupancy
+    bn.advance(10.0)
     assert bn.enqueued == bn.served + bn.occupancy
     assert bn.enqueued + bn.drops == 7
+
+
+class EventBottleneck:
+    """The event-per-hop bottleneck that ``Bottleneck`` replaced: each arrival
+    is an event filed at the send, and each departure an event filed when its
+    service starts.  Its tie order is the one the computed queue reproduces."""
+
+    def __init__(self, loop, rate_fn, capacity, packet_bits, on_depart):
+        self.loop = loop
+        self.rate_fn = rate_fn
+        self.capacity = capacity
+        self.packet_bits = packet_bits
+        self.on_depart = on_depart
+        self.queue = deque()
+        self.drops = 0
+        self.served_bits = {}
+
+    @property
+    def occupancy(self):
+        return len(self.queue)
+
+    def enqueue(self, pkt, now):
+        if len(self.queue) >= self.capacity:
+            self.drops += 1
+            return False
+        self.queue.append(pkt)
+        if len(self.queue) == 1:            # the server was idle
+            self._start_service(now)
+        return True
+
+    def _start_service(self, now):
+        duration = self.packet_bits / self.rate_fn(now)
+        self.loop.schedule(now + duration, self._finish)
+
+    def _finish(self, now):
+        pkt = self.queue.popleft()
+        self.served_bits[pkt.flow_id] = self.served_bits.get(pkt.flow_id, 0.0) + self.packet_bits
+        self.on_depart(pkt, now)
+        if self.queue:
+            self._start_service(now)
+
+
+def drive_bottleneck(computed, plan):
+    """Run one send plan through a computed or an event bottleneck and return
+    the admissions and departures up to the horizon, and the samples.
+
+    Ticks filed before the run send paced bursts, as the P2P sender's ticks
+    do, and samples are filed after them, as ``_Run`` files them.  A send
+    filed by any other event (an ack, a TCP timer or start) can meet a tie the
+    three rules do not order: the sending event and the event that started a
+    service share their time and their origin.  So the oracle draws
+    tick-filed sends only."""
+    loop = EventLoop()
+    link = DelayLink()
+    steps = sorted(plan["rate_steps"])
+    times = [t for t, _ in steps]
+    rate = lambda t: steps[max(bisect.bisect_right(times, t) - 1, 0)][1]
+    admissions, departures, samples = [], [], []
+    seqs = itertools.count()
+
+    def send(latency, now):
+        # two flow ids, so that served bits are compared per flow
+        pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now, 0.0, None)
+        arrival = link.transit(now, latency)
+        if computed:
+            admissions.append((pkt.seq, arrival, bn.enqueue(pkt, arrival)))
+        else:
+            loop.schedule(arrival, event_enqueue, pkt)
+
+    def event_enqueue(pkt, now):
+        admissions.append((pkt.seq, now, bn.enqueue(pkt, now)))
+
+    def tick(burst, spacing, now):
+        for i, latency in enumerate(burst):
+            loop.schedule(now + i * spacing, send, latency)
+
+    def sample(now):
+        if computed:
+            bn.advance(now)
+        samples.append((now, bn.occupancy, bn.drops, dict(bn.served_bits)))
+
+    model = Bottleneck if computed else EventBottleneck
+    bn = model(loop, rate, plan["capacity"], PACKET_BITS,
+               lambda pkt, t: departures.append((pkt.seq, t)))
+    for t, burst, spacing in plan["ticks"]:
+        loop.schedule(t, tick, burst, spacing)
+    horizon = plan["horizon"]
+    for t in range(1, horizon + 1):
+        loop.schedule(float(t), sample)
+    loop.run(horizon)
+    # the computed queue decides a packet's fate when it is sent, so it also
+    # holds fates the event queue would reach only after the horizon
+    return ([a for a in admissions if a[1] <= horizon],
+            [d for d in departures if d[1] <= horizon], samples)
+
+
+# times on a 1-s grid, services of 1-3 s and latencies of 0-3 s are exact in
+# binary, so arrivals, departures, service starts and samples tie often
+grid = st.integers(0, 12).map(float)
+plans = st.fixed_dictionaries({
+    "horizon": st.just(16),
+    "capacity": st.integers(1, 5),
+    "rate_steps": st.lists(st.tuples(grid, st.sampled_from(
+        [PACKET_BITS, PACKET_BITS / 2, PACKET_BITS / 3])), min_size=1, max_size=4),
+    "ticks": st.lists(st.tuples(grid, st.lists(st.integers(0, 3).map(float), max_size=5),
+                                st.sampled_from([0.0, 0.5, 1.0])), max_size=8),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans)
+def test_computed_bottleneck_matches_event_oracle(plan):
+    # equal admissions, bit-identical departure instants, and equal counters
+    # at every sample instant
+    assert drive_bottleneck(True, plan) == drive_bottleneck(False, plan)
 
 
 # -- delay links ------------------------------------------------------------
@@ -174,15 +305,15 @@ def small_single_receiver(duration=5.0, seed=7):
     )
 
 
-def test_each_packet_takes_at_most_four_events(monkeypatch):
-    # send, bottleneck arrival, departure and ack; the rest are control ticks
-    # and metric samples
+def test_each_packet_takes_at_most_two_events(monkeypatch):
+    # the paced send and the ack; the bottleneck is computed at send time, and
+    # the rest are control ticks and metric samples
     schedule = EventLoop.schedule
     calls = [0]
 
-    def counting_schedule(loop, *args):
+    def counting_schedule(loop, *args, **kwargs):
         calls[0] += 1
-        schedule(loop, *args)
+        schedule(loop, *args, **kwargs)
 
     monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
     run_ = _Run(small_single_receiver())
@@ -191,7 +322,7 @@ def test_each_packet_takes_at_most_four_events(monkeypatch):
     sent = run_.controller.state.cumulative_sent
     ticks = samples = len(run_.log.rows)     # one of each per period
     assert sent > 1000
-    assert calls[0] <= 4 * sent + ticks + samples
+    assert calls[0] <= 2 * sent + ticks + samples
 
 
 def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
@@ -231,6 +362,32 @@ def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
     run_.execute()
     assert len(acked) > 100
 
+
+
+def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
+    # every packet put on the path is admitted or dropped, and every admitted
+    # one is served once the queue has drained
+    enqueue = Bottleneck.enqueue
+    calls = [0]
+
+    def counting_enqueue(bottleneck, pkt, arrival):
+        calls[0] += 1
+        return enqueue(bottleneck, pkt, arrival)
+
+    monkeypatch.setattr(Bottleneck, "enqueue", counting_enqueue)
+    cfg = small_single_receiver(duration=3.0)
+    cfg.bottleneck.buffer_capacity = 8
+    cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.5, 3.0)]
+    run_ = _Run(cfg)
+    run_.execute()
+    bn = run_.bottleneck
+    bn.advance(math.inf)
+    assert bn.drops > 0
+    assert bn.enqueued + bn.drops == calls[0]
+    assert bn.served == bn.enqueued
+    assert bn.occupancy == 0
+    assert sum(bn.served_bits.values()) == bn.served * PACKET_BITS
+    assert set(bn.served_bits) == {"p2p", "tcp1"}
 
 def test_identical_config_and_seed_reproduce_identical_logs():
     log_a = run(small_single_receiver())
