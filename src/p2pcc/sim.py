@@ -8,18 +8,23 @@ driven by the periodic controller; competing TCP flows share the same FIFO.
 The access link is one FIFO, so packets reach the bottleneck in send order and
 a packet's whole path is known when it is sent: its admission, its service
 start (the Lindley recursion, ``max(arrival, previous departure)``), its
-departure and its ack time.  ``_Run.send`` computes them at once, so a P2P
-packet takes two events (its paced send and its ack) and a TCP packet one (its
-ack; TCP sends happen inside ack and timer handlers).  The bottleneck's
-counters catch up lazily when a metric sample reads them.  The ``Bottleneck``
-and ``EventLoop`` docstrings give the three rules that order exact-time ties
-as an event per arrival and per departure would.
+departure and its ack time.  ``_Run.send`` computes them at once.  The
+bottleneck's counters catch up lazily when a metric sample reads them.
+
+The periodic sender takes no events either.  Control ticks and metric samples
+form one chained clock: each files its successor.  A tick's paced sends wait
+in a FIFO and go onto the path on demand, before the next clock event or the
+next TCP send that an event per paced send would have followed.  A P2P ack
+waits in its receiver's FIFO, and the next clock event applies it.  So a P2P
+packet takes no event and a TCP packet one (its ack; TCP sends happen inside
+ack and timer handlers).  The ``Bottleneck``, ``EventLoop`` and ``_Run``
+docstrings give the rules that order exact-time ties as an event per send,
+per ack, per arrival and per departure would.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from collections import deque
@@ -47,28 +52,44 @@ class EventLoop:
     ``-inf`` before the run starts.  Origins never fall as the counter grows,
     so events at one instant run in the order they were scheduled in.  A
     caller may instead pass the ``origin`` of the instant an event stands for:
-    a packet's ack is scheduled when the packet is sent, with ``origin`` = its
-    departure, where an event per departure would have scheduled it (tie rule
-    2 of ``Bottleneck``).  The running event's origin is ``self.origin``.
+    a TCP packet's ack is scheduled when the packet is sent, with ``origin`` =
+    its departure, where an event per departure would have scheduled it (tie
+    rule 2 of ``Bottleneck``), and each clock event of ``_Run`` files its
+    successor with ``origin=-inf``, as if it had been filed before the run.
+
+    The running event's key is ``(now, origin, counter)``.  ``reserve(n)``
+    hands out counters for events a caller keeps outside the heap (the paced
+    sends of ``_Run``), so it can order them against the heap's events by
+    the same key.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._counter = itertools.count()
+        self._next_counter = 0
         self.now = -math.inf           # time of the running event
         self.origin = -math.inf        # origin of the running event
+        self.counter = -1              # counter of the running event
 
     def schedule(self, time: float, fn, *args, origin: float | None = None) -> None:
         if origin is None:
             origin = self.now
-        heapq.heappush(self._heap, (time, origin, next(self._counter), fn, args))
+        counter = self._next_counter
+        self._next_counter = counter + 1
+        heapq.heappush(self._heap, (time, origin, counter, fn, args))
+
+    def reserve(self, n: int) -> int:
+        """Take ``n`` consecutive counters; returns the first."""
+        first = self._next_counter
+        self._next_counter = first + n
+        return first
 
     def run(self, until: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= until:
-            time, origin, _, fn, args = heapq.heappop(heap)
+            time, origin, counter, fn, args = heapq.heappop(heap)
             self.now = time
             self.origin = origin
+            self.counter = counter
             fn(*args, time)
 
 
@@ -78,8 +99,11 @@ class SimPacket:
     receiver_id: str
     flow_id: str
     send_time: float
+    origin: float                 # origin of the sending event (see EventLoop)
     base_rtt: float               # queue-free round trip at send time
-    on_ack: Callable[[SimPacket, float], None]    # the sender's ack handler
+    # the sender's ack handler, called at send time as
+    # ``on_ack(pkt, ack instant, departure)``
+    on_ack: Callable[[SimPacket, float, float], None]
 
 
 class DelayLink:
@@ -115,27 +139,26 @@ class Bottleneck:
     Ties are broken as an event per arrival (filed at the send) and per
     departure (filed when service starts) would break them:
 
-    1. A metric sample at ``t`` is filed before the run starts, so it runs
-       first among the events at ``t``: ``advance(t)`` counts only arrivals
-       and departures strictly before ``t``.
-    2. Events carry their origin (see ``EventLoop``); a packet's ack is filed
-       with ``origin`` = its departure.
+    1. A metric sample at ``t`` is a clock event of ``_Run``, filed with
+       origin ``-inf`` as if before the run, so it runs before every arrival
+       and departure at ``t``: ``advance(t)`` counts only those strictly
+       before ``t``.
+    2. Events carry their origin (see ``EventLoop``); a packet's ack stands
+       for an event filed with ``origin`` = its departure.
     3. A queued packet whose departure equals an arrival has left before that
        arrival iff ``(its service start, origin of the event that started
-       it)`` < ``(arriving packet's send time, loop.origin of the sending
-       event)``.  Service is started by the packet's own arrival, filed at its
-       send, if the server was idle, and otherwise by the previous departure,
-       filed at that packet's service start.
+       it)`` < ``(arriving packet's send time, pkt.origin)``, the origin of
+       the event that sent it.  Service is started by the packet's own
+       arrival, filed at its send, if the server was idle, and otherwise by
+       the previous departure, filed at that packet's service start.
 
-    The rules look two levels deep.  Where the origins tie as well, an ack
-    runs before the other event (say, a send filed by a control tick at the
-    ack's departure), and a departing packet still counts as queued at the
-    arrival; an event per hop may order either tie the other way.
+    The rules look two levels deep.  Where the origins tie as well, a TCP
+    ack runs before a send filed by a control tick at the ack's departure,
+    and a departing packet still counts as queued at the arrival; an event
+    per hop may order either tie the other way.
     """
 
-    def __init__(self, loop: EventLoop, rate_fn, capacity: int, packet_bits: float,
-                 on_depart):
-        self.loop = loop
+    def __init__(self, rate_fn, capacity: int, packet_bits: float, on_depart):
         self.rate_fn = rate_fn
         self.capacity = capacity
         self.packet_bits = packet_bits
@@ -161,7 +184,7 @@ class Bottleneck:
         queued = self._queued
         while queued and queued[0][0] <= arrival:
             departure, start, origin = queued[0]
-            if departure == arrival and (start, origin) >= (pkt.send_time, self.loop.origin):
+            if departure == arrival and (start, origin) >= (pkt.send_time, pkt.origin):
                 break                       # rule 3: it leaves after this arrival
             queued.popleft()
         if len(queued) >= self.capacity:
@@ -260,10 +283,11 @@ class TcpSender:
                 self.next_seq += 1
                 retransmitted = False
             self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            self.run.send(self.receiver_id, self.flow_id, seq, now, self._on_packet_ack)
+            self.run.send(self.receiver_id, self.flow_id, seq, now, self._file_ack)
 
-    def _on_packet_ack(self, pkt: SimPacket, now: float) -> None:
-        self.on_ack(pkt.seq, now)
+    def _file_ack(self, pkt: SimPacket, ack: float, departure: float) -> None:
+        # the ack is an event, filed where an event per departure would file it
+        self.run.loop.schedule(ack, self.on_ack, pkt.seq, origin=departure)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -296,7 +320,36 @@ class TcpSender:
 
 
 class _Run:
-    """One simulation run: wiring, event handlers and metrics sampling."""
+    """One simulation run: wiring, event handlers and metrics sampling.
+
+    The heap holds one clock event, the next control tick or metric sample,
+    and the TCP senders' acks and timers.  Each clock event files its
+    successor with ``origin=-inf``, as if it had been filed before the run;
+    at an instant with both, the tick runs first, and a TCP sender starting
+    there, filed at init, runs before either.  The periodic sender stays off
+    the heap, with the result an event per paced send and per P2P ack gives:
+
+    - A tick appends its quota to a FIFO of paced sends ``(send time, tick
+      instant, counter, rid)``, with counters reserved from the loop's, so
+      each carries the key its event would have had.  In FIFO order, each
+      gets ``Controller.on_send`` and is put on the path (a) at each clock
+      event, if it is strictly before that instant, and (b) in ``send``,
+      before any other packet is put on the path, if its key is below the
+      running event's.  The path (access link, bottleneck, receiver links) is
+      thus used in event order.
+    - A P2P ack goes into its receiver's FIFO when its packet is sent.  Each
+      clock event, after (a), applies the acks strictly before its instant,
+      merged by ``(ack, departure, seq)``: the heap's own key, with the seq,
+      which rises in send order, standing in for the counter.  Each receiver's
+      links are FIFO, so its ack instants never fall.  Applying an ack late
+      is exact: it changes only controller state and ``period_acks``, which
+      only clock events read; a packet sent after the acked one has a higher
+      seq, so the dup-gap walk stops before it; and timeouts run only at
+      ticks.
+    - ``execute`` ends by putting on the path the paced sends at or before the
+      duration and applying the acks at or before it, which an event per send
+      and per ack would have run.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
@@ -313,7 +366,7 @@ class _Run:
                              for r in cfg.receivers}
         self.rate = cfg.bottleneck.rate.materialize(rng, duration)
 
-        self.bottleneck = Bottleneck(self.loop, self.rate, cfg.buffer_capacity(),
+        self.bottleneck = Bottleneck(self.rate, cfg.buffer_capacity(),
                                      self.packet_size_s, self._on_depart)
         self.access_link = DelayLink()
         self.forward_links = {rid: DelayLink() for rid in self.receiver_lat}
@@ -325,6 +378,10 @@ class _Run:
                                   cfg.source.backlog_blocks)
         self.next_seq = 0
         self.last_snapshot = None
+        # paced sends not yet on the path: (send time, tick instant, counter, rid)
+        self._paced: deque[tuple[float, float, int, str]] = deque()
+        # per receiver, P2P acks not yet applied: (ack, departure, seq, pkt)
+        self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
 
         # a sender schedules its own start and its packets carry its ack
         # handler, so the run needs no reference to it
@@ -345,49 +402,96 @@ class _Run:
         columns += [f"throughput_{fid}_kbps" for fid in self.flow_ids]
         self.log = MetricsLog(columns)
 
-        # Control ticks are scheduled before samples so a sample at the same
-        # instant sees that tick's snapshot.
-        n_periods = int(round(duration / self.T))
-        k = 0
-        while True:
-            t = cfg.p2p_start + k * self.T
-            if t >= duration:
-                break
-            self.loop.schedule(t, self._p2p_tick)
-            k += 1
-        for j in range(1, n_periods + 1):
-            self.loop.schedule(j * self.T, self._sample)
+        # the clock is filed after the TCP senders' starts, so that a sender
+        # starting at a clock instant runs before it
+        self._ticks = 0             # control ticks filed so far
+        self._samples = 0           # metric samples filed so far
+        self._n_samples = int(round(duration / self.T))
+        self._file_clock()
+
+    def _file_clock(self) -> None:
+        """File the next clock event with ``origin=-inf``: a control tick at
+        ``p2p_start + k T`` before the duration or a metric sample at ``j T``,
+        ``j <= round(duration / T)``.  At a shared instant the tick comes
+        first, so the sample sees that tick's snapshot."""
+        tick = self.cfg.p2p_start + self._ticks * self.T
+        if tick >= self.cfg.duration:
+            tick = math.inf
+        sample = (self._samples + 1) * self.T if self._samples < self._n_samples else math.inf
+        if tick == sample == math.inf:
+            return
+        if tick <= sample:
+            self._ticks += 1
+            self.loop.schedule(tick, self._p2p_tick, origin=-math.inf)
+        else:
+            self._samples += 1
+            self.loop.schedule(sample, self._sample, origin=-math.inf)
+
+    def _catch_up(self, before: tuple) -> None:
+        """Put on the path the paced sends, then apply the P2P acks, whose
+        keys are below ``before``: ``(t,)`` for those strictly before ``t``."""
+        self._send_paced(before)
+        self._apply_acks(before)
 
     # -- P2P side ---------------------------------------------------------
 
     def _p2p_tick(self, now: float) -> None:
+        self._file_clock()
+        self._catch_up((now,))
         snapshot = self.controller.control_tick(now)
         self.last_snapshot = snapshot
         assignments = self.source.next_packets(snapshot.quota)
         if not assignments:
             return
         spacing = self.T / len(assignments)
-        for i, (rid, _) in enumerate(assignments):
-            self.loop.schedule(now + i * spacing, self._send_p2p, rid)
+        counter = self.loop.reserve(len(assignments))
+        self._paced.extend((now + i * spacing, now, counter + i, rid)
+                           for i, (rid, _) in enumerate(assignments))
 
-    def _send_p2p(self, rid: str, now: float) -> None:
-        seq = self.next_seq
-        self.next_seq += 1
-        self.controller.on_send(rid, seq, now)
-        self.send(rid, P2P_FLOW_ID, seq, now, self._on_p2p_ack)
+    def _send_paced(self, before: tuple) -> None:
+        paced = self._paced
+        while paced and paced[0] < before:
+            now, origin, _, rid = paced.popleft()
+            seq = self.next_seq
+            self.next_seq = seq + 1
+            self.controller.on_send(rid, seq, now)
+            self._put(rid, P2P_FLOW_ID, seq, now, origin, self._defer_p2p_ack)
 
-    def _on_p2p_ack(self, pkt: SimPacket, now: float) -> None:
-        self.controller.on_ack(pkt.receiver_id, pkt.seq, now)
-        self.period_acks.append((pkt.receiver_id, now - pkt.send_time, pkt.base_rtt))
+    def _defer_p2p_ack(self, pkt: SimPacket, ack: float, departure: float) -> None:
+        self._acks[pkt.receiver_id].append((ack, departure, pkt.seq, pkt))
+
+    def _apply_acks(self, before: tuple) -> None:
+        due = []
+        for acks in self._acks.values():
+            while acks and acks[0] < before:
+                due.append(acks.popleft())
+        if len(self._acks) > 1:
+            due.sort()              # merge the receivers' FIFOs
+        on_ack = self.controller.on_ack
+        period_acks = self.period_acks
+        for ack, _, seq, pkt in due:
+            rid = pkt.receiver_id
+            on_ack(rid, seq, ack)
+            period_acks.append((rid, ack - pkt.send_time, pkt.base_rtt))
 
     # -- Shared path ------------------------------------------------------
 
     def send(self, rid: str, flow_id: str, seq: int, now: float,
-             on_ack: Callable[[SimPacket, float], None]) -> None:
-        """Put a packet on the path; ``on_ack(pkt, now)`` runs when its ack
-        reaches the sender."""
+             on_ack: Callable[[SimPacket, float, float], None]) -> None:
+        """Put a packet of the running event on the path (TCP's one entry);
+        ``on_ack(pkt, ack, departure)`` runs at once with the instant its ack
+        will reach the sender.  First go the paced sends whose key is below
+        the running event's, which an event per paced send would have put on
+        the path before this one."""
+        loop = self.loop
+        if self._paced:
+            self._send_paced((loop.now, loop.origin, loop.counter))
+        self._put(rid, flow_id, seq, now, loop.origin, on_ack)
+
+    def _put(self, rid: str, flow_id: str, seq: int, now: float, origin: float,
+             on_ack: Callable[[SimPacket, float, float], None]) -> None:
         sender_lat = self.sender_lat(now)
-        pkt = SimPacket(seq, rid, flow_id, now,
+        pkt = SimPacket(seq, rid, flow_id, now, origin,
                         2.0 * (sender_lat + self.receiver_lat[rid](now)), on_ack)
         self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
 
@@ -402,11 +506,13 @@ class _Run:
         # both return latencies are summed first: the ack hop adds them as one
         # delay, and the CSVs depend on that order of float additions
         ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
-        self.loop.schedule(ack, pkt.on_ack, pkt, origin=now)
+        pkt.on_ack(pkt, ack, now)
 
     # -- Metrics ----------------------------------------------------------
 
     def _sample(self, now: float) -> None:
+        self._file_clock()
+        self._catch_up((now,))
         self.bottleneck.advance(now)
         snap = self.last_snapshot
         s_kbit = self.packet_size_s / 1000.0
@@ -448,7 +554,9 @@ class _Run:
         self.log.append(row)
 
     def execute(self) -> MetricsLog:
-        self.loop.run(self.cfg.duration)
+        duration = self.cfg.duration
+        self.loop.run(duration)
+        self._catch_up((duration, math.inf))     # at or before the duration
         return self.log
 
 

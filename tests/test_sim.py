@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2pcc.control import ControllerParams
 from p2pcc.fluid import fluid_queue_trace
-from p2pcc.scenarios import (BottleneckConfig, PiecewiseConstant,
-                             ReceiverConfig, ScenarioConfig, TcpFlowConfig,
-                             build_experiment_1, build_experiment_2, constant)
+from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
+                             PiecewiseConstant, ReceiverConfig, ScenarioConfig,
+                             TcpFlowConfig, build_experiment_1, build_experiment_2,
+                             constant)
 from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
                        _Run, run)
 
@@ -23,7 +25,7 @@ PACKET_BITS = 12000.0
 
 def packet(seq, rid="r1"):
     return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
-                     send_time=0.0, base_rtt=0.0, on_ack=None)
+                     send_time=0.0, origin=0.0, base_rtt=0.0, on_ack=None)
 
 
 # -- event loop -------------------------------------------------------------
@@ -57,7 +59,7 @@ def test_events_beyond_horizon_stay_pending():
 def test_service_time_follows_rate():
     loop = EventLoop()
     departures = []
-    bn = Bottleneck(loop, lambda t: 4_000_000.0, 100, PACKET_BITS,
+    bn = Bottleneck(lambda t: 4_000_000.0, 100, PACKET_BITS,
                     lambda p, t: departures.append(t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(0), t))
     # arrives after the queue drained: service restarts from the arrival
@@ -71,7 +73,7 @@ def test_service_time_tracks_rate_step():
     loop = EventLoop()
     departures = []
     rate = lambda t: 4_000_000.0 if t < 0.003 else 1_000_000.0
-    bn = Bottleneck(loop, rate, 100, PACKET_BITS, lambda p, t: departures.append(t))
+    bn = Bottleneck(rate, 100, PACKET_BITS, lambda p, t: departures.append(t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(0), t))
     loop.schedule(0.0, lambda t: bn.enqueue(packet(1), t))
     loop.run(10.0)
@@ -80,8 +82,7 @@ def test_service_time_tracks_rate_step():
 
 
 def test_drop_tail_boundary():
-    loop = EventLoop()
-    bn = Bottleneck(loop, lambda t: 1.0, 2, PACKET_BITS, lambda p, t: None)
+    bn = Bottleneck(lambda t: 1.0, 2, PACKET_BITS, lambda p, t: None)
     assert bn.enqueue(packet(0), 0.0)
     assert bn.enqueue(packet(1), 0.0)
     assert not bn.enqueue(packet(2), 0.0)
@@ -93,7 +94,7 @@ def test_drop_tail_boundary():
 def test_departures_preserve_enqueue_order():
     loop = EventLoop()
     order = []
-    bn = Bottleneck(loop, lambda t: 1_000_000.0, 100, PACKET_BITS,
+    bn = Bottleneck(lambda t: 1_000_000.0, 100, PACKET_BITS,
                     lambda p, t: order.append(p.seq))
     for seq in range(10):
         loop.schedule(seq * 0.001, lambda t, s=seq: bn.enqueue(packet(s), t))
@@ -104,7 +105,7 @@ def test_departures_preserve_enqueue_order():
 def test_work_conservation_back_to_back_service():
     loop = EventLoop()
     departures = []
-    bn = Bottleneck(loop, lambda t: 12_000_00.0, 100, PACKET_BITS,
+    bn = Bottleneck(lambda t: 12_000_00.0, 100, PACKET_BITS,
                     lambda p, t: departures.append(t))
     for seq in range(5):
         loop.schedule(0.0, lambda t, s=seq: bn.enqueue(packet(s), t))
@@ -115,7 +116,7 @@ def test_work_conservation_back_to_back_service():
 
 def test_queue_conservation_counters():
     loop = EventLoop()
-    bn = Bottleneck(loop, lambda t: 12_000_000.0, 3, PACKET_BITS, lambda p, t: None)
+    bn = Bottleneck(lambda t: 12_000_000.0, 3, PACKET_BITS, lambda p, t: None)
     for seq in range(6):
         loop.schedule(0.0, lambda t, s=seq: bn.enqueue(packet(s), t))
     loop.schedule(0.0015, lambda t: bn.enqueue(packet(6), t))
@@ -188,7 +189,8 @@ def drive_bottleneck(computed, plan):
 
     def send(latency, now):
         # two flow ids, so that served bits are compared per flow
-        pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now, 0.0, None)
+        pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now,
+                        loop.origin, 0.0, None)
         arrival = link.transit(now, latency)
         if computed:
             admissions.append((pkt.seq, arrival, bn.enqueue(pkt, arrival)))
@@ -207,9 +209,11 @@ def drive_bottleneck(computed, plan):
             bn.advance(now)
         samples.append((now, bn.occupancy, bn.drops, dict(bn.served_bits)))
 
-    model = Bottleneck if computed else EventBottleneck
-    bn = model(loop, rate, plan["capacity"], PACKET_BITS,
-               lambda pkt, t: departures.append((pkt.seq, t)))
+    on_depart = lambda pkt, t: departures.append((pkt.seq, t))
+    if computed:
+        bn = Bottleneck(rate, plan["capacity"], PACKET_BITS, on_depart)
+    else:
+        bn = EventBottleneck(loop, rate, plan["capacity"], PACKET_BITS, on_depart)
     for t, burst, spacing in plan["ticks"]:
         loop.schedule(t, tick, burst, spacing)
     horizon = plan["horizon"]
@@ -305,9 +309,9 @@ def small_single_receiver(duration=5.0, seed=7):
     )
 
 
-def test_each_packet_takes_at_most_two_events(monkeypatch):
-    # the paced send and the ack; the bottleneck is computed at send time, and
-    # the rest are control ticks and metric samples
+def test_p2p_packets_take_no_events(monkeypatch):
+    # paced sends and P2P acks stay off the heap and the bottleneck is
+    # computed at send time: the only events are control ticks and samples
     schedule = EventLoop.schedule
     calls = [0]
 
@@ -319,10 +323,18 @@ def test_each_packet_takes_at_most_two_events(monkeypatch):
     run_ = _Run(small_single_receiver())
     run_.execute()
     assert run_.bottleneck.drops == 0
-    sent = run_.controller.state.cumulative_sent
+    assert run_.controller.state.cumulative_sent > 1000
     ticks = samples = len(run_.log.rows)     # one of each per period
-    assert sent > 1000
-    assert calls[0] <= 2 * sent + ticks + samples
+    assert calls[0] == ticks + samples
+
+
+def test_clock_is_one_heap_entry():
+    # each tick and sample files its successor, so the heap starts with the
+    # first of them, plus each TCP sender's start
+    assert len(_Run(build_experiment_1()).loop._heap) == 1
+    cfg = build_experiment_1()
+    cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 1.0)]
+    assert len(_Run(cfg).loop._heap) == 2
 
 
 def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
@@ -388,6 +400,145 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
     assert bn.occupancy == 0
     assert sum(bn.served_bits.values()) == bn.served * PACKET_BITS
     assert set(bn.served_bits) == {"p2p", "tcp1"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_run_end_state_conserves_packets(name):
+    # every P2P packet sent is acked, declared lost or still in flight, and
+    # every packet the bottleneck admitted leaves it once it has drained
+    cfg = BUILTIN_SCENARIOS[name]()
+    cfg.duration = 10.0
+    run_ = _Run(cfg)
+    run_.execute()
+    state = run_.controller.state
+    assert state.cumulative_sent == (state.cumulative_acked + state.cumulative_lost
+                                     + state.in_flight_total())
+    bn = run_.bottleneck
+    bn.advance(math.inf)
+    assert bn.served == bn.enqueued
+    assert bn.occupancy == 0
+
+
+class EventPacedRun(_Run):
+    """The periodic sender that ``_Run`` replaced: every control tick and
+    metric sample filed before the run, an event per paced send and one per
+    P2P ack.  Its event order is the one the on-demand sender reproduces."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        # ticks before samples, both after the TCP senders' starts
+        k = 0
+        while True:
+            t = cfg.p2p_start + k * self.T
+            if t >= cfg.duration:
+                break
+            self.loop.schedule(t, self._p2p_tick)
+            k += 1
+        for j in range(1, int(round(cfg.duration / self.T)) + 1):
+            self.loop.schedule(j * self.T, self._sample)
+
+    def _file_clock(self):
+        pass                    # the whole clock is filed at init
+
+    def _p2p_tick(self, now):
+        snapshot = self.controller.control_tick(now)
+        self.last_snapshot = snapshot
+        assignments = self.source.next_packets(snapshot.quota)
+        if not assignments:
+            return
+        spacing = self.T / len(assignments)
+        for i, (rid, _) in enumerate(assignments):
+            self.loop.schedule(now + i * spacing, self._send_p2p, rid)
+
+    def _send_p2p(self, rid, now):
+        seq = self.next_seq
+        self.next_seq += 1
+        self.controller.on_send(rid, seq, now)
+        self.send(rid, P2P_FLOW_ID, seq, now, self._file_p2p_ack)
+
+    def _file_p2p_ack(self, pkt, ack, departure):
+        self.loop.schedule(ack, self._on_p2p_ack, pkt, origin=departure)
+
+    def _on_p2p_ack(self, pkt, now):
+        self.controller.on_ack(pkt.receiver_id, pkt.seq, now)
+        self.period_acks.append((pkt.receiver_id, now - pkt.send_time, pkt.base_rtt))
+
+
+@st.composite
+def tie_heavy_scenarios(draw):
+    """Short runs whose events tie often: latencies on a 1-ms grid, a service
+    time equal to the access latency, TCP starts and stops and the P2P start
+    on the 50-ms grid, and a period of 50 or 100 ms, so that the 50-ms TCP
+    timers can land on paced sends.  A run ends on a period boundary or
+    inside a period."""
+    sender = draw(st.integers(1, 5)) / 1000.0
+    receivers = [ReceiverConfig(f"r{i + 1}", constant(draw(st.integers(0, 5)) / 1000.0))
+                 for i in range(draw(st.integers(1, 3)))]
+    flows = []
+    for i in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, 39))
+        stop = draw(st.integers(start + 1, 40))
+        flows.append(TcpFlowConfig(f"tcp{i + 1}", draw(st.sampled_from(["reno", "bic"])),
+                                   draw(st.sampled_from(receivers)).receiver_id,
+                                   start * 0.05, stop * 0.05))
+    return ScenarioConfig(
+        name="ties", duration=draw(st.sampled_from([2.0, 2.03])), seed=1,
+        controller=ControllerParams(period_T=draw(st.sampled_from([0.05, 0.1]))),
+        sender_latency=constant(sender), receivers=receivers,
+        bottleneck=BottleneckConfig(rate=constant(PACKET_BITS / sender),
+                                    buffer_capacity=draw(st.integers(1, 40))),
+        flows=flows, p2p_start=draw(st.integers(0, 20)) * 0.05)
+
+
+def end_state(run_):
+    state = run_.controller.state
+    bn = run_.bottleneck
+    bn.advance(math.inf)
+    return (state.cumulative_sent, state.cumulative_acked, state.cumulative_lost,
+            state.duplicate_acks, {rid: list(p) for rid, p in state.outstanding.items()},
+            bn.drops, bn.enqueued, bn.served_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_scenarios())
+def test_on_demand_sender_matches_event_oracle(cfg):
+    # equal metric rows, and equal controller and bottleneck counters at the
+    # end of the run
+    new, old = _Run(cfg), EventPacedRun(cfg)
+    new.execute()
+    old.execute()
+    assert new.log.rows == old.log.rows
+    assert end_state(new) == end_state(old)
+
+
+def test_paced_send_goes_before_a_send_filed_after_it_at_its_instant():
+    # a TCP timer that runs at a tick instant, after the tick, files its next
+    # firing with that instant as origin.  Where the firing lands on a paced
+    # send, both share time and origin, and the paced send, filed first, goes
+    # first onto the path
+    cfg = small_single_receiver(duration=0.2)
+    cfg.controller = ControllerParams(period_T=0.1)
+    orders = []
+    for model in (_Run, EventPacedRun):
+        run_ = model(cfg)
+        order = []
+        enqueue = run_.bottleneck.enqueue
+        run_.bottleneck.enqueue = lambda pkt, arrival: (
+            order.append((pkt.flow_id, pkt.seq)), enqueue(pkt, arrival))[1]
+
+        def timer(now, run_=run_):
+            # the tick's quota is 2: paced sends at 0 and 0.05
+            run_.loop.schedule(now + 0.05, send, run_)
+
+        def send(run_, now):
+            run_.send("r1", "tcp1", 0, now, lambda pkt, ack, departure: None)
+
+        run_.loop.schedule(0.0, timer, origin=-0.05)
+        run_.execute()
+        orders.append(order)
+    assert orders[0] == orders[1]
+    assert orders[0][:3] == [("p2p", 0), ("p2p", 1), ("tcp1", 0)]
+
 
 def test_identical_config_and_seed_reproduce_identical_logs():
     log_a = run(small_single_receiver())
