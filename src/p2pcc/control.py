@@ -150,7 +150,6 @@ class TickSnapshot:
     est_bandwidth_pps: float
     ack_rate_pps: float
     d_ref: float
-    avg_queue_delay: float
     bootstrap: bool
     timeout_losses: int
 
@@ -378,7 +377,6 @@ class Controller:
             est_bandwidth_pps=state.est_bandwidth_U,
             ack_rate_pps=ack_rate,
             d_ref=state.d_ref,
-            avg_queue_delay=state.avg_queue_delay_d,
             bootstrap=bootstrap,
             timeout_losses=timeout_losses,
         )

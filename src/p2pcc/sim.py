@@ -8,8 +8,9 @@ driven by the periodic controller; competing TCP flows share the same FIFO.
 The access link is one FIFO, so packets reach the bottleneck in send order and
 a packet's whole path is known when it is sent: its admission, its service
 start (the Lindley recursion, ``max(arrival, previous departure)``), its
-departure and its ack time.  ``_Run.send`` computes them at once.  The
-bottleneck's counters catch up lazily when a metric sample reads them.
+departure and its ack time.  ``_Run.send`` computes them at once and returns
+them to the sender.  The bottleneck's counters catch up lazily when a metric
+sample reads them.
 
 The periodic sender takes no events either.  Control ticks and metric samples
 form one chained clock: each files its successor.  A tick's paced sends wait
@@ -28,10 +29,10 @@ import heapq
 import math
 import random
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .control import Controller, _Outstanding, dupgap_losses, rtt_reference
+from .control import (Controller, TickSnapshot, _Outstanding, dupgap_losses,
+                      rtt_reference)
 from .metrics import MetricsLog
 from .scenarios import P2P_FLOW_ID, ScenarioConfig
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
@@ -101,9 +102,6 @@ class SimPacket:
     send_time: float
     origin: float                 # origin of the sending event (see EventLoop)
     base_rtt: float               # queue-free round trip at send time
-    # the sender's ack handler, called at send time as
-    # ``on_ack(pkt, ack instant, departure)``
-    on_ack: Callable[[SimPacket, float, float], None]
 
 
 class DelayLink:
@@ -131,10 +129,10 @@ class Bottleneck:
     forgets the queued packets that have left by ``arrival`` and decides
     admission against what is left.  An admitted packet's service starts at
     the previous departure, or at its arrival if the server is idle, and
-    lasts ``packet_bits / rate(start)``; ``on_depart(pkt, departure)`` runs
-    at once.  The counters (``drops``, ``occupancy``, ``served_bits``,
-    ``enqueued``, ``served``) move only in ``advance(now)``, which counts the
-    arrivals and departures before ``now``.
+    lasts ``packet_bits / rate(start)``.  ``enqueue`` returns the departure,
+    or ``None`` for a drop.  The counters (``drops``, ``occupancy``,
+    ``served_bits``, ``enqueued``, ``served``) move only in ``advance(now)``,
+    which counts the arrivals and departures before ``now``.
 
     Ties are broken as an event per arrival (filed at the send) and per
     departure (filed when service starts) would break them:
@@ -158,11 +156,10 @@ class Bottleneck:
     per hop may order either tie the other way.
     """
 
-    def __init__(self, rate_fn, capacity: int, packet_bits: float, on_depart):
+    def __init__(self, rate_fn, capacity: int, packet_bits: float):
         self.rate_fn = rate_fn
         self.capacity = capacity
         self.packet_bits = packet_bits
-        self.on_depart = on_depart
         # admitted packets that may still be queued at the next arrival:
         # (departure, service start, origin of the event that started service)
         self._queued: deque[tuple[float, float, float]] = deque()
@@ -180,7 +177,7 @@ class Bottleneck:
         """Packets queued or in service, as of the last ``advance``."""
         return len(self._in_queue)
 
-    def enqueue(self, pkt: SimPacket, arrival: float) -> bool:
+    def enqueue(self, pkt: SimPacket, arrival: float) -> float | None:
         queued = self._queued
         while queued and queued[0][0] <= arrival:
             departure, start, origin = queued[0]
@@ -189,7 +186,7 @@ class Bottleneck:
             queued.popleft()
         if len(queued) >= self.capacity:
             self._arrivals.append((arrival, None, pkt.flow_id))
-            return False
+            return None
         if queued:          # the previous departure, filed at its start, starts it
             start, origin, _ = queued[-1]
         else:               # the arrival, filed at the send, starts the idle server
@@ -198,8 +195,7 @@ class Bottleneck:
         departure = start + self.packet_bits / self.rate_fn(start)
         queued.append((departure, start, origin))
         self._arrivals.append((arrival, departure, pkt.flow_id))
-        self.on_depart(pkt, departure)
-        return True
+        return departure
 
     def advance(self, now: float) -> None:
         """Count the arrivals and departures strictly before ``now``."""
@@ -283,11 +279,11 @@ class TcpSender:
                 self.next_seq += 1
                 retransmitted = False
             self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            self.run.send(self.receiver_id, self.flow_id, seq, now, self._file_ack)
-
-    def _file_ack(self, pkt: SimPacket, ack: float, departure: float) -> None:
-        # the ack is an event, filed where an event per departure would file it
-        self.run.loop.schedule(ack, self.on_ack, pkt.seq, origin=departure)
+            fate = self.run.send(self.receiver_id, self.flow_id, seq, now)
+            if fate is not None:
+                # the ack is an event, filed where an event per departure would file it
+                ack, departure, _ = fate
+                self.run.loop.schedule(ack, self.on_ack, seq, origin=departure)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -336,12 +332,14 @@ class _Run:
       event, if it is strictly before that instant, and (b) in ``send``,
       before any other packet is put on the path, if its key is below the
       running event's.  The path (access link, bottleneck, receiver links) is
-      thus used in event order.
-    - A P2P ack goes into its receiver's FIFO when its packet is sent.  Each
-      clock event, after (a), applies the acks strictly before its instant,
-      merged by ``(ack, departure, seq)``: the heap's own key, with the seq,
-      which rises in send order, standing in for the counter.  Each receiver's
-      links are FIFO, so its ack instants never fall.  Applying an ack late
+      thus used in event order.  ``_put`` returns each packet's ack instant,
+      departure and ``SimPacket``; the TCP senders file their acks from them.
+    - A P2P ack, ``(ack, departure, seq, pkt)``, goes into its receiver's
+      FIFO as its packet is put on the path.  Each clock event, after (a),
+      applies the acks strictly before its instant, merged by ``(ack,
+      departure, seq)``: the heap's own key, with the seq, which rises in
+      send order, standing in for the counter.  Each receiver's links are
+      FIFO, so its ack instants never fall.  Applying an ack late
       is exact: it changes only controller state and ``period_acks``, which
       only clock events read; a packet sent after the acked one has a higher
       seq, so the dup-gap walk stops before it; and timeouts run only at
@@ -366,8 +364,7 @@ class _Run:
                              for r in cfg.receivers}
         self.rate = cfg.bottleneck.rate.materialize(rng, duration)
 
-        self.bottleneck = Bottleneck(self.rate, cfg.buffer_capacity(),
-                                     self.packet_size_s, self._on_depart)
+        self.bottleneck = Bottleneck(self.rate, cfg.buffer_capacity(), self.packet_size_s)
         self.access_link = DelayLink()
         self.forward_links = {rid: DelayLink() for rid in self.receiver_lat}
         self.ack_links = {rid: DelayLink() for rid in self.receiver_lat}
@@ -377,14 +374,15 @@ class _Run:
         self.source = BlockSource(cfg.source.block_size, receiver_ids,
                                   cfg.source.backlog_blocks)
         self.next_seq = 0
-        self.last_snapshot = None
+        # the metric samples before the first control tick read zeros
+        self.last_snapshot = TickSnapshot(0.0, 0, 0, 0.0, 0.0, 0.0, False, 0)
         # paced sends not yet on the path: (send time, tick instant, counter, rid)
         self._paced: deque[tuple[float, float, int, str]] = deque()
         # per receiver, P2P acks not yet applied: (ack, departure, seq, pkt)
         self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
 
-        # a sender schedules its own start and its packets carry its ack
-        # handler, so the run needs no reference to it
+        # a sender schedules its own start and files its own acks, so the run
+        # needs no reference to it
         for f in cfg.flows:
             TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
         self.flow_ids = [P2P_FLOW_ID] + [f.flow_id for f in cfg.flows]
@@ -455,10 +453,10 @@ class _Run:
             seq = self.next_seq
             self.next_seq = seq + 1
             self.controller.on_send(rid, seq, now)
-            self._put(rid, P2P_FLOW_ID, seq, now, origin, self._defer_p2p_ack)
-
-    def _defer_p2p_ack(self, pkt: SimPacket, ack: float, departure: float) -> None:
-        self._acks[pkt.receiver_id].append((ack, departure, pkt.seq, pkt))
+            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin)
+            if fate is not None:
+                ack, departure, pkt = fate
+                self._acks[rid].append((ack, departure, seq, pkt))
 
     def _apply_acks(self, before: tuple) -> None:
         due = []
@@ -476,37 +474,36 @@ class _Run:
 
     # -- Shared path ------------------------------------------------------
 
-    def send(self, rid: str, flow_id: str, seq: int, now: float,
-             on_ack: Callable[[SimPacket, float, float], None]) -> None:
-        """Put a packet of the running event on the path (TCP's one entry);
-        ``on_ack(pkt, ack, departure)`` runs at once with the instant its ack
-        will reach the sender.  First go the paced sends whose key is below
-        the running event's, which an event per paced send would have put on
-        the path before this one."""
+    def send(self, rid: str, flow_id: str, seq: int,
+             now: float) -> tuple[float, float, SimPacket] | None:
+        """Put a packet of the running event on the path (TCP's one entry)
+        and return its fate, as ``_put`` does.  First go the paced sends
+        whose key is below the running event's, which an event per paced
+        send would have put on the path before this one."""
         loop = self.loop
         if self._paced:
             self._send_paced((loop.now, loop.origin, loop.counter))
-        self._put(rid, flow_id, seq, now, loop.origin, on_ack)
+        return self._put(rid, flow_id, seq, now, loop.origin)
 
-    def _put(self, rid: str, flow_id: str, seq: int, now: float, origin: float,
-             on_ack: Callable[[SimPacket, float, float], None]) -> None:
+    def _put(self, rid: str, flow_id: str, seq: int, now: float,
+             origin: float) -> tuple[float, float, SimPacket] | None:
+        """Put a packet on the access link, the bottleneck and the receiver's
+        forward and ack links; return ``(ack, departure, pkt)``, with the
+        instant its ack reaches the sender, or ``None`` if it is dropped.
+        Receivers ack every packet on delivery and the return path is
+        uncongested, so the ack is fixed at departure.  Departures keep send
+        order, so each receiver's links see the deliveries in order."""
         sender_lat = self.sender_lat(now)
-        pkt = SimPacket(seq, rid, flow_id, now, origin,
-                        2.0 * (sender_lat + self.receiver_lat[rid](now)), on_ack)
-        self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
-
-    def _on_depart(self, pkt: SimPacket, now: float) -> None:
-        # runs at send time with ``now`` = the departure: receivers ack every
-        # packet on delivery and the return path is uncongested, so the ack's
-        # arrival is fixed at departure.  Departures keep send order, so each
-        # receiver's links still see the delivery instants in delivery order.
-        rid = pkt.receiver_id
         lat = self.receiver_lat[rid]
-        delivery = self.forward_links[rid].transit(now, lat(now))
+        pkt = SimPacket(seq, rid, flow_id, now, origin, 2.0 * (sender_lat + lat(now)))
+        departure = self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
+        if departure is None:
+            return None
+        delivery = self.forward_links[rid].transit(departure, lat(departure))
         # both return latencies are summed first: the ack hop adds them as one
         # delay, and the CSVs depend on that order of float additions
         ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
-        pkt.on_ack(pkt, ack, now)
+        return ack, departure, pkt
 
     # -- Metrics ----------------------------------------------------------
 
@@ -520,12 +517,12 @@ class _Run:
 
         row = {
             "time": now,
-            "w_kbits": (snap.window if snap else 0) * s_kbit,
-            "u_kbits": (snap.quota if snap else 0) * s_kbit,
-            "ack_rate_kbps": (snap.ack_rate_pps if snap else 0.0) * s_kbit,
-            "U_est_kbps": (snap.est_bandwidth_pps if snap else 0.0) * s_kbit,
+            "w_kbits": snap.window * s_kbit,
+            "u_kbits": snap.quota * s_kbit,
+            "ack_rate_kbps": snap.ack_rate_pps * s_kbit,
+            "U_est_kbps": snap.est_bandwidth_pps * s_kbit,
             "capacity_kbps": self.rate(now) / 1000.0,
-            "d_ref_ms": (snap.d_ref if snap else 0.0) * 1000.0,
+            "d_ref_ms": snap.d_ref * 1000.0,
             "queue_packets": self.bottleneck.occupancy,
             "cumulative_drops": self.bottleneck.drops,
         }

@@ -16,7 +16,8 @@ CSV.  The cases are:
   50-ms timers can land on paced sends.
 
 It prints the count of differing cases and, for each, its index and what it
-is, and exits with status 1 if any case differs.  Runtime on a 2-vCPU host is
+is, and exits with status 1 if any case differs, or 2, naming the checkout,
+if a child fails.  Runtime on a 2-vCPU host is
 a few minutes, so the script is not part of the test suite.
 """
 
@@ -124,19 +125,23 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=12, help="seeds 1..N of each built-in")
     parser.add_argument("--random", type=int, default=1500, help="random tie-heavy scenarios")
     args = parser.parse_args()
-    for checkout in (args.old, args.new):
+    checkouts = (args.old, args.new)
+    for checkout in checkouts:
         if not (checkout / "src" / "p2pcc" / "sim.py").is_file():
             parser.error(f"{checkout}: no src/p2pcc/sim.py")
 
     todo = cases(args.seeds, args.random)
     payload = json.dumps(todo)
-    procs = [digests(checkout, payload) for checkout in (args.old, args.new)]
-    results = []
-    for proc in procs:
-        results.append(proc.stdout.read().split())
-        if proc.wait() != 0:
-            print(f"error: a child exited with status {proc.returncode}", file=sys.stderr)
-            return 2
+    procs = [digests(checkout, payload) for checkout in checkouts]
+    # read and wait on both children, so that neither outlives this process
+    results = [proc.stdout.read().split() for proc in procs]
+    statuses = [proc.wait() for proc in procs]
+    for checkout, status in zip(checkouts, statuses):
+        if status:
+            print(f"error: the child running {checkout} exited with status {status}",
+                  file=sys.stderr)
+    if any(statuses):
+        return 2
     old, new = results
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"cases: {len(todo)} ({args.seeds * (len(BUILTINS) + 1)} built-in and highrate "
