@@ -6,6 +6,13 @@ scheduled amount, and acknowledgements for packets served toward receiver p
 arrive ``n_p`` periods later.  This is the independent oracle used to check
 that the queue stays below w (upper-bound lemma) and, with a large enough
 window, stays positive (non-empty lemma).
+
+The recursion is the lemma suites' whole cost, so its loop is written for
+few interpreter steps: each ack term reads the served history from its end,
+and the per-term "is it due" test stops once every term is.  It does the
+float operations of the plain per-period loop, in the same order, so its
+traces are bit-identical to that loop's (``tests/test_fluid.py`` keeps the
+plain loop as ``reference_trace`` and compares with ``==``).
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
     the start of period l (y[0] == 0) and served[l] the packets actually
     forwarded in period l.  With clip_service the per-period service never
     exceeds what is present in the queue.
+
+    Period l's ack adds share * served[l - n] over the receivers with
+    l - n >= 0, in receiver order.  Once served[l] is appended, served[l - n]
+    is served_hist[~n], -(n + 1) from the end; for l below the longest delay
+    a term is due only if n <= l, and from then on every term is.
     """
     if abs(sum(shares) - 1.0) > 1e-9:
         raise ValueError("shares must sum to 1")
@@ -38,18 +50,38 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
     cum_ack = 0.0
     served_hist: list[float] = []
     trace = [0.0]
-    for l, allowance in enumerate(schedule):
+    append_served = served_hist.append
+    append_y = trace.append
+    # (share, ~n): after period l is appended, served_hist[~n] is period l - n
+    terms = [(share, ~n) for share, n in zip(shares, delays)]
+    periods = iter(schedule)
+    # until l reaches the longest delay, a term is due only once l - n >= 0
+    for l, allowance in zip(range(max(delays)), periods):
         u = gamma * (w - (cum_u - cum_ack))
-        served = min(allowance, y + u) if clip_service else allowance
-        y = y + u - served
-        served_hist.append(served)
+        present = y + u
+        served = present if clip_service and present < allowance else allowance
+        y = present - served
+        append_served(served)
         cum_u += u
         ack = 0.0
-        for share, n in zip(shares, delays):
-            if l - n >= 0:
-                ack += share * served_hist[l - n]
+        for share, back in terms:
+            if ~back <= l:
+                ack += share * served_hist[back]
         cum_ack += ack
-        trace.append(y)
+        append_y(y)
+    # from then on every term is due
+    for allowance in periods:
+        u = gamma * (w - (cum_u - cum_ack))
+        present = y + u
+        served = present if clip_service and present < allowance else allowance
+        y = present - served
+        append_served(served)
+        cum_u += u
+        ack = 0.0
+        for share, back in terms:
+            ack += share * served_hist[back]
+        cum_ack += ack
+        append_y(y)
     return trace, served_hist
 
 
@@ -111,16 +143,19 @@ def verify_lemma1(trials: int = 100, seed: int = 0,
     driven through the recursion; any y(lT) >= w is a violation."""
     start = time.perf_counter()
     rng = random.Random(seed)
+    rand = rng.random
     out = []
     for i in range(trials):
         gamma = rng.uniform(0.05, 1.0)
         shares, delays, u_max = _sample_topology(rng)
         w = rng.uniform(10.0, 500.0)
-        schedule = [rng.uniform(0.0, u_max) for _ in range(periods)]
+        # the float rng.uniform(0.0, u_max) returns, from the same draw
+        schedule = [u_max * rand() for _ in range(periods)]
         trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
         trial = LemmaTrial(i, gamma, w, shares, delays, u_max)
-        trial.violations = [(l, y) for l, y in enumerate(trace)
-                            if y >= w + _EPS]
+        bound = w + _EPS
+        if not max(trace) < bound:          # not <, so that a NaN is looked at
+            trial.violations = [(l, y) for l, y in enumerate(trace) if y >= bound]
         out.append(trial)
     return LemmaReport(1, out, time.perf_counter() - start)
 
@@ -132,16 +167,19 @@ def verify_lemma2(trials: int = 100, seed: int = 0,
     backlogged; any y(lT) <= 0 for l > n_m + 1 is a violation."""
     start = time.perf_counter()
     rng = random.Random(seed)
+    rand = rng.random
     out = []
     for i in range(trials):
         gamma = rng.uniform(0.05, 1.0)
         shares, delays, u_max = _sample_topology(rng)
         w = lemma2_min_window(u_max, shares, delays, gamma) + 1.0
-        schedule = [rng.uniform(0.0, u_max) for _ in range(periods)]
+        schedule = [u_max * rand() for _ in range(periods)]
         trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
-        n_m = max(delays)
+        first = max(delays) + 2             # the first period checked
+        checked = trace[first:]
         trial = LemmaTrial(i, gamma, w, shares, delays, u_max)
-        trial.violations = [(l, y) for l, y in enumerate(trace)
-                            if l > n_m + 1 and y <= _EPS]
+        if checked and not min(checked) > _EPS:     # not >, so that a NaN is looked at
+            trial.violations = [(l, y) for l, y in enumerate(checked, first)
+                                if y <= _EPS]
         out.append(trial)
     return LemmaReport(2, out, time.perf_counter() - start)

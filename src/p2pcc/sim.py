@@ -101,7 +101,6 @@ class SimPacket:
     flow_id: str
     send_time: float
     origin: float                 # origin of the sending event (see EventLoop)
-    base_rtt: float               # queue-free round trip at send time
 
 
 class DelayLink:
@@ -282,7 +281,7 @@ class TcpSender:
             fate = self.run.send(self.receiver_id, self.flow_id, seq, now)
             if fate is not None:
                 # the ack is an event, filed where an event per departure would file it
-                ack, departure, _ = fate
+                ack, departure = fate
                 self.run.loop.schedule(ack, self.on_ack, seq, origin=departure)
 
     def on_ack(self, seq: int, now: float) -> None:
@@ -332,10 +331,12 @@ class _Run:
       event, if it is strictly before that instant, and (b) in ``send``,
       before any other packet is put on the path, if its key is below the
       running event's.  The path (access link, bottleneck, receiver links) is
-      thus used in event order.  ``_put`` returns each packet's ack instant,
-      departure and ``SimPacket``; the TCP senders file their acks from them.
-    - A P2P ack, ``(ack, departure, seq, pkt)``, goes into its receiver's
-      FIFO as its packet is put on the path.  Each clock event, after (a),
+      thus used in event order.  ``_put`` returns each packet's ack instant
+      and departure; the TCP senders file their acks from them.
+    - A P2P ack, ``(ack, departure, seq, rid, round trip, queue-free round
+      trip)``, goes into its receiver's FIFO as its packet is put on the
+      path; only P2P packets read the receiver's latency at send, for the
+      queue-free round trip.  Each clock event, after (a),
       applies the acks strictly before its instant, merged by ``(ack,
       departure, seq)``: the heap's own key, with the seq, which rises in
       send order, standing in for the counter.  Each receiver's links are
@@ -378,7 +379,8 @@ class _Run:
         self.last_snapshot = TickSnapshot(0.0, 0, 0, 0.0, 0.0, 0.0, False, 0)
         # paced sends not yet on the path: (send time, tick instant, counter, rid)
         self._paced: deque[tuple[float, float, int, str]] = deque()
-        # per receiver, P2P acks not yet applied: (ack, departure, seq, pkt)
+        # per receiver, P2P acks not yet applied:
+        # (ack, departure, seq, rid, round trip, queue-free round trip at send)
         self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
 
         # a sender schedules its own start and files its own acks, so the run
@@ -453,10 +455,12 @@ class _Run:
             seq = self.next_seq
             self.next_seq = seq + 1
             self.controller.on_send(rid, seq, now)
-            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin)
+            sender_lat = self.sender_lat(now)
+            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin, sender_lat)
             if fate is not None:
-                ack, departure, pkt = fate
-                self._acks[rid].append((ack, departure, seq, pkt))
+                ack, departure = fate
+                base_rtt = 2.0 * (sender_lat + self.receiver_lat[rid](now))
+                self._acks[rid].append((ack, departure, seq, rid, ack - now, base_rtt))
 
     def _apply_acks(self, before: tuple) -> None:
         due = []
@@ -467,15 +471,14 @@ class _Run:
             due.sort()              # merge the receivers' FIFOs
         on_ack = self.controller.on_ack
         period_acks = self.period_acks
-        for ack, _, seq, pkt in due:
-            rid = pkt.receiver_id
+        for ack, _, seq, rid, rtt, base_rtt in due:
             on_ack(rid, seq, ack)
-            period_acks.append((rid, ack - pkt.send_time, pkt.base_rtt))
+            period_acks.append((rid, rtt, base_rtt))
 
     # -- Shared path ------------------------------------------------------
 
     def send(self, rid: str, flow_id: str, seq: int,
-             now: float) -> tuple[float, float, SimPacket] | None:
+             now: float) -> tuple[float, float] | None:
         """Put a packet of the running event on the path (TCP's one entry)
         and return its fate, as ``_put`` does.  First go the paced sends
         whose key is below the running event's, which an event per paced
@@ -483,27 +486,27 @@ class _Run:
         loop = self.loop
         if self._paced:
             self._send_paced((loop.now, loop.origin, loop.counter))
-        return self._put(rid, flow_id, seq, now, loop.origin)
+        return self._put(rid, flow_id, seq, now, loop.origin, self.sender_lat(now))
 
-    def _put(self, rid: str, flow_id: str, seq: int, now: float,
-             origin: float) -> tuple[float, float, SimPacket] | None:
-        """Put a packet on the access link, the bottleneck and the receiver's
-        forward and ack links; return ``(ack, departure, pkt)``, with the
-        instant its ack reaches the sender, or ``None`` if it is dropped.
-        Receivers ack every packet on delivery and the return path is
-        uncongested, so the ack is fixed at departure.  Departures keep send
-        order, so each receiver's links see the deliveries in order."""
-        sender_lat = self.sender_lat(now)
-        lat = self.receiver_lat[rid]
-        pkt = SimPacket(seq, rid, flow_id, now, origin, 2.0 * (sender_lat + lat(now)))
+    def _put(self, rid: str, flow_id: str, seq: int, now: float, origin: float,
+             sender_lat: float) -> tuple[float, float] | None:
+        """Put a packet on the access link, whose latency at ``now`` the
+        caller read, then the bottleneck and the receiver's forward and ack
+        links; return ``(ack, departure)``, with the instant its ack reaches
+        the sender, or ``None`` if it is dropped.  Receivers ack every packet
+        on delivery and the return path is uncongested, so the ack is fixed
+        at departure.  Departures keep send order, so each receiver's links
+        see the deliveries in order."""
+        pkt = SimPacket(seq, rid, flow_id, now, origin)
         departure = self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
         if departure is None:
             return None
+        lat = self.receiver_lat[rid]
         delivery = self.forward_links[rid].transit(departure, lat(departure))
         # both return latencies are summed first: the ack hop adds them as one
         # delay, and the CSVs depend on that order of float additions
         ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
-        return ack, departure, pkt
+        return ack, departure
 
     # -- Metrics ----------------------------------------------------------
 

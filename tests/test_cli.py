@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from p2pcc import fluid
 from p2pcc.cli import main
 from p2pcc.scenarios import build_experiment_1
 
@@ -68,6 +69,24 @@ def test_verify_clean_suites_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "lemma1" in out and "lemma2" in out
     assert "0 violations" in out
+
+
+def test_verify_prints_each_violation_and_exits_3(monkeypatch, capsys):
+    # a trace that crosses the window once and then empties once, past the
+    # longest round trip: one violation per trial in each suite
+    def crafted(gamma, w, shares, delays, schedule):
+        trace = [0.0] * (max(delays) + 2) + [w + 1.0, 0.0]
+        return trace, [0.0] * (len(trace) - 1)
+
+    monkeypatch.setattr(fluid, "fluid_queue_trace", crafted)
+    assert main(["verify", "--trials", "2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"  violation: lemma{r.lemma} trial={t.index} l={l} y={y:.6g} w={t.w:.6g}"
+                for r in (fluid.verify_lemma1(2, 0), fluid.verify_lemma2(2, 0))
+                for t in r.trials for l, y in t.violations]
+    assert len(expected) == 4
+    assert [line for line in lines if "violation:" in line] == expected
+    assert sum("2 trials, 2 violations" in line for line in lines) == 2
 
 
 def test_verify_rejects_non_positive_trials():

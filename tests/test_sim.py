@@ -25,7 +25,7 @@ PACKET_BITS = 12000.0
 
 def packet(seq, rid="r1"):
     return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
-                     send_time=0.0, origin=0.0, base_rtt=0.0)
+                     send_time=0.0, origin=0.0)
 
 
 # -- event loop -------------------------------------------------------------
@@ -169,7 +169,7 @@ def drive_bottleneck(computed, plan):
     def send(latency, now):
         # two flow ids, so that served bits are compared per flow
         pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now,
-                        loop.origin, 0.0)
+                        loop.origin)
         arrival = link.transit(now, latency)
         if computed:
             departure = bn.enqueue(pkt, arrival)
@@ -319,9 +319,7 @@ def test_clock_is_one_heap_entry():
     assert len(_Run(cfg).loop._heap) == 2
 
 
-def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
-    # two at send (sender and receiver latency), the service rate, the
-    # forward hop and two for the ack hop; each metric sample reads the rate
+def count_schedule_reads(monkeypatch):
     read = PiecewiseConstant.__call__
     calls = [0]
 
@@ -330,6 +328,13 @@ def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
         return read(schedule, t)
 
     monkeypatch.setattr(PiecewiseConstant, "__call__", counting_read)
+    return calls
+
+
+def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
+    # two at send (sender and receiver latency), the service rate, the
+    # forward hop and two for the ack hop; each metric sample reads the rate
+    calls = count_schedule_reads(monkeypatch)
     run_ = _Run(small_single_receiver())
     run_.execute()
     assert run_.bottleneck.drops == 0
@@ -337,6 +342,30 @@ def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
     samples = len(run_.log.rows)
     assert sent > 1000
     assert calls[0] <= 6 * sent + samples
+
+
+def test_tcp_transmission_reads_at_most_five_schedule_values(monkeypatch):
+    # a TCP packet skips the receiver's latency at send, which only the
+    # P2P ack record reads
+    calls = count_schedule_reads(monkeypatch)
+    cfg = small_single_receiver(duration=3.0)
+    cfg.bottleneck.buffer_capacity = 5000
+    cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 3.0)]
+    run_ = _Run(cfg)
+    tcp = [0]
+    enqueue = run_.bottleneck.enqueue
+
+    def counting_enqueue(pkt, arrival):
+        tcp[0] += pkt.flow_id != P2P_FLOW_ID
+        return enqueue(pkt, arrival)
+
+    run_.bottleneck.enqueue = counting_enqueue
+    run_.execute()
+    run_.bottleneck.advance(math.inf)
+    assert run_.bottleneck.drops == 0
+    sent = run_.controller.state.cumulative_sent
+    assert tcp[0] > 300
+    assert calls[0] <= 6 * sent + 5 * tcp[0] + len(run_.log.rows)
 
 
 def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
@@ -453,14 +482,16 @@ class EventPacedRun(_Run):
         seq = self.next_seq
         self.next_seq += 1
         self.controller.on_send(rid, seq, now)
+        base_rtt = 2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now))
         fate = self.send(rid, P2P_FLOW_ID, seq, now)
         if fate is not None:
-            ack, departure, pkt = fate
-            self.loop.schedule(ack, self._on_p2p_ack, pkt, origin=departure)
+            ack, departure = fate
+            self.loop.schedule(ack, self._on_p2p_ack, rid, seq, now, base_rtt,
+                               origin=departure)
 
-    def _on_p2p_ack(self, pkt, now):
-        self.controller.on_ack(pkt.receiver_id, pkt.seq, now)
-        self.period_acks.append((pkt.receiver_id, now - pkt.send_time, pkt.base_rtt))
+    def _on_p2p_ack(self, rid, seq, send_time, base_rtt, now):
+        self.controller.on_ack(rid, seq, now)
+        self.period_acks.append((rid, now - send_time, base_rtt))
 
 
 @st.composite

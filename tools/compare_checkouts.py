@@ -1,11 +1,12 @@
-"""Compare the metric rows of two checkouts of p2pcc, case by case.
+"""Compare the outputs of two checkouts of p2pcc, case by case.
 
     python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N] [--random M]
+                                       [--lemma K]
 
 Each checkout's ``src`` runs in its own child process, and both children run
-at once.  For every case a child prints the SHA-256 digest of the run's
-columns and rows at full float precision, which is stricter than the 6-digit
-CSV.  The cases are:
+at once.  For every case a child prints the SHA-256 digest of what it
+computes at full float precision (for a simulation, the run's columns and
+rows, which is stricter than the 6-digit CSV).  The cases are:
 
 - the 7 built-in scenarios and the benchmark's ``highrate`` scenario at seeds
   1..N (default 12).  ``highrate`` is read from this checkout's
@@ -13,7 +14,14 @@ CSV.  The cases are:
 - M (default 1,500) random tie-heavy scenarios, drawn by ``tie_heavy(i)``:
   3-s runs whose events often fall on one instant.  Even indices use a
   control period of 50 ms and odd ones 100 ms, so that the TCP senders'
-  50-ms timers can land on paced sends.
+  50-ms timers can land on paced sends;
+- the queue model: both lemma suites of ``p2pcc verify`` at seeds 1..K
+  (default 20), 100 trials each, and 50 K random direct calls of
+  ``fluid_queue_trace``, drawn by ``fluid_call(i)``, half of them with
+  ``clip_service=False``.  A suite's digest covers every trial's ``(trace,
+  served)``, taken by wrapping ``fluid.fluid_queue_trace`` as the
+  benchmark's child does (so a suite that stops calling it through the
+  module differs), and every trial's report fields.
 
 It prints the count of differing cases and, for each, its index and what it
 is, and exits with status 1 if any case differs, or 2, naming the checkout,
@@ -37,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILTINS = ["exp1", "exp2-static", "exp2-dynamic", "exp3-reno-p2pfirst",
             "exp3-reno-tcpfirst", "exp3-bic-p2pfirst", "exp3-bic-tcpfirst"]
 PACKET_BITS = 12000.0
+LEMMA_TRIALS = 100          # trials per lemma-suite case
+LEMMA_CALLS = 50            # random direct calls per lemma seed
 
 
 def tie_heavy(index: int) -> dict:
@@ -73,7 +83,23 @@ def tie_heavy(index: int) -> dict:
     }
 
 
-def cases(seeds: int, n_random: int) -> list[dict]:
+def fluid_call(index: int) -> list:
+    """Arguments of random direct call ``index`` of ``fluid_queue_trace``:
+    1-5 receivers with delays of 0-12 periods, 0-200 periods of service
+    with zeros and repeated values, ``clip_service`` off at odd indices."""
+    rng = random.Random(f"fluid:{index}")
+    m = rng.randint(1, 5)
+    raw = [rng.random() + 1e-3 for _ in range(m)]
+    shares = [x / sum(raw) for x in raw]
+    delays = [rng.randint(0, 12) for _ in range(m)]
+    palette = [0.0] + [rng.uniform(0.0, 60.0) for _ in range(3)]
+    schedule = [rng.choice(palette) if rng.random() < 0.5 else rng.uniform(0.0, 60.0)
+                for _ in range(rng.randint(0, 200))]
+    return [rng.uniform(0.05, 1.0), rng.uniform(1.0, 500.0), shares, delays, schedule,
+            index % 2 == 0]
+
+
+def cases(seeds: int, n_random: int, n_lemma: int) -> list[dict]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -84,6 +110,10 @@ def cases(seeds: int, n_random: int) -> list[dict]:
         out.append({"label": f"highrate seed {seed}",
                     "config": {**workloads.HIGHRATE, "seed": seed}})
     out += [{"label": f"tie-heavy {i}", "config": tie_heavy(i)} for i in range(n_random)]
+    out += [{"label": f"lemma{lemma} seed {seed}", "lemma": lemma, "seed": seed}
+            for lemma in (1, 2) for seed in range(1, n_lemma + 1)]
+    out += [{"label": f"fluid call {i}", "fluid": fluid_call(i)}
+            for i in range(LEMMA_CALLS * n_lemma)]
     return out
 
 
@@ -91,20 +121,54 @@ def label(case: dict) -> str:
     return case.get("label") or f"{case['builtin']} seed {case['seed']}"
 
 
-def child() -> None:
-    """Read cases as JSON on stdin; print one digest per case."""
+def lemma_digest(lemma: int, seed: int) -> str:
+    """Digest of one lemma suite: each trial's full ``(trace, served)``, then
+    its report fields."""
+    from p2pcc import fluid
+
+    h = hashlib.sha256()
+    trace = fluid.fluid_queue_trace
+
+    def recording(*args, **kwargs):
+        y, served = trace(*args, **kwargs)
+        h.update(json.dumps([y, served]).encode())
+        return y, served
+
+    fluid.fluid_queue_trace = recording
+    try:
+        report = (fluid.verify_lemma1 if lemma == 1 else fluid.verify_lemma2)(LEMMA_TRIALS, seed)
+    finally:
+        fluid.fluid_queue_trace = trace
+    h.update(json.dumps([report.lemma, [[t.index, t.gamma, t.w, t.shares, t.delays, t.u_max,
+                                          t.violations] for t in report.trials]]).encode())
+    return h.hexdigest()
+
+
+def digest(case: dict) -> str:
+    """SHA-256 of what the case computes, at full float precision."""
+    from p2pcc.fluid import fluid_queue_trace
     from p2pcc.scenarios import BUILTIN_SCENARIOS, ScenarioConfig
     from p2pcc.sim import run
 
-    out = []
-    for case in json.load(sys.stdin):
+    if "lemma" in case:
+        return lemma_digest(case["lemma"], case["seed"])
+    if "fluid" in case:
+        *args, clip_service = case["fluid"]
+        result = fluid_queue_trace(*args, clip_service=clip_service)
+    else:
         if "builtin" in case:
             cfg = BUILTIN_SCENARIOS[case["builtin"]]()
             cfg.seed = case["seed"]
         else:
             cfg = ScenarioConfig.from_dict(case["config"])
         log = run(cfg)
-        out.append(hashlib.sha256(json.dumps([log.columns, log.rows]).encode()).hexdigest())
+        result = [log.columns, log.rows]
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()
+
+
+def child() -> None:
+    """Read cases as JSON on stdin; print one digest per case."""
+    out = [digest(case) for case in json.load(sys.stdin)]
     # printed at the end, so a child never waits on a full pipe while it runs
     print("\n".join(out))
 
@@ -124,13 +188,16 @@ def main() -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--seeds", type=int, default=12, help="seeds 1..N of each built-in")
     parser.add_argument("--random", type=int, default=1500, help="random tie-heavy scenarios")
+    parser.add_argument("--lemma", type=int, default=20,
+                        help=f"seeds 1..K of each lemma suite, and {LEMMA_CALLS} K "
+                             "random fluid_queue_trace calls")
     args = parser.parse_args()
     checkouts = (args.old, args.new)
     for checkout in checkouts:
         if not (checkout / "src" / "p2pcc" / "sim.py").is_file():
             parser.error(f"{checkout}: no src/p2pcc/sim.py")
 
-    todo = cases(args.seeds, args.random)
+    todo = cases(args.seeds, args.random, args.lemma)
     payload = json.dumps(todo)
     procs = [digests(checkout, payload) for checkout in checkouts]
     # read and wait on both children, so that neither outlives this process
@@ -145,7 +212,9 @@ def main() -> int:
     old, new = results
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"cases: {len(todo)} ({args.seeds * (len(BUILTINS) + 1)} built-in and highrate "
-          f"runs at seeds 1-{args.seeds}, {args.random} random tie-heavy)")
+          f"runs at seeds 1-{args.seeds}, {args.random} random tie-heavy, "
+          f"{2 * args.lemma} lemma suites at seeds 1-{args.lemma}, "
+          f"{LEMMA_CALLS * args.lemma} random fluid calls)")
     print(f"differing: {len(differing)}")
     for i in differing:
         print(f"  {i}: {label(todo[i])}")
