@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import takewhile
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
 # loop has something to start from.
@@ -78,7 +77,14 @@ class ControllerParams:
 @dataclass
 class ReceiverStats:
     """Per-receiver latency tracking; its unacknowledged packets are
-    ``ControllerState.outstanding[rid]``."""
+    ``ControllerState.outstanding[rid]``.
+
+    ``send_order`` lists the receiver's seqs in send order, so the oldest
+    outstanding one is found in amortized O(1): seqs no longer outstanding
+    are dropped from its front when met.  The outstanding dict cannot serve
+    for this, because a dict keeps the slots of deleted keys until it
+    resizes, and iterating it from the front walks them: under steady churn,
+    about one window's worth per ack."""
 
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
@@ -88,6 +94,7 @@ class ReceiverStats:
     latency_peaks: deque = field(default_factory=deque)
     last_ack_latency: float | None = None
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
+    send_order: deque = field(default_factory=deque)   # seqs, oldest first
 
 
 @dataclass(slots=True)
@@ -106,8 +113,11 @@ def dupgap_losses(pairs, seq) -> list[int]:
     lower seq.  ``pairs`` yields pending ``(seq, record)`` pairs, and the walk
     stops at the first that is not below ``seq``: a sender whose pending
     packets are in seq order passes them all and only their prefix below
-    ``seq`` is visited.  Returns, in walk order, the seqs that have now seen
-    DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
+    ``seq`` is visited.  What it costs to produce that prefix is the
+    caller's: a dict's ``items()`` first walks the slots its deleted keys
+    left at the front, so the controller passes its send-order index
+    instead (see ``ReceiverStats``).  Returns, in walk order, the seqs that
+    have now seen DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
     """
     lost = []
     for other_seq, other in pairs:
@@ -271,6 +281,7 @@ class Controller:
             raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
                              f"after seq {last_seq} sent at {last_time}")
         recv.last_sent = (seq, now)
+        recv.send_order.append(seq)
         state.outstanding[receiver_id][seq] = _Outstanding(now)
         state.cumulative_sent += 1
 
@@ -300,7 +311,13 @@ class Controller:
         recv.last_ack_latency = latency
         state.cumulative_acked += 1
 
-        lost = dupgap_losses(pending.items(), seq)
+        # the walk bumps something only if the oldest outstanding seq is lower
+        order = recv.send_order
+        while order and order[0] not in pending:
+            order.popleft()
+        if not order or order[0] > seq:
+            return []
+        lost = dupgap_losses(((s, pending[s]) for s in order if s in pending), seq)
         for lost_seq in lost:
             self.on_loss(receiver_id, lost_seq, ack_time)
         return [(receiver_id, s) for s in lost]
@@ -339,9 +356,18 @@ class Controller:
             # after a capacity drop)
             observed = recv.last_ack_latency or 0.0
             deadline = TIMEOUT_FACTOR * max(base + qmax, observed)
-            # send times never fall along the dict, so the expired are a prefix
-            expired = [s for s, _ in takewhile(
-                lambda item: now - item[1].send_time > deadline, pending.items())]
+            # send times never fall along the send order, so the expired are
+            # a prefix of it; seqs no longer outstanding are dropped on the way
+            order = recv.send_order
+            expired = []
+            while order:
+                info = pending.get(order[0])
+                if info is None:
+                    order.popleft()
+                elif now - info.send_time > deadline:
+                    expired.append(order.popleft())
+                else:
+                    break
             for seq in expired:
                 self.on_loss(rid, seq, now)
                 count += 1

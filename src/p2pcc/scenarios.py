@@ -231,6 +231,9 @@ class ScenarioConfig:
             raise ScenarioError("bottleneck.buffer_capacity: must be >= 1 packet")
         if self.source.block_size < 1:
             raise ScenarioError("source.block_size: must be >= 1")
+        if self.source.backlog_blocks is not None and self.source.backlog_blocks < 0:
+            raise ScenarioError("source.backlog_blocks: must be >= 0, or null for "
+                                "an always-backlogged source")
         flow_ids = [P2P_FLOW_ID]
         for i, f in enumerate(self.flows):
             if f.flow_id in flow_ids:

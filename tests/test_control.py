@@ -408,7 +408,8 @@ def test_on_send_rejects_out_of_order_sends(seq, now):
 
 
 class CountingDict(dict):
-    """A dict that counts the entries its ``items()`` iterators hand out."""
+    """A dict that counts the entries its ``items()`` iterators hand out
+    (not the slots of deleted keys that they skip)."""
 
     visits = 0
 
@@ -430,10 +431,84 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     lost = []
     for seq in acked:
         lost += c.on_ack("r1", seq, 1.0 + seq * 1e-4)
-    # a full scan would visit ~n/2 entries per ack
+    # a full scan would visit ~n/2 entries per ack.  CountingDict sees only
+    # the entries its items() hands out, not the slots of deleted keys that a
+    # dict iterator skips first (and the controller walks its send-order
+    # index, so here it hands out none); the test below counts iterations
+    # of any kind.
     assert pending.visits <= 2 * len(acked)
     assert lost == [("r1", seq) for seq in unacked]
     assert not pending
+
+
+class IterationCountingDict(dict):
+    """A dict that counts the calls that would iterate it from its front."""
+
+    calls = 0
+
+    def __iter__(self):
+        self.calls += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.calls += 1
+        return super().keys()
+
+    def values(self):
+        self.calls += 1
+        return super().values()
+
+    def items(self):
+        self.calls += 1
+        return super().items()
+
+
+def test_in_order_acks_never_iterate_the_outstanding_set():
+    # a dict keeps the slots of deleted keys until it resizes, so under this
+    # churn iterating the set from its front would skip ~a window of them
+    window = 1000
+    c = Controller(ControllerParams(), ["r1"])
+    pending = c.state.outstanding["r1"] = IterationCountingDict()
+    for seq in range(window):
+        c.on_send("r1", seq, seq * 1e-4)
+    for seq in range(window, 5 * window):
+        now = seq * 1e-4
+        assert c.on_ack("r1", seq - window, now) == []
+        c.on_send("r1", seq, now)
+        if seq % 100 == 0:
+            assert c.control_tick(now).timeout_losses == 0
+    assert pending.calls == 0
+    assert list(pending) == list(range(4 * window, 5 * window))
+    assert pending.calls == 1
+
+
+def test_stale_seqs_behind_a_pending_front():
+    c = Controller(ControllerParams(), ["r1"])
+    for seq in range(8):
+        c.on_send("r1", seq, seq * 0.001)
+    c.on_send("r1", 8, 0.98)
+    c.on_send("r1", 9, 0.99)
+    losses = []
+    on_loss = c.on_loss
+
+    def record(rid, seq, now):
+        losses.append(seq)
+        on_loss(rid, seq, now)
+
+    c.on_loss = record
+    # acked seqs 1 and 2 sit behind the pending seq 0 until the third ack
+    assert c.on_ack("r1", 1, 0.021) == []
+    assert c.on_ack("r1", 2, 0.022) == []
+    assert c.on_ack("r1", 3, 0.023) == [("r1", 0)]
+    assert c.on_ack("r1", 5, 0.025) == []
+    assert losses == [0]
+    # deadline ~2 * 20 ms: 4, 6 and 7 expire, the acked 5 between them is
+    # passed over, and 8 and 9 are too young
+    snap = c.control_tick(1.0)
+    assert snap.timeout_losses == 3
+    assert losses == [0, 4, 6, 7]
+    assert list(c.state.outstanding["r1"]) == [8, 9]
+    assert c.state.cumulative_lost == 4
 
 
 class FullScanReference:

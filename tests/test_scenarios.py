@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2pcc.metrics import MetricsLog, emit_csv
-from p2pcc.scenarios import (BUILTIN_SCENARIOS, BottleneckConfig,
-                             PiecewiseConstant, ReceiverConfig,
+from p2pcc.scenarios import (BUILTIN_SCENARIOS, BlockSourceConfig,
+                             BottleneckConfig, PiecewiseConstant, ReceiverConfig,
                              ScenarioConfig, ScenarioError,
                              Schedule, TcpFlowConfig, build_experiment_1,
                              build_experiment_2, build_experiment_3, constant,
@@ -171,6 +171,13 @@ def test_validation_rejects_bad_configs():
         base_config(flows=[TcpFlowConfig("t", "reno", "r1", 5.0, 5.0)]).validate()
     with pytest.raises(ScenarioError):
         base_config(p2p_start=-1.0).validate()
+
+
+def test_validation_rejects_negative_backlog_naming_the_field():
+    with pytest.raises(ScenarioError, match=r"^source\.backlog_blocks: "):
+        base_config(source=BlockSourceConfig(backlog_blocks=-1)).validate()
+    for backlog in (None, 0, 3):
+        base_config(source=BlockSourceConfig(backlog_blocks=backlog)).validate()
 
 
 # -- JSON round-trip --------------------------------------------------------
