@@ -151,12 +151,12 @@ def _repeat_receiver(data):
     (_set(["duration"], 0.0), [], "duration"),
     (_set(["bottleneck", "buffer_capacity"], 0), [], "bottleneck.buffer_capacity"),
     (_set(["source", "block_size"], 0), [], "source.block_size"),
-    (_set(["source", "backlog_blocks"], -1), [], "source.backlog_blocks"),
     (_set(["p2p_start"], -1.0), [], "p2p_start"),
     (_repeat_receiver, [], "receivers[1].receiver_id"),
     (_set(["receivers"], []), [], "receivers"),
     (_set(["controller", "gamma"], 2.0), [], "controller.gamma"),
     (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
+    (_set(["source", "backlog_blocks"], -1), [], "source.backlog_blocks"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

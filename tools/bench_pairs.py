@@ -94,9 +94,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "error": "timed out"}
     lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1])
-        result["metrics"]
-    except (IndexError, ValueError, KeyError, TypeError):
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
         return {"correct": False,
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
     for line in lines:
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
         "change_src_sha256": src_digest(checkouts["change"]),
         "environment": environment(),
     }
-    doc = {"title": args.title, **head,
+    doc = {"title": None, **head,
            "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
                       "--seconds SECONDS",
            "procedure": PROCEDURE, "claim": None, "workloads": {}}
@@ -223,19 +224,18 @@ def main(argv=None) -> int:
         if any(old.get(key) != value for key, value in head.items()):
             parser.error(f"{args.out} summarizes other trees or another host; "
                          "choose another --out")
-        doc.update({key: old[key] for key in ("title", "claim", "workloads")
-                    if old.get(key) is not None})
+        doc.update({key: old[key] for key in ("title", "claim", "workloads")})
     if args.title:
         doc["title"] = args.title
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         doc["claim"] = {"workload": workload, "metric": metric}
 
-    failed = 0
+    errors = []
     for workload in args.workload:
         summary = run_workload(checkouts, workload, args.pairs, args.seed,
                                args.seconds, metrics)
-        failed += summary["failed_runs"]
+        errors += summary["errors"]
         doc["workloads"][workload] = summary
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
@@ -244,10 +244,9 @@ def main(argv=None) -> int:
             print(f"{workload:12s} {name:14s} parent {m['parent']['median']!s:>22} "
                   f"change {m['change']['median']!s:>22} "
                   f"wins {m['change_wins']}/{args.pairs}")
-    for errors in (doc["workloads"][w]["errors"] for w in args.workload):
-        for message in errors:
-            print(f"FAILED: {message}", file=sys.stderr)
-    return 1 if failed else 0
+    for message in errors:
+        print(f"FAILED: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":
