@@ -130,27 +130,34 @@ class PiecewiseConstant:
     """Materialized schedule: step function with breakpoints.
 
     ``values[i]`` holds on ``[times[i], times[i + 1])``; the first value also
-    holds before ``times[0]`` and the last one forever after.  A call answers
-    from the step the previous call landed in when ``t`` falls inside it, and
-    bisects only on a miss, so a constant schedule never bisects.
+    holds before ``times[0]`` and the last one forever after.
+
+    ``step(t)`` also returns the bounds of the step that holds at ``t``.  The
+    simulator's hops hold their delay for a whole step with it and read the
+    schedule again only when their time leaves that step, so a run reads
+    each schedule about once per step, not once per packet.
     """
 
     def __init__(self, times: list[float], values: list[float]):
         self.times = times
         self.values = values
+        # the step the last call landed in, which step() reports
         self._lo = -math.inf
-        self._hi = times[1] if len(times) > 1 else math.inf
-        self._value = values[0]
+        self._hi = math.inf
 
     def __call__(self, t: float) -> float:
-        if self._lo <= t < self._hi:
-            return self._value
         times = self.times
         idx = max(bisect.bisect_right(times, t) - 1, 0)
         self._lo = times[idx] if idx else -math.inf
         self._hi = times[idx + 1] if idx + 1 < len(times) else math.inf
-        self._value = self.values[idx]
-        return self._value
+        return self.values[idx]
+
+    def step(self, t: float) -> tuple[float, float, float]:
+        """``(lo, hi, value)``: the value at ``t`` and the step ``[lo, hi)``
+        it holds on (``-inf`` and ``inf`` at the ends).  It reads through the
+        call, so whatever counts or times calls sees this read too."""
+        value = self(t)
+        return self._lo, self._hi, value
 
 
 def constant(value: float) -> Schedule:

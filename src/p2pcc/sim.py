@@ -21,6 +21,12 @@ packet takes no event and a TCP packet one (its ack; TCP sends happen inside
 ack and timer handlers).  The ``Bottleneck``, ``EventLoop`` and ``_Run``
 docstrings give the rules that order exact-time ties as an event per send,
 per ack, per arrival and per departure would.
+
+Each hop holds its delay for a whole schedule step: a ``DelayLink`` its
+latency, the bottleneck its service time, a receiver's ack record its
+queue-free round trip.  A hop reads its schedules again (``step``) only when
+its time leaves the step ``[lo, hi)`` it holds, so a packet reads no
+schedule unless it is the first of a hop's step.
 """
 
 from __future__ import annotations
@@ -103,16 +109,37 @@ class SimPacket:
     origin: float                 # origin of the sending event (see EventLoop)
 
 
-class DelayLink:
-    """One-way link with a time-varying latency, which the caller reads at the
-    send instant; delivery order is FIFO even across a latency decrease
-    (in-flight packets keep their assigned delay)."""
+def _step_sum(schedules, t: float) -> tuple[float, float, float]:
+    """``(lo, hi, total)``: the schedules' values at ``t``, added in the order
+    given, and ``[lo, hi)``, the intersection of their steps at ``t``, on
+    which that total holds."""
+    lows, highs, values = zip(*(schedule.step(t) for schedule in schedules))
+    total = values[0]
+    for value in values[1:]:     # not sum(), which may compensate rounding
+        total += value
+    return max(lows), min(highs), total
 
-    def __init__(self):
+
+class DelayLink:
+    """One-way link whose latency is the sum of its latency schedules at the
+    send instant, added in the order given; delivery order is FIFO even
+    across a latency decrease (in-flight packets keep their assigned delay).
+
+    The link holds its delay on ``[lo, hi)``, the step of every schedule at
+    the last send it read them at, and reads them again only for a send
+    outside it.  Before the first send it holds nothing."""
+
+    def __init__(self, *latencies):
+        self._latencies = latencies
+        self._lo = math.inf
+        self._hi = -math.inf
+        self._delay = 0.0
         self._last_out = 0.0
 
-    def transit(self, now: float, latency: float) -> float:
-        out = now + latency
+    def transit(self, now: float) -> float:
+        if not self._lo <= now < self._hi:
+            self._lo, self._hi, self._delay = _step_sum(self._latencies, now)
+        out = now + self._delay
         if out < self._last_out:
             out = self._last_out
         self._last_out = out
@@ -120,18 +147,20 @@ class DelayLink:
 
 
 class Bottleneck:
-    """Drop-tail FIFO served at the scheduled bitrate; every packet is
-    ``packet_bits`` long.  A packet's fate is computed when it is sent.
+    """Drop-tail FIFO served at the scheduled bitrate ``rate``, a
+    ``PiecewiseConstant``; every packet is ``packet_bits`` long.  A packet's
+    fate is computed when it is sent.
 
     ``enqueue(pkt, arrival)`` runs at the send instant, with the packet's
     arrival at the queue.  Earlier packets arrive no later, so it first
     forgets the queued packets that have left by ``arrival`` and decides
     admission against what is left.  An admitted packet's service starts at
     the previous departure, or at its arrival if the server is idle, and
-    lasts ``packet_bits / rate(start)``.  ``enqueue`` returns the departure,
-    or ``None`` for a drop.  The counters (``drops``, ``occupancy``,
-    ``served_bits``, ``enqueued``, ``served``) move only in ``advance(now)``,
-    which counts the arrivals and departures before ``now``.
+    lasts ``packet_bits / rate(start)``, which the queue holds for the whole
+    rate step and computes again only for a start outside it.  ``enqueue``
+    returns the departure, or ``None`` for a drop.  The counters (``drops``,
+    ``occupancy``, ``served_bits``, ``enqueued``, ``served``) move only in
+    ``advance(now)``, which counts the arrivals and departures before ``now``.
 
     Ties are broken as an event per arrival (filed at the send) and per
     departure (filed when service starts) would break them:
@@ -155,10 +184,14 @@ class Bottleneck:
     per hop may order either tie the other way.
     """
 
-    def __init__(self, rate_fn, capacity: int, packet_bits: float):
-        self.rate_fn = rate_fn
+    def __init__(self, rate, capacity: int, packet_bits: float):
+        self.rate = rate
         self.capacity = capacity
         self.packet_bits = packet_bits
+        # the service time held on the rate step [lo, hi); none before the first
+        self._lo = math.inf
+        self._hi = -math.inf
+        self._service = 0.0
         # admitted packets that may still be queued at the next arrival:
         # (departure, service start, origin of the event that started service)
         self._queued: deque[tuple[float, float, float]] = deque()
@@ -191,7 +224,10 @@ class Bottleneck:
         else:               # the arrival, filed at the send, starts the idle server
             start = arrival
             origin = pkt.send_time
-        departure = start + self.packet_bits / self.rate_fn(start)
+        if not self._lo <= start < self._hi:
+            self._lo, self._hi, rate = self.rate.step(start)
+            self._service = self.packet_bits / rate
+        departure = start + self._service
         queued.append((departure, start, origin))
         self._arrivals.append((arrival, departure, pkt.flow_id))
         return departure
@@ -335,8 +371,7 @@ class _Run:
       and departure; the TCP senders file their acks from them.
     - A P2P ack, ``(ack, departure, seq, rid, round trip, queue-free round
       trip)``, goes into its receiver's FIFO as its packet is put on the
-      path; only P2P packets read the receiver's latency at send, for the
-      queue-free round trip.  Each clock event, after (a),
+      path.  Each clock event, after (a),
       applies the acks strictly before its instant, merged by ``(ack,
       departure, seq)``: the heap's own key, with the seq, which rises in
       send order, standing in for the counter.  Each receiver's links are
@@ -366,9 +401,15 @@ class _Run:
         self.rate = cfg.bottleneck.rate.materialize(rng, duration)
 
         self.bottleneck = Bottleneck(self.rate, cfg.buffer_capacity(), self.packet_size_s)
-        self.access_link = DelayLink()
-        self.forward_links = {rid: DelayLink() for rid in self.receiver_lat}
-        self.ack_links = {rid: DelayLink() for rid in self.receiver_lat}
+        self.access_link = DelayLink(self.sender_lat)
+        self.forward_links = {rid: DelayLink(lat) for rid, lat in self.receiver_lat.items()}
+        # both return latencies are summed first: the ack hop adds them as one
+        # delay, and the CSVs depend on that order of float additions
+        self.ack_links = {rid: DelayLink(lat, self.sender_lat)
+                          for rid, lat in self.receiver_lat.items()}
+        # per receiver, the queue-free round trip 2 (sender + receiver latency)
+        # at send, held as [lo, hi, value] on the steps of both schedules
+        self._base_rtt = {rid: [math.inf, -math.inf, 0.0] for rid in self.receiver_lat}
 
         receiver_ids = [r.receiver_id for r in cfg.receivers]
         self.controller = Controller(params, receiver_ids)
@@ -455,12 +496,14 @@ class _Run:
             seq = self.next_seq
             self.next_seq = seq + 1
             self.controller.on_send(rid, seq, now)
-            sender_lat = self.sender_lat(now)
-            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin, sender_lat)
+            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin)
             if fate is not None:
                 ack, departure = fate
-                base_rtt = 2.0 * (sender_lat + self.receiver_lat[rid](now))
-                self._acks[rid].append((ack, departure, seq, rid, ack - now, base_rtt))
+                held = self._base_rtt[rid]
+                if not held[0] <= now < held[1]:
+                    lo, hi, path = _step_sum((self.sender_lat, self.receiver_lat[rid]), now)
+                    held[:] = lo, hi, 2.0 * path
+                self._acks[rid].append((ack, departure, seq, rid, ack - now, held[2]))
 
     def _apply_acks(self, before: tuple) -> None:
         due = []
@@ -486,27 +529,22 @@ class _Run:
         loop = self.loop
         if self._paced:
             self._send_paced((loop.now, loop.origin, loop.counter))
-        return self._put(rid, flow_id, seq, now, loop.origin, self.sender_lat(now))
+        return self._put(rid, flow_id, seq, now, loop.origin)
 
-    def _put(self, rid: str, flow_id: str, seq: int, now: float, origin: float,
-             sender_lat: float) -> tuple[float, float] | None:
-        """Put a packet on the access link, whose latency at ``now`` the
-        caller read, then the bottleneck and the receiver's forward and ack
-        links; return ``(ack, departure)``, with the instant its ack reaches
-        the sender, or ``None`` if it is dropped.  Receivers ack every packet
-        on delivery and the return path is uncongested, so the ack is fixed
-        at departure.  Departures keep send order, so each receiver's links
-        see the deliveries in order."""
+    def _put(self, rid: str, flow_id: str, seq: int, now: float,
+             origin: float) -> tuple[float, float] | None:
+        """Put a packet on the access link, the bottleneck and the receiver's
+        forward and ack links; return ``(ack, departure)``, with the instant
+        its ack reaches the sender, or ``None`` if it is dropped.  Receivers
+        ack every packet on delivery and the return path is uncongested, so
+        the ack is fixed at departure.  Departures keep send order, so each
+        receiver's links see the deliveries in order."""
         pkt = SimPacket(seq, rid, flow_id, now, origin)
-        departure = self.bottleneck.enqueue(pkt, self.access_link.transit(now, sender_lat))
+        departure = self.bottleneck.enqueue(pkt, self.access_link.transit(now))
         if departure is None:
             return None
-        lat = self.receiver_lat[rid]
-        delivery = self.forward_links[rid].transit(departure, lat(departure))
-        # both return latencies are summed first: the ack hop adds them as one
-        # delay, and the CSVs depend on that order of float additions
-        ack = self.ack_links[rid].transit(delivery, lat(delivery) + self.sender_lat(delivery))
-        return ack, departure
+        delivery = self.forward_links[rid].transit(departure)
+        return self.ack_links[rid].transit(delivery), departure
 
     # -- Metrics ----------------------------------------------------------
 

@@ -407,23 +407,27 @@ def test_on_send_rejects_out_of_order_sends(seq, now):
     assert list(c.state.outstanding["r1"]) == [5, 6]
 
 
-class CountingDict(dict):
-    """A dict that counts the entries its ``items()`` iterators hand out
-    (not the slots of deleted keys that they skip)."""
+class CountingDeque(deque):
+    """A deque that counts the entries its iterators hand out and the
+    entries taken from its front."""
 
     visits = 0
 
-    def items(self):
-        for item in super().items():
+    def __iter__(self):
+        for item in super().__iter__():
             self.visits += 1
             yield item
+
+    def popleft(self):
+        self.visits += 1
+        return super().popleft()
 
 
 @pytest.mark.parametrize("skip_every", [None, 10])
 def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     n = 5000
     c = Controller(ControllerParams(), ["r1"])
-    pending = c.state.outstanding["r1"] = CountingDict()
+    order = c.state.receivers["r1"].send_order = CountingDeque()
     for seq in range(n):
         c.on_send("r1", seq, seq * 1e-4)
     unacked = list(range(0, n, skip_every)) if skip_every else []
@@ -431,14 +435,11 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     lost = []
     for seq in acked:
         lost += c.on_ack("r1", seq, 1.0 + seq * 1e-4)
-    # a full scan would visit ~n/2 entries per ack.  CountingDict sees only
-    # the entries its items() hands out, not the slots of deleted keys that a
-    # dict iterator skips first (and the controller walks its send-order
-    # index, so here it hands out none); the test below counts iterations
-    # of any kind.
-    assert pending.visits <= 2 * len(acked)
+    # a full scan would visit ~n/2 send-order entries per ack; the walk
+    # visits a few per ack, and each entry leaves the front once
+    assert 0 < order.visits <= 2 * len(acked) + n
     assert lost == [("r1", seq) for seq in unacked]
-    assert not pending
+    assert not c.state.outstanding["r1"]
 
 
 class IterationCountingDict(dict):

@@ -59,7 +59,13 @@ def test_cached_step_matches_bisect_oracle(times, data):
         st.one_of(st.sampled_from(times), st.floats(-10.0, 200.0)),
         min_size=1, max_size=40))
     for t in queries:
-        assert sched(t) == values[max(bisect.bisect_right(times, t) - 1, 0)]
+        expected = values[max(bisect.bisect_right(times, t) - 1, 0)]
+        assert sched(t) == expected
+        lo, hi, value = sched.step(t)
+        assert lo <= t < hi and value == expected
+        # the step holds that value from its first instant to its last
+        ends = [max(lo, t - 1.0), min(math.nextafter(hi, -math.inf), t + 1.0)]
+        assert [sched(e) for e in ends] == [expected, expected]
 
 
 # -- builders ---------------------------------------------------------------

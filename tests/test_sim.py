@@ -15,7 +15,7 @@ from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
-                             constant)
+                             constant, uniform_resample)
 from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
                        _Run, run)
 
@@ -26,6 +26,10 @@ PACKET_BITS = 12000.0
 def packet(seq, rid="r1"):
     return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
                      send_time=0.0, origin=0.0)
+
+
+def fixed(value):
+    return PiecewiseConstant([0.0], [value])
 
 
 # -- event loop -------------------------------------------------------------
@@ -57,7 +61,7 @@ def test_events_beyond_horizon_stay_pending():
 # -- bottleneck queue -------------------------------------------------------
 
 def test_service_time_follows_rate():
-    bn = Bottleneck(lambda t: 4_000_000.0, 100, PACKET_BITS)
+    bn = Bottleneck(fixed(4_000_000.0), 100, PACKET_BITS)
     # the second arrives after the queue drained: service restarts from it
     departures = [bn.enqueue(packet(0), 0.0), bn.enqueue(packet(1), 1.0)]
     # 12000 bits at 4 Mbps
@@ -65,7 +69,7 @@ def test_service_time_follows_rate():
 
 
 def test_service_time_tracks_rate_step():
-    rate = lambda t: 4_000_000.0 if t < 0.003 else 1_000_000.0
+    rate = PiecewiseConstant([0.0, 0.003], [4_000_000.0, 1_000_000.0])
     bn = Bottleneck(rate, 100, PACKET_BITS)
     departures = [bn.enqueue(packet(0), 0.0), bn.enqueue(packet(1), 0.0)]
     # second packet starts service at the reduced rate: 12 ms, not 3 ms
@@ -73,7 +77,7 @@ def test_service_time_tracks_rate_step():
 
 
 def test_drop_tail_boundary():
-    bn = Bottleneck(lambda t: 1.0, 2, PACKET_BITS)
+    bn = Bottleneck(fixed(1.0), 2, PACKET_BITS)
     assert bn.enqueue(packet(0), 0.0) is not None
     assert bn.enqueue(packet(1), 0.0) is not None
     assert bn.enqueue(packet(2), 0.0) is None
@@ -83,20 +87,20 @@ def test_drop_tail_boundary():
 
 
 def test_departures_preserve_enqueue_order():
-    bn = Bottleneck(lambda t: 1_000_000.0, 100, PACKET_BITS)
+    bn = Bottleneck(fixed(1_000_000.0), 100, PACKET_BITS)
     departures = [bn.enqueue(packet(seq), seq * 0.001) for seq in range(10)]
     assert all(a < b for a, b in zip(departures, departures[1:]))
 
 
 def test_work_conservation_back_to_back_service():
-    bn = Bottleneck(lambda t: 12_000_00.0, 100, PACKET_BITS)
+    bn = Bottleneck(fixed(12_000_00.0), 100, PACKET_BITS)
     departures = [bn.enqueue(packet(seq), 0.0) for seq in range(5)]
     # 12000 bits at 1.2 Mbps = 10 ms each, no idle gaps
     assert departures == [pytest.approx(0.01 * (i + 1)) for i in range(5)]
 
 
 def test_queue_conservation_counters():
-    bn = Bottleneck(lambda t: 12_000_000.0, 3, PACKET_BITS)
+    bn = Bottleneck(fixed(12_000_000.0), 3, PACKET_BITS)
     for seq in range(6):
         bn.enqueue(packet(seq), 0.0)
     bn.enqueue(packet(6), 0.0015)
@@ -157,12 +161,12 @@ def drive_bottleneck(computed, plan):
     filed by any other event (an ack, a TCP timer or start) can meet a tie the
     three rules do not order: the sending event and the event that started a
     service share their time and their origin.  So the oracle draws
-    tick-filed sends only."""
+    tick-filed sends only.  Each packet draws its own access latency, and
+    the access link keeps them FIFO."""
     loop = EventLoop()
-    link = DelayLink()
+    last_arrival = [0.0]
     steps = sorted(plan["rate_steps"])
-    times = [t for t, _ in steps]
-    rate = lambda t: steps[max(bisect.bisect_right(times, t) - 1, 0)][1]
+    rate = PiecewiseConstant([t for t, _ in steps], [r for _, r in steps])
     admissions, departures, samples = [], [], []
     seqs = itertools.count()
 
@@ -170,7 +174,7 @@ def drive_bottleneck(computed, plan):
         # two flow ids, so that served bits are compared per flow
         pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now,
                         loop.origin)
-        arrival = link.transit(now, latency)
+        arrival = last_arrival[0] = max(last_arrival[0], now + latency)
         if computed:
             departure = bn.enqueue(pkt, arrival)
             admissions.append((pkt.seq, arrival, departure is not None))
@@ -232,15 +236,70 @@ def test_computed_bottleneck_matches_event_oracle(plan):
 # -- delay links ------------------------------------------------------------
 
 def test_link_applies_current_latency():
-    link = DelayLink()
-    assert link.transit(1.0, 0.010) == pytest.approx(1.010)
+    link = DelayLink(fixed(0.010))
+    assert link.transit(1.0) == pytest.approx(1.010)
 
 
 def test_link_stays_fifo_across_latency_decrease():
-    link = DelayLink()
-    first = link.transit(0.99, 0.100)   # assigned 100 ms
-    second = link.transit(1.0, 0.001)   # nominal 1 ms would overtake
+    link = DelayLink(PiecewiseConstant([0.0, 1.0], [0.100, 0.001]))
+    first = link.transit(0.99)          # assigned 100 ms
+    second = link.transit(1.0)          # nominal 1 ms would overtake
     assert second >= first
+
+
+def value_at(schedule, t):
+    """The schedule's value at ``t``, looked up afresh."""
+    return schedule.values[max(bisect.bisect_right(schedule.times, t) - 1, 0)]
+
+
+@st.composite
+def schedules(draw, values):
+    """A 1-5-step schedule with breakpoints on a 0.25-s grid in [0, 5]."""
+    times = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
+    return PiecewiseConstant([t / 4.0 for t in sorted(times)],
+                             draw(st.lists(values, min_size=len(times),
+                                           max_size=len(times))))
+
+
+@st.composite
+def query_times(draw, *scheds):
+    """Times in any order, among them one before each schedule's first
+    breakpoint and one exactly at each breakpoint."""
+    breakpoints = sorted({t for s in scheds for t in s.times})
+    times = [s.times[0] - 0.5 for s in scheds] + breakpoints
+    times += draw(st.lists(st.one_of(st.sampled_from(breakpoints),
+                                     st.floats(-1.0, 6.0)), max_size=20))
+    return draw(st.permutations(times))
+
+
+latencies = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(latencies), schedules(latencies))
+def test_link_holds_the_delay_its_schedules_give_at_each_send(data, a, b):
+    # a link reads its schedules only when a send leaves the step it holds;
+    # at every send its delay is still theirs, added in the order given
+    one, two = DelayLink(a), DelayLink(a, b)
+    last_one = last_two = 0.0
+    for now in data.draw(query_times(a, b)):
+        last_one = max(last_one, now + value_at(a, now))
+        last_two = max(last_two, now + (value_at(a, now) + value_at(b, now)))
+        assert one.transit(now) == last_one
+        assert two.transit(now) == last_two
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(st.sampled_from([PACKET_BITS, PACKET_BITS / 3, 1e5, 7e6])))
+def test_bottleneck_service_follows_the_rate_across_steps(data, rate):
+    # the queue holds the service time for each rate step; every departure
+    # is still its start plus the packet's bits at the rate at that start
+    bn = Bottleneck(rate, 1000, PACKET_BITS)
+    previous = -math.inf
+    for seq, arrival in enumerate(sorted(data.draw(query_times(rate)))):
+        start = max(arrival, previous)
+        previous = bn.enqueue(packet(seq), arrival)
+        assert previous == start + PACKET_BITS / value_at(rate, start)
 
 
 # -- TCP sender -------------------------------------------------------------
@@ -331,24 +390,51 @@ def count_schedule_reads(monkeypatch):
     return calls
 
 
-def test_each_packet_reads_at_most_six_schedule_values(monkeypatch):
-    # two at send (sender and receiver latency), the service rate, the
-    # forward hop and two for the ack hop; each metric sample reads the rate
+def steps_crossed(*scheds):
+    """Steps of the schedules' common refinement: what a holder of all of
+    them crosses over a run."""
+    return len({t for s in scheds for t in s.times[1:]}) + 1
+
+
+def held_reads(run_):
+    """Reads of the hops that hold a step, if each reads each of its
+    schedules once per step it crosses: the access link, the bottleneck and,
+    per receiver, the forward link, the ack link and the ack record's
+    queue-free round trip."""
+    sender = run_.sender_lat
+    reads = steps_crossed(sender) + steps_crossed(run_.rate)
+    for lat in run_.receiver_lat.values():
+        # the forward link reads one schedule; the ack link and the ack
+        # record read both
+        reads += steps_crossed(lat) + 2 * 2 * steps_crossed(sender, lat)
+    return reads
+
+
+def resampled_latencies(cfg):
+    # latency steps every second, so the hops cross steps during the run
+    cfg.sender_latency = uniform_resample(0.015, 0.025, 1.0)
+    cfg.receivers = [ReceiverConfig("r1", uniform_resample(0.005, 0.015, 1.0))]
+    return cfg
+
+
+def test_schedule_reads_do_not_grow_with_packets(monkeypatch):
+    # each hop holds its delay for a whole step, so reads are bounded by the
+    # steps crossed, plus the rate each metric sample reads, at any packet count
     calls = count_schedule_reads(monkeypatch)
-    run_ = _Run(small_single_receiver())
+    run_ = _Run(resampled_latencies(small_single_receiver()))
     run_.execute()
     assert run_.bottleneck.drops == 0
     sent = run_.controller.state.cumulative_sent
     samples = len(run_.log.rows)
     assert sent > 1000
-    assert calls[0] <= 6 * sent + samples
+    assert held_reads(run_) == 31    # 5 + 1 + 5 + 2 * 5 + 2 * 5: five latency steps
+    assert calls[0] <= samples + held_reads(run_)
 
 
-def test_tcp_transmission_reads_at_most_five_schedule_values(monkeypatch):
-    # a TCP packet skips the receiver's latency at send, which only the
-    # P2P ack record reads
+def test_tcp_schedule_reads_do_not_grow_with_transmissions(monkeypatch):
+    # a TCP packet crosses the same held hops as a P2P packet
     calls = count_schedule_reads(monkeypatch)
-    cfg = small_single_receiver(duration=3.0)
+    cfg = resampled_latencies(small_single_receiver(duration=3.0))
     cfg.bottleneck.buffer_capacity = 5000
     cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 3.0)]
     run_ = _Run(cfg)
@@ -364,8 +450,8 @@ def test_tcp_transmission_reads_at_most_five_schedule_values(monkeypatch):
     run_.bottleneck.advance(math.inf)
     assert run_.bottleneck.drops == 0
     sent = run_.controller.state.cumulative_sent
-    assert tcp[0] > 300
-    assert calls[0] <= 6 * sent + 5 * tcp[0] + len(run_.log.rows)
+    assert sent + tcp[0] > 1000 and tcp[0] > 300
+    assert calls[0] <= len(run_.log.rows) + held_reads(run_)
 
 
 def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
