@@ -150,7 +150,7 @@ class ControllerState:
         return sum(len(pending) for pending in self.outstanding.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class TickSnapshot:
     """What one control step decided, for metrics logging."""
 

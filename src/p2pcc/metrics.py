@@ -14,10 +14,14 @@ class MetricsLog:
     """
 
     columns: list[str]
-    rows: list[list[float]] = field(default_factory=list)
+    rows: list[tuple[float, ...]] = field(default_factory=list)
 
-    def append(self, values: dict[str, float]) -> None:
-        self.rows.append([float(values[c]) for c in self.columns])
+    def append(self, row: list[float]) -> None:
+        """Add one sample: its values as floats, in column order.  The log
+        keeps them as a tuple, which takes less memory than the list."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row of {len(row)} values for {len(self.columns)} columns")
+        self.rows.append(tuple(row))
 
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
@@ -37,11 +41,22 @@ def _fmt(value: float) -> str:
 
 
 def emit_csv(log: MetricsLog, path: str) -> None:
-    """Write the log as UTF-8 CSV, LF line endings, 6 significant digits."""
+    """Write the log as UTF-8 CSV, LF line endings, 6 significant digits, each
+    value as ``_fmt`` writes it.
+
+    A row is formatted with one ``%.6g`` template, which writes what ``_fmt``
+    does except where it writes an exponent (integral values of 1e6 and
+    more, and tiny or huge ones), ``nan``, ``inf`` or ``-0``; a line holding
+    an ``e``, an ``n`` or a ``-0`` field is formatted again value by value.
+    Each row is written as it is formatted."""
+    template = ",".join(["%.6g"] * len(log.columns)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(log.columns) + "\n")
             for row in log.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                line = template % tuple(row)
+                if "e" in line or "n" in line or "-0," in line or "-0\n" in line:
+                    line = ",".join(_fmt(v) for v in row) + "\n"
+                fh.write(line)
     except OSError as exc:
         raise OSError(f"cannot write metrics CSV to {path!r}: {exc}") from exc

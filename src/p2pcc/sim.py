@@ -13,14 +13,16 @@ them to the sender.  The bottleneck's counters catch up lazily when a metric
 sample reads them.
 
 The periodic sender takes no events either.  Control ticks and metric samples
-form one chained clock: each files its successor.  A tick's paced sends wait
-in a FIFO and go onto the path on demand, before the next clock event or the
-next TCP send that an event per paced send would have followed.  A P2P ack
-waits in its receiver's FIFO, and the next clock event applies it.  So a P2P
-packet takes no event and a TCP packet one (its ack; TCP sends happen inside
-ack and timer handlers).  The ``Bottleneck``, ``EventLoop`` and ``_Run``
-docstrings give the rules that order exact-time ties as an event per send,
-per ack, per arrival and per departure would.
+form one chained clock: each clock event files its successor, and a tick and
+a sample that fall on one float instant share one event.  A tick files its
+paced sends as one batch, which goes onto the path send by send, on demand,
+before the next clock event or the next TCP send that an event per paced
+send would have followed.  A P2P ack waits in its receiver's FIFO, and the
+next clock event applies it.  So a P2P packet takes no event and a TCP
+packet one (its ack; TCP sends happen inside ack and timer handlers).  The
+``Bottleneck``, ``EventLoop`` and ``_Run`` docstrings give the rules that
+order exact-time ties as an event per send, per ack, per arrival and per
+departure would.
 
 Each hop holds its delay for a whole schedule step: a ``DelayLink`` its
 latency, the bottleneck its service time, a receiver's ack record its
@@ -353,33 +355,37 @@ class TcpSender:
 class _Run:
     """One simulation run: wiring, event handlers and metrics sampling.
 
-    The heap holds one clock event, the next control tick or metric sample,
-    and the TCP senders' acks and timers.  Each clock event files its
-    successor with ``origin=-inf``, as if it had been filed before the run;
-    at an instant with both, the tick runs first, and a TCP sender starting
-    there, filed at init, runs before either.  The periodic sender stays off
-    the heap, with the result an event per paced send and per P2P ack gives:
+    The heap holds one clock event and the TCP senders' acks and timers.  A
+    clock event stands for the next control tick, the next metric sample, or
+    both where they fall on one float instant; it runs the tick first, so the
+    sample sees that tick's snapshot.  A tick an ulp away from a sample is an
+    event of its own.  Each clock event files its successor with
+    ``origin=-inf``, as if it had been filed before the run; a TCP sender
+    starting at a clock instant, filed at init, runs before it.  The periodic
+    sender stays off the heap, with the result an event per paced send and per
+    P2P ack gives:
 
-    - A tick appends its quota to a FIFO of paced sends ``(send time, tick
-      instant, counter, rid)``, with counters reserved from the loop's, so
-      each carries the key its event would have had.  In FIFO order, each
-      gets ``Controller.on_send`` and is put on the path (a) at each clock
-      event, if it is strictly before that instant, and (b) in ``send``,
-      before any other packet is put on the path, if its key is below the
-      running event's.  The path (access link, bottleneck, receiver links) is
-      thus used in event order.  ``_put`` returns each packet's ack instant
-      and departure; the TCP senders file their acks from them.
+    - A tick files its quota as one batch of paced sends, ``[tick instant,
+      spacing, first counter, assignments, next index]``, with counters
+      reserved from the loop's: send ``i`` goes at ``tick + i * spacing``
+      and carries the key ``(send time, tick instant, first counter + i)``
+      its event would have had.  In FIFO order, each send gets
+      ``Controller.on_send`` and is put on the path (a) at each clock event,
+      if it is strictly before that instant, and (b) in ``send``, before any
+      other packet is put on the path, if its key is below the running
+      event's.  The path (access link, bottleneck, receiver links) is thus
+      used in event order.  ``_put`` returns each packet's ack instant and
+      departure; the TCP senders file their acks from them.
     - A P2P ack, ``(ack, departure, seq, rid, round trip, queue-free round
       trip)``, goes into its receiver's FIFO as its packet is put on the
-      path.  Each clock event, after (a),
-      applies the acks strictly before its instant, merged by ``(ack,
-      departure, seq)``: the heap's own key, with the seq, which rises in
-      send order, standing in for the counter.  Each receiver's links are
-      FIFO, so its ack instants never fall.  Applying an ack late
-      is exact: it changes only controller state and ``period_acks``, which
-      only clock events read; a packet sent after the acked one has a higher
-      seq, so the dup-gap walk stops before it; and timeouts run only at
-      ticks.
+      path.  Each clock event, after (a), applies the acks strictly before
+      its instant, merged by ``(ack, departure, seq)``: the heap's own key,
+      with the seq, which rises in send order, standing in for the counter.
+      Each receiver's links are FIFO, so its ack instants never fall.
+      Applying an ack late is exact: it changes only controller state and
+      the period's round-trip lists, which only clock events read; a packet
+      sent after the acked one has a higher seq, so the dup-gap walk stops
+      before it; and timeouts run only at ticks.
     - ``execute`` ends by putting on the path the paced sends at or before the
       duration and applying the acks at or before it, which an event per send
       and per ack would have run.
@@ -418,8 +424,9 @@ class _Run:
         self.next_seq = 0
         # the metric samples before the first control tick read zeros
         self.last_snapshot = TickSnapshot(0.0, 0, 0, 0.0, 0.0, 0.0, False, 0)
-        # paced sends not yet on the path: (send time, tick instant, counter, rid)
-        self._paced: deque[tuple[float, float, int, str]] = deque()
+        # batches of paced sends not yet all on the path:
+        # [tick instant, spacing, first counter, assignments, next index]
+        self._paced: deque[list] = deque()
         # per receiver, P2P acks not yet applied:
         # (ack, departure, seq, rid, round trip, queue-free round trip at send)
         self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
@@ -430,11 +437,17 @@ class _Run:
             TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
         self.flow_ids = [P2P_FLOW_ID] + [f.flow_id for f in cfg.flows]
 
-        # Per-period collectors and carry-forward values for sparse columns.
-        self.period_acks: list[tuple[str, float, float]] = []  # (rid, measured, base)
-        self.prev_served = {fid: 0.0 for fid in self.flow_ids}
-        self.carry = {"rtt_avg_ms": 0.0, "path_rtt_ms": 0.0, "rtt_ref_ms": 0.0}
-        self.carry_drtt = {rid: 0.0 for rid in receiver_ids}
+        # The period's applied acks, each list in the order they were applied,
+        # so that a sample adds the same operands in the same order as a sum
+        # over the period's acks: round trips, queue-free round trips and, per
+        # receiver, round trip minus queue-free round trip.
+        self._rtts: list[float] = []
+        self._base_rtts: list[float] = []
+        self._drtts: dict[str, list[float]] = {rid: [] for rid in receiver_ids}
+        # carry-forward values of the sparse columns, and served bits per flow
+        self._rtt_avg_ms = self._path_rtt_ms = self._rtt_ref_ms = 0.0
+        self._drtt_ms = [0.0] * len(receiver_ids)
+        self._prev_served = [0.0] * len(self.flow_ids)
 
         columns = ["time", "w_kbits", "u_kbits", "ack_rate_kbps", "U_est_kbps",
                    "capacity_kbps", "d_ref_ms", "rtt_avg_ms", "rtt_ref_ms",
@@ -451,22 +464,31 @@ class _Run:
         self._file_clock()
 
     def _file_clock(self) -> None:
-        """File the next clock event with ``origin=-inf``: a control tick at
-        ``p2p_start + k T`` before the duration or a metric sample at ``j T``,
-        ``j <= round(duration / T)``.  At a shared instant the tick comes
-        first, so the sample sees that tick's snapshot."""
+        """File the next clock event with ``origin=-inf``, at the earlier of
+        the next control tick, at ``p2p_start + k T`` before the duration, and
+        the next metric sample, at ``j T``, ``j <= round(duration / T)``; it
+        runs both if they are one float."""
         tick = self.cfg.p2p_start + self._ticks * self.T
         if tick >= self.cfg.duration:
             tick = math.inf
         sample = (self._samples + 1) * self.T if self._samples < self._n_samples else math.inf
-        if tick == sample == math.inf:
+        at = tick if tick < sample else sample
+        if at == math.inf:
             return
-        if tick <= sample:
-            self._ticks += 1
-            self.loop.schedule(tick, self._p2p_tick, origin=-math.inf)
-        else:
-            self._samples += 1
-            self.loop.schedule(sample, self._sample, origin=-math.inf)
+        is_tick = tick == at
+        is_sample = sample == at
+        self._ticks += is_tick
+        self._samples += is_sample
+        self.loop.schedule(at, self._clock, is_tick, is_sample, origin=-math.inf)
+
+    def _clock(self, is_tick: bool, is_sample: bool, now: float) -> None:
+        """Catch up to ``now``, then run the tick, the sample or both."""
+        self._file_clock()
+        self._catch_up((now,))
+        if is_tick:
+            self._p2p_tick(now)
+        if is_sample:
+            self._sample(now)
 
     def _catch_up(self, before: tuple) -> None:
         """Put on the path the paced sends, then apply the P2P acks, whose
@@ -477,33 +499,48 @@ class _Run:
     # -- P2P side ---------------------------------------------------------
 
     def _p2p_tick(self, now: float) -> None:
-        self._file_clock()
-        self._catch_up((now,))
         snapshot = self.controller.control_tick(now)
         self.last_snapshot = snapshot
         assignments = self.source.next_packets(snapshot.quota)
-        if not assignments:
-            return
-        spacing = self.T / len(assignments)
-        counter = self.loop.reserve(len(assignments))
-        self._paced.extend((now + i * spacing, now, counter + i, rid)
-                           for i, (rid, _) in enumerate(assignments))
+        if assignments:
+            n = len(assignments)
+            self._paced.append([now, self.T / n, self.loop.reserve(n), assignments, 0])
 
     def _send_paced(self, before: tuple) -> None:
         paced = self._paced
-        while paced and paced[0] < before:
-            now, origin, _, rid = paced.popleft()
-            seq = self.next_seq
-            self.next_seq = seq + 1
-            self.controller.on_send(rid, seq, now)
-            fate = self._put(rid, P2P_FLOW_ID, seq, now, origin)
-            if fate is not None:
-                ack, departure = fate
-                held = self._base_rtt[rid]
-                if not held[0] <= now < held[1]:
-                    lo, hi, path = _step_sum((self.sender_lat, self.receiver_lat[rid]), now)
-                    held[:] = lo, hi, 2.0 * path
-                self._acks[rid].append((ack, departure, seq, rid, ack - now, held[2]))
+        until = before[0]
+        rest = before[1:]
+        on_send = self.controller.on_send
+        put = self._put
+        base_rtt = self._base_rtt
+        acks = self._acks
+        seq = self.next_seq
+        while paced:
+            batch = paced[0]
+            tick, spacing, counter, assignments, i = batch
+            n = len(assignments)
+            while i < n:
+                now = tick + i * spacing
+                # stop at the first send whose key (now, tick, counter + i)
+                # is not below before
+                if now > until or (now == until and not (tick, counter + i) < rest):
+                    batch[4] = i
+                    self.next_seq = seq
+                    return
+                rid = assignments[i][0]
+                i += 1
+                on_send(rid, seq, now)
+                fate = put(rid, P2P_FLOW_ID, seq, now, tick)
+                if fate is not None:
+                    ack, departure = fate
+                    held = base_rtt[rid]
+                    if not held[0] <= now < held[1]:
+                        lo, hi, path = _step_sum((self.sender_lat, self.receiver_lat[rid]), now)
+                        held[:] = lo, hi, 2.0 * path
+                    acks[rid].append((ack, departure, seq, rid, ack - now, held[2]))
+                seq += 1
+            paced.popleft()
+        self.next_seq = seq
 
     def _apply_acks(self, before: tuple) -> None:
         due = []
@@ -513,10 +550,14 @@ class _Run:
         if len(self._acks) > 1:
             due.sort()              # merge the receivers' FIFOs
         on_ack = self.controller.on_ack
-        period_acks = self.period_acks
+        add_rtt = self._rtts.append
+        add_base_rtt = self._base_rtts.append
+        drtts = self._drtts
         for ack, _, seq, rid, rtt, base_rtt in due:
             on_ack(rid, seq, ack)
-            period_acks.append((rid, rtt, base_rtt))
+            add_rtt(rtt)
+            add_base_rtt(base_rtt)
+            drtts[rid].append(rtt - base_rtt)
 
     # -- Shared path ------------------------------------------------------
 
@@ -549,45 +590,38 @@ class _Run:
     # -- Metrics ----------------------------------------------------------
 
     def _sample(self, now: float) -> None:
-        self._file_clock()
-        self._catch_up((now,))
-        self.bottleneck.advance(now)
+        bottleneck = self.bottleneck
+        bottleneck.advance(now)
         snap = self.last_snapshot
         s_kbit = self.packet_size_s / 1000.0
         state = self.controller.state
 
-        row = {
-            "time": now,
-            "w_kbits": snap.window * s_kbit,
-            "u_kbits": snap.quota * s_kbit,
-            "ack_rate_kbps": snap.ack_rate_pps * s_kbit,
-            "U_est_kbps": snap.est_bandwidth_pps * s_kbit,
-            "capacity_kbps": self.rate(now) / 1000.0,
-            "d_ref_ms": snap.d_ref * 1000.0,
-            "queue_packets": self.bottleneck.occupancy,
-            "cumulative_drops": self.bottleneck.drops,
-        }
-
-        acks = self.period_acks
-        self.period_acks = []
-        if acks:
-            self.carry["rtt_avg_ms"] = 1000.0 * sum(a[1] for a in acks) / len(acks)
-            self.carry["path_rtt_ms"] = 1000.0 * sum(a[2] for a in acks) / len(acks)
+        rtts = self._rtts
+        if rtts:
+            self._rtt_avg_ms = 1000.0 * sum(rtts) / len(rtts)
+            self._path_rtt_ms = 1000.0 * sum(self._base_rtts) / len(rtts)
+            rtts.clear()
+            self._base_rtts.clear()
         refs = list(rtt_reference(state.receivers, state.d_ref).values())
         if refs:
-            self.carry["rtt_ref_ms"] = 1000.0 * sum(refs) / len(refs)
-        row.update(self.carry)
-
-        for rid in self.carry_drtt:
-            samples = [m - b for r, m, b in acks if r == rid]
+            self._rtt_ref_ms = 1000.0 * sum(refs) / len(refs)
+        drtt_ms = self._drtt_ms
+        for i, samples in enumerate(self._drtts.values()):
             if samples:
-                self.carry_drtt[rid] = 1000.0 * sum(samples) / len(samples)
-            row[f"dRTT_{rid}_ms"] = self.carry_drtt[rid]
+                drtt_ms[i] = 1000.0 * sum(samples) / len(samples)
+                samples.clear()
 
-        for fid in self.flow_ids:
-            served = self.bottleneck.served_bits.get(fid, 0.0)
-            row[f"throughput_{fid}_kbps"] = (served - self.prev_served[fid]) / self.T / 1000.0
-            self.prev_served[fid] = served
+        row = [now, snap.window * s_kbit, snap.quota * s_kbit,
+               snap.ack_rate_pps * s_kbit, snap.est_bandwidth_pps * s_kbit,
+               self.rate(now) / 1000.0, snap.d_ref * 1000.0,
+               self._rtt_avg_ms, self._rtt_ref_ms, self._path_rtt_ms,
+               float(bottleneck.occupancy), float(bottleneck.drops), *drtt_ms]
+        served_bits = bottleneck.served_bits
+        prev_served = self._prev_served
+        for i, fid in enumerate(self.flow_ids):
+            served = served_bits.get(fid, 0.0)
+            row.append((served - prev_served[i]) / self.T / 1000.0)
+            prev_served[i] = served
 
         self.log.append(row)
 

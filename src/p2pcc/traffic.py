@@ -31,12 +31,15 @@ class BlockSource:
         """Up to quota (receiver, block) assignments, fewer only when the
         backlog runs out."""
         out: list[tuple[str, int]] = []
-        while len(out) < quota:
+        left = quota
+        while left > 0:
             if self.backlog_blocks is not None and self._block_id >= self.backlog_blocks:
                 break
-            rid = self.receiver_ids[self._next_receiver]
-            out.append((rid, self._block_id))
-            self._sent_in_block += 1
+            # the rest of the current block's share, or of the quota
+            n = min(left, self.block_size - self._sent_in_block)
+            out.extend([(self.receiver_ids[self._next_receiver], self._block_id)] * n)
+            left -= n
+            self._sent_in_block += n
             if self._sent_in_block >= self.block_size:
                 self._sent_in_block = 0
                 self._block_id += 1

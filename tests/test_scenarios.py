@@ -5,10 +5,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p2pcc.metrics import MetricsLog, emit_csv
+from p2pcc.metrics import MetricsLog, _fmt, emit_csv
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, BlockSourceConfig,
                              BottleneckConfig, PiecewiseConstant, ReceiverConfig,
                              ScenarioConfig, ScenarioError,
@@ -211,7 +211,7 @@ def test_scenario_file_is_plain_json(tmp_path):
 def test_log_select_uses_half_open_interval():
     log = MetricsLog(columns=["time", "v"])
     for t in (1.0, 2.0, 3.0):
-        log.append({"time": t, "v": t * 10})
+        log.append([t, t * 10])
     assert log.select("v", 1.0, 3.0) == [20.0, 30.0]
 
 
@@ -242,6 +242,42 @@ def test_csv_byte_identical_across_reruns(tmp_path):
         emit_csv(log, str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# values where a 6-digit template and the per-value writer part ways: zero
+# and minus zero, integral values on both sides of 1e6 and of 1e15
+EDGE_VALUES = [0.0, -0.0, 999999.0, 1e6, 1e15 - 1, 1e15, 123456.5, 1e-7, 1.5e300]
+csv_values = st.one_of(
+    st.sampled_from(EDGE_VALUES + [-v for v in EDGE_VALUES]),
+    st.integers(-2 * 10**6, 2 * 10**6).map(float),
+    st.floats(-1e7, 1e7).filter(lambda v: v != int(v)),
+    st.floats(),            # any magnitude, NaN and the infinities
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example(rows=[[math.nan]])
+@example(rows=[[math.inf, 1.0]])
+@example(rows=[[1.0, -math.inf]])
+@example(rows=[[-0.0, 1.0], [2.0, -0.0]])
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(csv_values, min_size=n, max_size=n), max_size=6)))
+def test_csv_rows_match_per_value_reference(tmp_path_factory, rows):
+    # the file holds what joining _fmt of each value writes, byte for byte,
+    # and a NaN or an infinity raises what _fmt raises on it
+    log = MetricsLog(columns=[f"c{i}" for i in range(len(rows[0]) if rows else 1)])
+    for row in rows:
+        log.append(row)
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    try:
+        expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            emit_csv(log, str(path))
+        assert type(raised.value) is type(exc)
+        return
+    emit_csv(log, str(path))
+    assert path.read_bytes() == (",".join(log.columns) + "\n" + expected).encode()
 
 
 def test_csv_write_failure_names_the_path(tmp_path):

@@ -350,9 +350,17 @@ def small_single_receiver(duration=5.0, seed=7):
     )
 
 
-def test_p2p_packets_take_no_events(monkeypatch):
-    # paced sends and P2P acks stay off the heap and the bottleneck is
-    # computed at send time: the only events are control ticks and samples
+def clock_instants(cfg):
+    """The control tick and the metric sample instants of a run, as the run
+    computes them: ``(ticks, samples)``."""
+    T = cfg.controller.period_T
+    ticks = list(itertools.takewhile(lambda t: t < cfg.duration,
+                                     (cfg.p2p_start + k * T for k in itertools.count())))
+    samples = [j * T for j in range(1, int(round(cfg.duration / T)) + 1)]
+    return ticks, samples
+
+
+def count_schedule_calls(monkeypatch):
     schedule = EventLoop.schedule
     calls = [0]
 
@@ -361,12 +369,43 @@ def test_p2p_packets_take_no_events(monkeypatch):
         schedule(loop, *args, **kwargs)
 
     monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
-    run_ = _Run(small_single_receiver())
+    return calls
+
+
+def test_p2p_packets_take_no_events(monkeypatch):
+    # paced sends and P2P acks stay off the heap and the bottleneck is
+    # computed at send time: the only events are the clock's, one per
+    # distinct tick or sample instant
+    calls = count_schedule_calls(monkeypatch)
+    cfg = small_single_receiver()
+    run_ = _Run(cfg)
     run_.execute()
     assert run_.bottleneck.drops == 0
     assert run_.controller.state.cumulative_sent > 1000
-    ticks = samples = len(run_.log.rows)     # one of each per period
-    assert calls[0] == ticks + samples
+    ticks, samples = clock_instants(cfg)
+    assert len(ticks) == len(samples) == len(run_.log.rows)
+    assert calls[0] == len(set(ticks) | set(samples)) == len(ticks) + 1
+
+
+def test_ticks_off_the_sample_grid_keep_their_own_events(monkeypatch):
+    # from a P2P start of 25 s, 40 of the 100 ticks are an ulp away from a
+    # sample instant: each of them is an event of its own, in time order,
+    # and the run matches the oracle, which files every tick and sample
+    cfg = small_single_receiver(duration=30.0)
+    cfg.p2p_start = 25.0
+    ticks, samples = clock_instants(cfg)
+    off_grid = set(ticks) - set(samples)
+    assert len(ticks) == 100 and len(off_grid) == 40
+    assert all(min(abs(t - s) for s in samples) < 1e-12 for t in off_grid)
+    calls = count_schedule_calls(monkeypatch)
+    new = _Run(cfg)
+    new.execute()
+    assert calls[0] == len(set(ticks) | set(samples)) == 640
+    old = EventPacedRun(cfg)
+    old.execute()
+    assert old.controller.state.cumulative_sent > 1000
+    assert new.log.rows == old.log.rows
+    assert end_state(new) == end_state(old)
 
 
 def test_clock_is_one_heap_entry():
@@ -577,7 +616,10 @@ class EventPacedRun(_Run):
 
     def _on_p2p_ack(self, rid, seq, send_time, base_rtt, now):
         self.controller.on_ack(rid, seq, now)
-        self.period_acks.append((rid, now - send_time, base_rtt))
+        rtt = now - send_time
+        self._rtts.append(rtt)
+        self._base_rtts.append(base_rtt)
+        self._drtts[rid].append(rtt - base_rtt)
 
 
 @st.composite

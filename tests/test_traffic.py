@@ -3,6 +3,8 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2pcc.scenarios import (BlockSourceConfig, BottleneckConfig,
                              ReceiverConfig, ScenarioConfig, TcpFlowConfig,
@@ -47,6 +49,42 @@ def test_blocks_never_interleave():
     for rid, b in emitted:
         by_block.setdefault(b, set()).add(rid)
     assert all(len(rids) == 1 for rids in by_block.values())
+
+
+class PerPacketBlockSource:
+    """The block source handing out one packet per loop pass: the reference
+    for ``BlockSource``, which hands out a block's share at once."""
+
+    def __init__(self, block_size, receiver_ids, backlog_blocks):
+        self.block_size = block_size
+        self.receiver_ids = receiver_ids
+        self.backlog_blocks = backlog_blocks
+        self.block_id = self.sent_in_block = self.next_receiver = 0
+
+    def next_packets(self, quota):
+        out = []
+        while len(out) < quota:
+            if self.backlog_blocks is not None and self.block_id >= self.backlog_blocks:
+                break
+            out.append((self.receiver_ids[self.next_receiver], self.block_id))
+            self.sent_in_block += 1
+            if self.sent_in_block >= self.block_size:
+                self.sent_in_block = 0
+                self.block_id += 1
+                self.next_receiver = (self.next_receiver + 1) % len(self.receiver_ids)
+        return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 4), st.none() | st.integers(0, 5),
+       st.lists(st.integers(0, 200), min_size=1, max_size=8))
+def test_next_packets_matches_per_packet_reference(block_size, n_receivers, backlog,
+                                                   quotas):
+    rids = [f"R{i + 1}" for i in range(n_receivers)]
+    src = BlockSource(block_size, rids, backlog)
+    ref = PerPacketBlockSource(block_size, rids, backlog)
+    for quota in quotas:
+        assert src.next_packets(quota) == ref.next_packets(quota)
 
 
 # -- additive-increase / multiplicative-decrease flow -----------------------

@@ -1,7 +1,7 @@
 """Compare the outputs of two checkouts of p2pcc, case by case.
 
     python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N] [--random M]
-                                       [--lemma K]
+                                       [--clock C] [--lemma K]
 
 Each checkout's ``src`` runs in its own child process, and both children run
 at once.  For every case a child prints the SHA-256 digest of what it
@@ -15,6 +15,14 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   3-s runs whose events often fall on one instant.  Even indices use a
   control period of 50 ms and odd ones 100 ms, so that the TCP senders'
   50-ms timers can land on paced sends;
+- C (default 200) random clock-offset scenarios, drawn by
+  ``clock_offset(i)``: 3-s runs whose P2P start is a whole number of
+  milliseconds (0-1,000; in half the cases a multiple of 50), with a control
+  period of 50 ms at even indices and 100 ms at odd ones, and 0-1 TCP flow.
+  Their control ticks, at ``p2p_start + k T``, fall between the metric
+  samples, at ``j T``, or on them, or an ulp away from them, so they check
+  that a tick and a sample share a clock event only where they are one
+  float;
 - the queue model: both lemma suites of ``p2pcc verify`` at seeds 1..K
   (default 20), 100 trials each, and 50 K random direct calls of
   ``fluid_queue_trace``, drawn by ``fluid_call(i)``, half of them with
@@ -83,6 +91,42 @@ def tie_heavy(index: int) -> dict:
     }
 
 
+def clock_offset(index: int) -> dict:
+    """Random scenario ``index`` of the clock-offset family, in
+    ``ScenarioConfig.to_dict`` form.
+
+    The P2P start is ``k * 0.001``, k a multiple of 50 in 0-1,000 in half the
+    cases and any of 0-1,000 in the rest, and the control period 50 ms (even
+    indices) or 100 ms (odd ones).  Constant latencies on a 1-ms
+    grid: sender 1-5 ms, 1-3 receivers at 0-5 ms; a service time of 1-5 ms
+    and a buffer of 1-40 packets.  0-1 Reno or BIC flow starts and stops on
+    the 1-ms grid.
+    """
+    rng = random.Random(f"clock-offset:{index}")
+    start_ms = rng.randint(0, 20) * 50 if rng.random() < 0.5 else rng.randint(0, 1000)
+    receivers = [{"receiver_id": f"r{i + 1}",
+                  "latency": {"kind": "constant", "value": rng.randint(0, 5) / 1000.0}}
+                 for i in range(rng.randint(1, 3))]
+    flows = []
+    if rng.random() < 0.5:
+        start = rng.randint(0, 2999)
+        stop = rng.randint(start + 1, 3000)
+        flows.append({"flow_id": "tcp1", "kind": rng.choice(["reno", "bic"]),
+                      "receiver_id": rng.choice(receivers)["receiver_id"],
+                      "start": start * 0.001, "stop": stop * 0.001})
+    return {
+        "name": f"clock-offset-{index}", "duration": 3.0, "seed": 1,
+        "controller": {"period_T": 0.1 if index % 2 else 0.05},
+        "sender_latency": {"kind": "constant", "value": rng.randint(1, 5) / 1000.0},
+        "receivers": receivers,
+        "bottleneck": {"rate": {"kind": "constant",
+                                "value": PACKET_BITS / (rng.randint(1, 5) / 1000.0)},
+                       "buffer_capacity": rng.randint(1, 40)},
+        "flows": flows,
+        "p2p_start": start_ms * 0.001,
+    }
+
+
 def fluid_call(index: int) -> list:
     """Arguments of random direct call ``index`` of ``fluid_queue_trace``:
     1-5 receivers with delays of 0-12 periods, 0-200 periods of service
@@ -99,7 +143,7 @@ def fluid_call(index: int) -> list:
             index % 2 == 0]
 
 
-def cases(seeds: int, n_random: int, n_lemma: int) -> list[dict]:
+def cases(seeds: int, n_random: int, n_clock: int, n_lemma: int) -> list[dict]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -110,6 +154,7 @@ def cases(seeds: int, n_random: int, n_lemma: int) -> list[dict]:
         out.append({"label": f"highrate seed {seed}",
                     "config": {**workloads.HIGHRATE, "seed": seed}})
     out += [{"label": f"tie-heavy {i}", "config": tie_heavy(i)} for i in range(n_random)]
+    out += [{"label": f"clock-offset {i}", "config": clock_offset(i)} for i in range(n_clock)]
     out += [{"label": f"lemma{lemma} seed {seed}", "lemma": lemma, "seed": seed}
             for lemma in (1, 2) for seed in range(1, n_lemma + 1)]
     out += [{"label": f"fluid call {i}", "fluid": fluid_call(i)}
@@ -188,6 +233,7 @@ def main() -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--seeds", type=int, default=12, help="seeds 1..N of each built-in")
     parser.add_argument("--random", type=int, default=1500, help="random tie-heavy scenarios")
+    parser.add_argument("--clock", type=int, default=200, help="random clock-offset scenarios")
     parser.add_argument("--lemma", type=int, default=20,
                         help=f"seeds 1..K of each lemma suite, and {LEMMA_CALLS} K "
                              "random fluid_queue_trace calls")
@@ -197,7 +243,7 @@ def main() -> int:
         if not (checkout / "src" / "p2pcc" / "sim.py").is_file():
             parser.error(f"{checkout}: no src/p2pcc/sim.py")
 
-    todo = cases(args.seeds, args.random, args.lemma)
+    todo = cases(args.seeds, args.random, args.clock, args.lemma)
     payload = json.dumps(todo)
     procs = [digests(checkout, payload) for checkout in checkouts]
     # read and wait on both children, so that neither outlives this process
@@ -213,6 +259,7 @@ def main() -> int:
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"cases: {len(todo)} ({args.seeds * (len(BUILTINS) + 1)} built-in and highrate "
           f"runs at seeds 1-{args.seeds}, {args.random} random tie-heavy, "
+          f"{args.clock} random clock-offset, "
           f"{2 * args.lemma} lemma suites at seeds 1-{args.lemma}, "
           f"{LEMMA_CALLS * args.lemma} random fluid calls)")
     print(f"differing: {len(differing)}")
