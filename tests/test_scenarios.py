@@ -215,6 +215,14 @@ def test_log_select_uses_half_open_interval():
     assert log.select("v", 1.0, 3.0) == [20.0, 30.0]
 
 
+def test_log_append_rejects_a_row_of_the_wrong_length():
+    log = MetricsLog(columns=["time", "v"])
+    for row in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="2 columns"):
+            log.append(row)
+    assert log.rows == []
+
+
 def test_empty_log_emits_header_only(tmp_path):
     log = MetricsLog(columns=["time", "v"])
     path = tmp_path / "empty.csv"
