@@ -154,7 +154,6 @@ class ControllerState:
 class TickSnapshot:
     """What one control step decided, for metrics logging."""
 
-    time: float
     quota: int
     window: int
     est_bandwidth_pps: float
@@ -397,7 +396,6 @@ class Controller:
             quota = compute_send_quota(state, params)
 
         return TickSnapshot(
-            time=now,
             quota=quota,
             window=state.window_w,
             est_bandwidth_pps=state.est_bandwidth_U,

@@ -16,13 +16,21 @@ The periodic sender takes no events either.  Control ticks and metric samples
 form one chained clock: each clock event files its successor, and a tick and
 a sample that fall on one float instant share one event.  A tick files its
 paced sends as one batch, which goes onto the path send by send, on demand,
-before the next clock event or the next TCP send that an event per paced
-send would have followed.  A P2P ack waits in its receiver's FIFO, and the
-next clock event applies it.  So a P2P packet takes no event and a TCP
-packet one (its ack; TCP sends happen inside ack and timer handlers).  The
-``Bottleneck``, ``EventLoop`` and ``_Run`` docstrings give the rules that
-order exact-time ties as an event per send, per ack, per arrival and per
-departure would.
+before the next clock event or the next TCP send.  A P2P ack waits in its
+receiver's FIFO, and the next clock event applies it.  So a P2P packet takes
+no event and a TCP packet one (its ack; TCP sends happen inside ack and
+timer handlers).
+
+One rule orders what happens at one instant:
+
+1. A clock event (a tick, a sample, or both on one float) takes only what is
+   strictly before its instant: paced sends, P2P acks, arrivals and
+   departures.  At a shared instant the tick runs before the sample, in one
+   event.
+2. A departure at an arrival's instant has left before that arrival.
+3. A paced send goes onto the path before a TCP send only if it is strictly
+   earlier.
+4. Heap events at one instant run in the order they were scheduled.
 
 Each hop holds its delay for a whole schedule step: a ``DelayLink`` its
 latency, the bottleneck its service time, a receiver's ack record its
@@ -54,61 +62,28 @@ TCP_TIMER_INTERVAL = 0.05
 
 class EventLoop:
     """Time-ordered event queue.  An event scheduled as
-    ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``.
-
-    Each event is filed as ``(time, origin, counter, fn, args)``, where
-    ``origin`` is the time it was scheduled at: the running event's time, or
-    ``-inf`` before the run starts.  Origins never fall as the counter grows,
-    so events at one instant run in the order they were scheduled in.  A
-    caller may instead pass the ``origin`` of the instant an event stands for:
-    a TCP packet's ack is scheduled when the packet is sent, with ``origin`` =
-    its departure, where an event per departure would have scheduled it (tie
-    rule 2 of ``Bottleneck``), and each clock event of ``_Run`` files its
-    successor with ``origin=-inf``, as if it had been filed before the run.
-
-    The running event's key is ``(now, origin, counter)``.  ``reserve(n)``
-    hands out counters for events a caller keeps outside the heap (the paced
-    sends of ``_Run``), so it can order them against the heap's events by
-    the same key.
-    """
+    ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``; events at one
+    instant run in the order they were scheduled (rule 4)."""
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._next_counter = 0
-        self.now = -math.inf           # time of the running event
-        self.origin = -math.inf        # origin of the running event
-        self.counter = -1              # counter of the running event
+        self._scheduled = 0
 
-    def schedule(self, time: float, fn, *args, origin: float | None = None) -> None:
-        if origin is None:
-            origin = self.now
-        counter = self._next_counter
-        self._next_counter = counter + 1
-        heapq.heappush(self._heap, (time, origin, counter, fn, args))
-
-    def reserve(self, n: int) -> int:
-        """Take ``n`` consecutive counters; returns the first."""
-        first = self._next_counter
-        self._next_counter = first + n
-        return first
+    def schedule(self, time: float, fn, *args) -> None:
+        heapq.heappush(self._heap, (time, self._scheduled, fn, args))
+        self._scheduled += 1
 
     def run(self, until: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= until:
-            time, origin, counter, fn, args = heapq.heappop(heap)
-            self.now = time
-            self.origin = origin
-            self.counter = counter
+            time, _, fn, args = heapq.heappop(heap)
             fn(*args, time)
 
 
 @dataclass(slots=True)
 class SimPacket:
     seq: int
-    receiver_id: str
     flow_id: str
-    send_time: float
-    origin: float                 # origin of the sending event (see EventLoop)
 
 
 def _step_sum(schedules, t: float) -> tuple[float, float, float]:
@@ -155,35 +130,15 @@ class Bottleneck:
 
     ``enqueue(pkt, arrival)`` runs at the send instant, with the packet's
     arrival at the queue.  Earlier packets arrive no later, so it first
-    forgets the queued packets that have left by ``arrival`` and decides
-    admission against what is left.  An admitted packet's service starts at
-    the previous departure, or at its arrival if the server is idle, and
-    lasts ``packet_bits / rate(start)``, which the queue holds for the whole
-    rate step and computes again only for a start outside it.  ``enqueue``
-    returns the departure, or ``None`` for a drop.  The counters (``drops``,
-    ``occupancy``, ``served_bits``, ``enqueued``, ``served``) move only in
-    ``advance(now)``, which counts the arrivals and departures before ``now``.
-
-    Ties are broken as an event per arrival (filed at the send) and per
-    departure (filed when service starts) would break them:
-
-    1. A metric sample at ``t`` is a clock event of ``_Run``, filed with
-       origin ``-inf`` as if before the run, so it runs before every arrival
-       and departure at ``t``: ``advance(t)`` counts only those strictly
-       before ``t``.
-    2. Events carry their origin (see ``EventLoop``); a packet's ack stands
-       for an event filed with ``origin`` = its departure.
-    3. A queued packet whose departure equals an arrival has left before that
-       arrival iff ``(its service start, origin of the event that started
-       it)`` < ``(arriving packet's send time, pkt.origin)``, the origin of
-       the event that sent it.  Service is started by the packet's own
-       arrival, filed at its send, if the server was idle, and otherwise by
-       the previous departure, filed at that packet's service start.
-
-    The rules look two levels deep.  Where the origins tie as well, a TCP
-    ack runs before a send filed by a control tick at the ack's departure,
-    and a departing packet still counts as queued at the arrival; an event
-    per hop may order either tie the other way.
+    forgets the queued packets that have left by ``arrival``, those departing
+    at it included (rule 2), and decides admission against what is left.  An
+    admitted packet's service starts at the previous departure, or at its
+    arrival if the server is idle, and lasts ``packet_bits / rate(start)``,
+    which the queue holds for the whole rate step and computes again only
+    for a start outside it.  ``enqueue`` returns the departure, or ``None``
+    for a drop.  The counters (``drops``, ``occupancy``, ``served_bits``,
+    ``enqueued``, ``served``) move only in ``advance(now)``, which counts the
+    arrivals and departures strictly before ``now`` (rule 1).
     """
 
     def __init__(self, rate, capacity: int, packet_bits: float):
@@ -194,9 +149,9 @@ class Bottleneck:
         self._lo = math.inf
         self._hi = -math.inf
         self._service = 0.0
-        # admitted packets that may still be queued at the next arrival:
-        # (departure, service start, origin of the event that started service)
-        self._queued: deque[tuple[float, float, float]] = deque()
+        # departures of the admitted packets that may still be queued at the
+        # next arrival
+        self._queued: deque[float] = deque()
         # arrivals not yet counted: (arrival, departure or None if dropped, flow)
         self._arrivals: deque[tuple[float, float | None, str]] = deque()
         # the counted arrivals not yet departed, as recorded in _arrivals
@@ -213,24 +168,17 @@ class Bottleneck:
 
     def enqueue(self, pkt: SimPacket, arrival: float) -> float | None:
         queued = self._queued
-        while queued and queued[0][0] <= arrival:
-            departure, start, origin = queued[0]
-            if departure == arrival and (start, origin) >= (pkt.send_time, pkt.origin):
-                break                       # rule 3: it leaves after this arrival
+        while queued and queued[0] <= arrival:
             queued.popleft()
         if len(queued) >= self.capacity:
             self._arrivals.append((arrival, None, pkt.flow_id))
             return None
-        if queued:          # the previous departure, filed at its start, starts it
-            start, origin, _ = queued[-1]
-        else:               # the arrival, filed at the send, starts the idle server
-            start = arrival
-            origin = pkt.send_time
+        start = queued[-1] if queued else arrival
         if not self._lo <= start < self._hi:
             self._lo, self._hi, rate = self.rate.step(start)
             self._service = self.packet_bits / rate
         departure = start + self._service
-        queued.append((departure, start, origin))
+        queued.append(departure)
         self._arrivals.append((arrival, departure, pkt.flow_id))
         return departure
 
@@ -316,11 +264,9 @@ class TcpSender:
                 self.next_seq += 1
                 retransmitted = False
             self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            fate = self.run.send(self.receiver_id, self.flow_id, seq, now)
-            if fate is not None:
-                # the ack is an event, filed where an event per departure would file it
-                ack, departure = fate
-                self.run.loop.schedule(ack, self.on_ack, seq, origin=departure)
+            ack = self.run.send(self.receiver_id, self.flow_id, seq, now)
+            if ack is not None:
+                self.run.loop.schedule(ack, self.on_ack, seq)
 
     def on_ack(self, seq: int, now: float) -> None:
         info = self.outstanding.pop(seq, None)
@@ -359,36 +305,27 @@ class _Run:
     clock event stands for the next control tick, the next metric sample, or
     both where they fall on one float instant; it runs the tick first, so the
     sample sees that tick's snapshot.  A tick an ulp away from a sample is an
-    event of its own.  Each clock event files its successor with
-    ``origin=-inf``, as if it had been filed before the run; a TCP sender
-    starting at a clock instant, filed at init, runs before it.  The periodic
-    sender stays off the heap, with the result an event per paced send and per
-    P2P ack gives:
+    event of its own.  The periodic sender stays off the heap:
 
     - A tick files its quota as one batch of paced sends, ``[tick instant,
-      spacing, first counter, assignments, next index]``, with counters
-      reserved from the loop's: send ``i`` goes at ``tick + i * spacing``
-      and carries the key ``(send time, tick instant, first counter + i)``
-      its event would have had.  In FIFO order, each send gets
-      ``Controller.on_send`` and is put on the path (a) at each clock event,
-      if it is strictly before that instant, and (b) in ``send``, before any
-      other packet is put on the path, if its key is below the running
-      event's.  The path (access link, bottleneck, receiver links) is thus
-      used in event order.  ``_put`` returns each packet's ack instant and
-      departure; the TCP senders file their acks from them.
-    - A P2P ack, ``(ack, departure, seq, rid, round trip, queue-free round
-      trip)``, goes into its receiver's FIFO as its packet is put on the
-      path.  Each clock event, after (a), applies the acks strictly before
-      its instant, merged by ``(ack, departure, seq)``: the heap's own key,
-      with the seq, which rises in send order, standing in for the counter.
-      Each receiver's links are FIFO, so its ack instants never fall.
-      Applying an ack late is exact: it changes only controller state and
-      the period's round-trip lists, which only clock events read; a packet
-      sent after the acked one has a higher seq, so the dup-gap walk stops
-      before it; and timeouts run only at ticks.
+      spacing, assignments, next index]``: send ``i`` goes at ``tick + i *
+      spacing``.  In FIFO order, each send gets ``Controller.on_send`` and is
+      put on the path at each clock event, and in ``send`` before a TCP
+      packet, if it is strictly before that instant (rules 1 and 3).  The
+      path (access link, bottleneck, receiver links) is thus used in time
+      order.  ``_put`` returns each packet's ack instant; the TCP senders
+      file their acks from it.
+    - A P2P ack, ``(ack, seq, rid, round trip, queue-free round trip)``,
+      goes into its receiver's FIFO as its packet is put on the path.  Each
+      clock event, after the paced sends, applies the acks strictly before
+      its instant, merged by ``(ack, seq)``.  Each receiver's links are
+      FIFO, so its ack instants never fall.  Applying an ack late is exact:
+      it changes only controller state and the period's round-trip lists,
+      which only clock events read; a packet sent after the acked one has a
+      higher seq, so the dup-gap walk stops before it; and timeouts run only
+      at ticks.
     - ``execute`` ends by putting on the path the paced sends at or before the
-      duration and applying the acks at or before it, which an event per send
-      and per ack would have run.
+      duration and applying the acks at or before it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -423,12 +360,12 @@ class _Run:
                                   cfg.source.backlog_blocks)
         self.next_seq = 0
         # the metric samples before the first control tick read zeros
-        self.last_snapshot = TickSnapshot(0.0, 0, 0, 0.0, 0.0, 0.0, False, 0)
+        self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0, False, 0)
         # batches of paced sends not yet all on the path:
-        # [tick instant, spacing, first counter, assignments, next index]
+        # [tick instant, spacing, assignments, next index]
         self._paced: deque[list] = deque()
         # per receiver, P2P acks not yet applied:
-        # (ack, departure, seq, rid, round trip, queue-free round trip at send)
+        # (ack, seq, rid, round trip, queue-free round trip at send)
         self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
 
         # a sender schedules its own start and files its own acks, so the run
@@ -456,18 +393,16 @@ class _Run:
         columns += [f"throughput_{fid}_kbps" for fid in self.flow_ids]
         self.log = MetricsLog(columns)
 
-        # the clock is filed after the TCP senders' starts, so that a sender
-        # starting at a clock instant runs before it
         self._ticks = 0             # control ticks filed so far
         self._samples = 0           # metric samples filed so far
         self._n_samples = int(round(duration / self.T))
         self._file_clock()
 
     def _file_clock(self) -> None:
-        """File the next clock event with ``origin=-inf``, at the earlier of
-        the next control tick, at ``p2p_start + k T`` before the duration, and
-        the next metric sample, at ``j T``, ``j <= round(duration / T)``; it
-        runs both if they are one float."""
+        """File the next clock event, at the earlier of the next control
+        tick, at ``p2p_start + k T`` before the duration, and the next metric
+        sample, at ``j T``, ``j <= round(duration / T)``; it runs both if they
+        are one float."""
         tick = self.cfg.p2p_start + self._ticks * self.T
         if tick >= self.cfg.duration:
             tick = math.inf
@@ -479,22 +414,22 @@ class _Run:
         is_sample = sample == at
         self._ticks += is_tick
         self._samples += is_sample
-        self.loop.schedule(at, self._clock, is_tick, is_sample, origin=-math.inf)
+        self.loop.schedule(at, self._clock, is_tick, is_sample)
 
     def _clock(self, is_tick: bool, is_sample: bool, now: float) -> None:
         """Catch up to ``now``, then run the tick, the sample or both."""
         self._file_clock()
-        self._catch_up((now,))
+        self._catch_up(now)
         if is_tick:
             self._p2p_tick(now)
         if is_sample:
             self._sample(now)
 
-    def _catch_up(self, before: tuple) -> None:
-        """Put on the path the paced sends, then apply the P2P acks, whose
-        keys are below ``before``: ``(t,)`` for those strictly before ``t``."""
-        self._send_paced(before)
-        self._apply_acks(before)
+    def _catch_up(self, until: float) -> None:
+        """Put on the path the paced sends, then apply the P2P acks, strictly
+        before ``until``."""
+        self._send_paced(until)
+        self._apply_acks(until)
 
     # -- P2P side ---------------------------------------------------------
 
@@ -503,13 +438,10 @@ class _Run:
         self.last_snapshot = snapshot
         assignments = self.source.next_packets(snapshot.quota)
         if assignments:
-            n = len(assignments)
-            self._paced.append([now, self.T / n, self.loop.reserve(n), assignments, 0])
+            self._paced.append([now, self.T / len(assignments), assignments, 0])
 
-    def _send_paced(self, before: tuple) -> None:
+    def _send_paced(self, until: float) -> None:
         paced = self._paced
-        until = before[0]
-        rest = before[1:]
         on_send = self.controller.on_send
         put = self._put
         base_rtt = self._base_rtt
@@ -517,43 +449,40 @@ class _Run:
         seq = self.next_seq
         while paced:
             batch = paced[0]
-            tick, spacing, counter, assignments, i = batch
+            tick, spacing, assignments, i = batch
             n = len(assignments)
             while i < n:
                 now = tick + i * spacing
-                # stop at the first send whose key (now, tick, counter + i)
-                # is not below before
-                if now > until or (now == until and not (tick, counter + i) < rest):
-                    batch[4] = i
+                if now >= until:
+                    batch[3] = i
                     self.next_seq = seq
                     return
                 rid = assignments[i][0]
                 i += 1
                 on_send(rid, seq, now)
-                fate = put(rid, P2P_FLOW_ID, seq, now, tick)
-                if fate is not None:
-                    ack, departure = fate
+                ack = put(rid, P2P_FLOW_ID, seq, now)
+                if ack is not None:
                     held = base_rtt[rid]
                     if not held[0] <= now < held[1]:
                         lo, hi, path = _step_sum((self.sender_lat, self.receiver_lat[rid]), now)
                         held[:] = lo, hi, 2.0 * path
-                    acks[rid].append((ack, departure, seq, rid, ack - now, held[2]))
+                    acks[rid].append((ack, seq, rid, ack - now, held[2]))
                 seq += 1
             paced.popleft()
         self.next_seq = seq
 
-    def _apply_acks(self, before: tuple) -> None:
+    def _apply_acks(self, until: float) -> None:
         due = []
         for acks in self._acks.values():
-            while acks and acks[0] < before:
+            while acks and acks[0][0] < until:
                 due.append(acks.popleft())
         if len(self._acks) > 1:
-            due.sort()              # merge the receivers' FIFOs
+            due.sort()              # merge the receivers' FIFOs by (ack, seq)
         on_ack = self.controller.on_ack
         add_rtt = self._rtts.append
         add_base_rtt = self._base_rtts.append
         drtts = self._drtts
-        for ack, _, seq, rid, rtt, base_rtt in due:
+        for ack, seq, rid, rtt, base_rtt in due:
             on_ack(rid, seq, ack)
             add_rtt(rtt)
             add_base_rtt(base_rtt)
@@ -561,31 +490,26 @@ class _Run:
 
     # -- Shared path ------------------------------------------------------
 
-    def send(self, rid: str, flow_id: str, seq: int,
-             now: float) -> tuple[float, float] | None:
-        """Put a packet of the running event on the path (TCP's one entry)
-        and return its fate, as ``_put`` does.  First go the paced sends
-        whose key is below the running event's, which an event per paced
-        send would have put on the path before this one."""
-        loop = self.loop
+    def send(self, rid: str, flow_id: str, seq: int, now: float) -> float | None:
+        """Put a TCP packet on the path and return its ack instant, as
+        ``_put`` does, after the paced sends strictly before ``now``
+        (rule 3)."""
         if self._paced:
-            self._send_paced((loop.now, loop.origin, loop.counter))
-        return self._put(rid, flow_id, seq, now, loop.origin)
+            self._send_paced(now)
+        return self._put(rid, flow_id, seq, now)
 
-    def _put(self, rid: str, flow_id: str, seq: int, now: float,
-             origin: float) -> tuple[float, float] | None:
+    def _put(self, rid: str, flow_id: str, seq: int, now: float) -> float | None:
         """Put a packet on the access link, the bottleneck and the receiver's
-        forward and ack links; return ``(ack, departure)``, with the instant
-        its ack reaches the sender, or ``None`` if it is dropped.  Receivers
-        ack every packet on delivery and the return path is uncongested, so
-        the ack is fixed at departure.  Departures keep send order, so each
-        receiver's links see the deliveries in order."""
-        pkt = SimPacket(seq, rid, flow_id, now, origin)
-        departure = self.bottleneck.enqueue(pkt, self.access_link.transit(now))
+        forward and ack links; return the instant its ack reaches the sender,
+        or ``None`` if it is dropped.  Receivers ack every packet on delivery
+        and the return path is uncongested, so the ack is fixed at departure.
+        Departures keep send order, so each receiver's links see the
+        deliveries in order."""
+        departure = self.bottleneck.enqueue(SimPacket(seq, flow_id),
+                                            self.access_link.transit(now))
         if departure is None:
             return None
-        delivery = self.forward_links[rid].transit(departure)
-        return self.ack_links[rid].transit(delivery), departure
+        return self.ack_links[rid].transit(self.forward_links[rid].transit(departure))
 
     # -- Metrics ----------------------------------------------------------
 
@@ -628,7 +552,7 @@ class _Run:
     def execute(self) -> MetricsLog:
         duration = self.cfg.duration
         self.loop.run(duration)
-        self._catch_up((duration, math.inf))     # at or before the duration
+        self._catch_up(math.nextafter(duration, math.inf))     # at or before the duration
         return self.log
 
 

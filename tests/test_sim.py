@@ -16,16 +16,15 @@ from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
                              constant, uniform_resample)
-from p2pcc.sim import (Bottleneck, DelayLink, EventLoop, SimPacket, TcpSender,
-                       _Run, run)
+from p2pcc.sim import (TCP_RTO_MAX, TCP_TIMER_INTERVAL, Bottleneck, DelayLink,
+                       EventLoop, SimPacket, TcpSender, _Run, run)
 
 
 PACKET_BITS = 12000.0
 
 
-def packet(seq, rid="r1"):
-    return SimPacket(seq=seq, receiver_id=rid, flow_id="p2p",
-                     send_time=0.0, origin=0.0)
+def packet(seq):
+    return SimPacket(seq=seq, flow_id="p2p")
 
 
 def fixed(value):
@@ -43,11 +42,6 @@ def test_events_pop_in_time_order_with_insertion_tiebreak():
     loop.schedule(1.0, lambda arg, t: seen.append((arg, t)), "c")
     loop.run(until=10.0)
     assert seen == ["a", "b", ("c", 1.0), 2.0]
-    # at one instant, an event filed at an earlier time runs first
-    loop.schedule(3.0, lambda t: seen.append("filed at 2.5"), origin=2.5)
-    loop.schedule(3.0, lambda t: seen.append("filed at 1.0"), origin=1.0)
-    loop.run(until=10.0)
-    assert seen[-2:] == ["filed at 1.0", "filed at 2.5"]
 
 
 def test_events_beyond_horizon_stay_pending():
@@ -112,10 +106,33 @@ def test_queue_conservation_counters():
     assert bn.enqueued + bn.drops == 7
 
 
+class RankedLoop:
+    """The event loop of the event-per-hop oracles.  An event scheduled as
+    ``schedule(time, fn, *args)`` runs as ``fn(*args, time)``; events at one
+    instant run by the rank ``rank(fn)`` gives their handler, lowest first,
+    then in the order they were scheduled."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self._events = []           # sorted by (time, rank, filing order)
+        self._scheduled = itertools.count()
+
+    def schedule(self, time, fn, *args):
+        bisect.insort(self._events, ((time, self.rank(fn), next(self._scheduled)), fn, args))
+
+    def run(self, until):
+        events = self._events
+        while events and events[0][0][0] <= until:
+            (time, _, _), fn, args = events.pop(0)
+            fn(*args, time)
+
+
 class EventBottleneck:
-    """The event-per-hop bottleneck that ``Bottleneck`` replaced: each arrival
-    is an event filed at the send, and each departure an event filed when its
-    service starts.  Its tie order is the one the computed queue reproduces."""
+    """The bottleneck as an event per arrival and per departure, the oracle
+    of ``Bottleneck``: each arrival is an event filed at the send, and each
+    departure an event filed when its service starts.  On a ``RankedLoop``
+    that runs samples, then departures, then arrivals at one instant, it
+    follows rules 1 and 2 of ``sim``."""
 
     def __init__(self, loop, rate_fn, capacity, packet_bits, on_depart):
         self.loop = loop
@@ -157,54 +174,59 @@ def drive_bottleneck(computed, plan):
     the admissions and departures up to the horizon, and the samples.
 
     Ticks filed before the run send paced bursts, as the P2P sender's ticks
-    do, and samples are filed after them, as ``_Run`` files them.  A send
-    filed by any other event (an ack, a TCP timer or start) can meet a tie the
-    three rules do not order: the sending event and the event that started a
-    service share their time and their origin.  So the oracle draws
-    tick-filed sends only.  Each packet draws its own access latency, and
-    the access link keeps them FIFO."""
-    loop = EventLoop()
+    do; samples are filed after them, as ``_Run`` files them, and may send
+    bursts of their own.  A send may file a follow-up send from its packet's
+    arrival at the queue, as a TCP ack files the next send.  Both loops run
+    each arrival as an event, and only the event bottleneck enqueues there.
+    Each packet draws its own access latency, and the access link keeps them
+    FIFO."""
     last_arrival = [0.0]
     steps = sorted(plan["rate_steps"])
     rate = PiecewiseConstant([t for t, _ in steps], [r for _, r in steps])
     admissions, departures, samples = [], [], []
     seqs = itertools.count()
 
-    def send(latency, now):
+    def send(latency, follow, now):
         # two flow ids, so that served bits are compared per flow
-        pkt = SimPacket(next(seqs), "r1", "p2p" if latency else "tcp1", now,
-                        loop.origin)
+        pkt = SimPacket(next(seqs), "p2p" if latency else "tcp1")
         arrival = last_arrival[0] = max(last_arrival[0], now + latency)
         if computed:
             departure = bn.enqueue(pkt, arrival)
             admissions.append((pkt.seq, arrival, departure is not None))
             if departure is not None:
                 departures.append((pkt.seq, departure))
-        else:
-            loop.schedule(arrival, event_enqueue, pkt)
+        loop.schedule(arrival, arrive, pkt, latency, follow)
 
-    def event_enqueue(pkt, now):
-        admissions.append((pkt.seq, now, bn.enqueue(pkt, now)))
+    def arrive(pkt, latency, follow, now):
+        if not computed:
+            admissions.append((pkt.seq, now, bn.enqueue(pkt, now)))
+        if follow is not None:          # a follow-up has none of its own
+            loop.schedule(now + follow, send, latency, None)
 
-    def tick(burst, spacing, now):
-        for i, latency in enumerate(burst):
-            loop.schedule(now + i * spacing, send, latency)
+    def burst(sends, spacing, now):
+        for i, (latency, follow) in enumerate(sends):
+            loop.schedule(now + i * spacing, send, latency, follow)
 
-    def sample(now):
+    def sample(sends, now):
         if computed:
             bn.advance(now)
         samples.append((now, bn.occupancy, bn.drops, dict(bn.served_bits)))
+        if sends:
+            burst(*sends, now)
 
     if computed:
+        loop = EventLoop()
         bn = Bottleneck(rate, plan["capacity"], PACKET_BITS)
     else:
+        # samples, ticks and sends, then departures, then arrivals
+        loop = RankedLoop(lambda fn: 2 if fn is arrive else 1 if fn == bn._finish else 0)
         bn = EventBottleneck(loop, rate, plan["capacity"], PACKET_BITS,
                              lambda pkt, t: departures.append((pkt.seq, t)))
-    for t, burst, spacing in plan["ticks"]:
-        loop.schedule(t, tick, burst, spacing)
+    for t, sends, spacing in plan["ticks"]:
+        loop.schedule(t, burst, sends, spacing)
     horizon = plan["horizon"]
     for t in range(1, horizon + 1):
-        loop.schedule(float(t), sample)
+        loop.schedule(float(t), sample, plan["sample_bursts"].get(t))
     loop.run(horizon)
     # the computed queue decides a packet's fate when it is sent, so it also
     # holds fates the event queue would reach only after the horizon
@@ -212,16 +234,21 @@ def drive_bottleneck(computed, plan):
             [d for d in departures if d[1] <= horizon], samples)
 
 
-# times on a 1-s grid, services of 1-3 s and latencies of 0-3 s are exact in
-# binary, so arrivals, departures, service starts and samples tie often
+# times on a 1-s grid, services of 1-3 s, latencies of 0-3 s and follow-up
+# gaps of 0-2 s are exact in binary, so sends, arrivals, departures, service
+# starts and samples tie often
 grid = st.integers(0, 12).map(float)
+bursts = st.lists(st.tuples(st.integers(0, 3).map(float),
+                            st.sampled_from([None, 0.0, 1.0, 2.0])), max_size=5)
+spacings = st.sampled_from([0.0, 0.5, 1.0])
 plans = st.fixed_dictionaries({
     "horizon": st.just(16),
     "capacity": st.integers(1, 5),
     "rate_steps": st.lists(st.tuples(grid, st.sampled_from(
         [PACKET_BITS, PACKET_BITS / 2, PACKET_BITS / 3])), min_size=1, max_size=4),
-    "ticks": st.lists(st.tuples(grid, st.lists(st.integers(0, 3).map(float), max_size=5),
-                                st.sampled_from([0.0, 0.5, 1.0])), max_size=8),
+    "ticks": st.lists(st.tuples(grid, bursts, spacings), max_size=8),
+    "sample_bursts": st.dictionaries(st.integers(1, 12), st.tuples(bursts, spacings),
+                                     max_size=4),
 })
 
 
@@ -315,6 +342,46 @@ class RecordingRun:
         self.sent.append(seq)           # the packet is dropped
 
 
+def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
+    # every packet is dropped, so each poll of the timer that comes more than
+    # rto after the last progress cuts the window once, re-queues every
+    # outstanding seq in seq order, resends as the cut window allows and
+    # doubles rto, up to TCP_RTO_MAX
+    run_ = RecordingRun()
+    sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=8.0)
+    sender.cc.cwnd = 4.0
+    cuts = []
+    cut = sender._cc_loss
+    sender._cc_loss = lambda cc, kind: (cuts.append(kind), cut(cc, kind))
+    # the timer polls every 50 ms from the start
+    polls = list(itertools.takewhile(lambda t: t < 8.0, itertools.accumulate(
+        itertools.repeat(TCP_TIMER_INTERVAL))))
+    run_.loop.run(0.0)
+    assert run_.sent == [0, 1, 2, 3]
+
+    progress = 0.0
+    # per firing: the re-queued seqs left, the seq resent and the new rto
+    expected = [([1, 2, 3], [0], 2.0), ([2, 3, 0], [1], TCP_RTO_MAX),
+                ([3, 0, 1], [2], TCP_RTO_MAX)]
+    for n, (queued, resent, rto) in enumerate(expected, 1):
+        fire = next(t for t in polls if t - progress > sender.rto)
+        sent = list(run_.sent)
+        run_.loop.run(math.nextafter(fire, 0.0))     # no earlier poll fires
+        assert run_.sent == sent and len(cuts) == n - 1
+        run_.loop.run(fire)
+        assert cuts == ["timeout"] * n and sender.cc.cwnd == 1.0
+        assert run_.sent == sent + resent and list(sender.outstanding) == resent
+        assert list(sender.retransmit_q) == queued
+        assert sender.rto == rto and sender.last_progress == fire
+        progress = fire
+    assert progress + sender.rto >= sender.stop     # no poll before stop fires
+
+    # after stop, the timer files nothing more
+    run_.loop.run(math.inf)
+    assert not run_.loop._heap
+    assert len(cuts) == 3 and len(run_.sent) == 7
+
+
 def test_tcp_sender_retransmits_on_third_later_ack_and_cuts_once():
     run_ = RecordingRun()
     sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
@@ -364,9 +431,9 @@ def count_schedule_calls(monkeypatch):
     schedule = EventLoop.schedule
     calls = [0]
 
-    def counting_schedule(loop, *args, **kwargs):
+    def counting_schedule(loop, *args):
         calls[0] += 1
-        schedule(loop, *args, **kwargs)
+        schedule(loop, *args)
 
     monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
     return calls
@@ -573,13 +640,19 @@ def test_run_end_state_conserves_packets(name):
 
 
 class EventPacedRun(_Run):
-    """The periodic sender that ``_Run`` replaced: every control tick and
-    metric sample filed before the run, an event per paced send and one per
-    P2P ack.  Its event order is the one the on-demand sender reproduces."""
+    """The periodic sender as an event per paced send and per P2P ack, with
+    every control tick and metric sample filed before the run: the oracle of
+    ``_Run``.  On a ``RankedLoop`` that runs ticks and samples, then TCP
+    events and P2P acks, then paced sends at one instant, it follows rules 1
+    and 3 of ``sim``."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        # ticks before samples, both after the TCP senders' starts
+        # the TCP senders' starts move to the ranked loop, in filing order
+        starts = sorted(self.loop._heap, key=lambda event: event[1])
+        self.loop = RankedLoop(self._rank)
+        for time, _, fn, args in starts:
+            self.loop.schedule(time, fn, *args)
         k = 0
         while True:
             t = cfg.p2p_start + k * self.T
@@ -592,6 +665,11 @@ class EventPacedRun(_Run):
 
     def _file_clock(self):
         pass                    # the whole clock is filed at init
+
+    def _rank(self, fn):
+        if fn in (self._p2p_tick, self._sample):
+            return 0
+        return 2 if fn == self._send_p2p else 1
 
     def _p2p_tick(self, now):
         snapshot = self.controller.control_tick(now)
@@ -608,11 +686,9 @@ class EventPacedRun(_Run):
         self.next_seq += 1
         self.controller.on_send(rid, seq, now)
         base_rtt = 2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now))
-        fate = self.send(rid, P2P_FLOW_ID, seq, now)
-        if fate is not None:
-            ack, departure = fate
-            self.loop.schedule(ack, self._on_p2p_ack, rid, seq, now, base_rtt,
-                               origin=departure)
+        ack = self.send(rid, P2P_FLOW_ID, seq, now)
+        if ack is not None:
+            self.loop.schedule(ack, self._on_p2p_ack, rid, seq, now, base_rtt)
 
     def _on_p2p_ack(self, rid, seq, send_time, base_rtt, now):
         self.controller.on_ack(rid, seq, now)
@@ -669,11 +745,9 @@ def test_on_demand_sender_matches_event_oracle(cfg):
     assert end_state(new) == end_state(old)
 
 
-def test_paced_send_goes_before_a_send_filed_after_it_at_its_instant():
-    # a TCP timer that runs at a tick instant, after the tick, files its next
-    # firing with that instant as origin.  Where the firing lands on a paced
-    # send, both share time and origin, and the paced send, filed first, goes
-    # first onto the path
+def test_tcp_send_goes_before_a_paced_send_at_its_instant():
+    # a paced send goes onto the path before a TCP send only if it is
+    # strictly earlier
     cfg = small_single_receiver(duration=0.2)
     cfg.controller = ControllerParams(period_T=0.1)
     orders = []
@@ -684,18 +758,15 @@ def test_paced_send_goes_before_a_send_filed_after_it_at_its_instant():
         run_.bottleneck.enqueue = lambda pkt, arrival: (
             order.append((pkt.flow_id, pkt.seq)), enqueue(pkt, arrival))[1]
 
-        def timer(now, run_=run_):
-            # the tick's quota is 2: paced sends at 0 and 0.05
-            run_.loop.schedule(now + 0.05, send, run_)
-
         def send(run_, now):
             run_.send("r1", "tcp1", 0, now)
 
-        run_.loop.schedule(0.0, timer, origin=-0.05)
+        # the tick's quota is 2: paced sends at 0 and 0.05
+        run_.loop.schedule(0.05, send, run_)
         run_.execute()
         orders.append(order)
     assert orders[0] == orders[1]
-    assert orders[0][:3] == [("p2p", 0), ("p2p", 1), ("tcp1", 0)]
+    assert orders[0][:3] == [("p2p", 0), ("tcp1", 0), ("p2p", 1)]
 
 
 def test_identical_config_and_seed_reproduce_identical_logs():

@@ -31,8 +31,9 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   benchmark's child does (so a suite that stops calling it through the
   module differs), and every trial's report fields.
 
-It prints the count of differing cases and, for each, its index and what it
-is, and exits with status 1 if any case differs, or 2, naming the checkout,
+It prints the count of differing cases, then that count per family
+(built-in, tie-heavy, clock-offset, lemma, fluid), and, for each differing
+case, its index and what it is, and exits with status 1 if any case differs, or 2, naming the checkout,
 if a child fails.  Runtime on a 2-vCPU host is
 a few minutes, so the script is not part of the test suite.
 """
@@ -55,6 +56,7 @@ BUILTINS = ["exp1", "exp2-static", "exp2-dynamic", "exp3-reno-p2pfirst",
 PACKET_BITS = 12000.0
 LEMMA_TRIALS = 100          # trials per lemma-suite case
 LEMMA_CALLS = 50            # random direct calls per lemma seed
+FAMILIES = ("built-in", "tie-heavy", "clock-offset", "lemma", "fluid")
 
 
 def tie_heavy(index: int) -> dict:
@@ -150,14 +152,16 @@ def cases(seeds: int, n_random: int, n_clock: int, n_lemma: int) -> list[dict]:
     spec.loader.exec_module(workloads)
     out = []
     for seed in range(1, seeds + 1):
-        out += [{"builtin": name, "seed": seed} for name in BUILTINS]
-        out.append({"label": f"highrate seed {seed}",
+        out += [{"family": "built-in", "builtin": name, "seed": seed} for name in BUILTINS]
+        out.append({"family": "built-in", "label": f"highrate seed {seed}",
                     "config": {**workloads.HIGHRATE, "seed": seed}})
-    out += [{"label": f"tie-heavy {i}", "config": tie_heavy(i)} for i in range(n_random)]
-    out += [{"label": f"clock-offset {i}", "config": clock_offset(i)} for i in range(n_clock)]
-    out += [{"label": f"lemma{lemma} seed {seed}", "lemma": lemma, "seed": seed}
-            for lemma in (1, 2) for seed in range(1, n_lemma + 1)]
-    out += [{"label": f"fluid call {i}", "fluid": fluid_call(i)}
+    out += [{"family": "tie-heavy", "label": f"tie-heavy {i}", "config": tie_heavy(i)}
+            for i in range(n_random)]
+    out += [{"family": "clock-offset", "label": f"clock-offset {i}", "config": clock_offset(i)}
+            for i in range(n_clock)]
+    out += [{"family": "lemma", "label": f"lemma{lemma} seed {seed}", "lemma": lemma,
+             "seed": seed} for lemma in (1, 2) for seed in range(1, n_lemma + 1)]
+    out += [{"family": "fluid", "label": f"fluid call {i}", "fluid": fluid_call(i)}
             for i in range(LEMMA_CALLS * n_lemma)]
     return out
 
@@ -263,6 +267,10 @@ def main() -> int:
           f"{2 * args.lemma} lemma suites at seeds 1-{args.lemma}, "
           f"{LEMMA_CALLS * args.lemma} random fluid calls)")
     print(f"differing: {len(differing)}")
+    per_family = dict.fromkeys(FAMILIES, 0)
+    for i in differing:
+        per_family[todo[i]["family"]] += 1
+    print("by family: " + ", ".join(f"{name} {n}" for name, n in per_family.items()))
     for i in differing:
         print(f"  {i}: {label(todo[i])}")
     return 1 if differing else 0
