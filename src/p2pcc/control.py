@@ -10,7 +10,7 @@ queue-delay reference.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
@@ -77,14 +77,7 @@ class ControllerParams:
 @dataclass
 class ReceiverStats:
     """Per-receiver latency tracking; its unacknowledged packets are
-    ``ControllerState.outstanding[rid]``.
-
-    ``send_order`` lists the receiver's seqs in send order, so the oldest
-    outstanding one is found in amortized O(1): seqs no longer outstanding
-    are dropped from its front when met.  The outstanding dict cannot serve
-    for this, because a dict keeps the slots of deleted keys until it
-    resizes, and iterating it from the front walks them: under steady churn,
-    about one window's worth per ack."""
+    ``ControllerState.outstanding[rid]``, in send order."""
 
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
@@ -94,7 +87,6 @@ class ReceiverStats:
     latency_peaks: deque = field(default_factory=deque)
     last_ack_latency: float | None = None
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
-    send_order: deque = field(default_factory=deque)   # seqs, oldest first
 
 
 @dataclass(slots=True)
@@ -113,11 +105,8 @@ def dupgap_losses(pairs, seq) -> list[int]:
     lower seq.  ``pairs`` yields pending ``(seq, record)`` pairs, and the walk
     stops at the first that is not below ``seq``: a sender whose pending
     packets are in seq order passes them all and only their prefix below
-    ``seq`` is visited.  What it costs to produce that prefix is the
-    caller's: a dict's ``items()`` first walks the slots its deleted keys
-    left at the front, so the controller passes its send-order index
-    instead (see ``ReceiverStats``).  Returns, in walk order, the seqs that
-    have now seen DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
+    ``seq`` is visited.  Returns, in walk order, the seqs that have now seen
+    DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
     """
     lost = []
     for other_seq, other in pairs:
@@ -144,7 +133,9 @@ class ControllerState:
     duplicate_acks: int = 0
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
     qdelay_samples: list = field(default_factory=list)   # current interval
-    outstanding: dict = field(default_factory=dict)      # rid -> {seq: _Outstanding}
+    # rid -> OrderedDict {seq: _Outstanding} in send order; its walk follows
+    # a linked list, so deleted keys leave no slots to skip at its front
+    outstanding: dict = field(default_factory=dict)
 
     def in_flight_total(self) -> int:
         return sum(len(pending) for pending in self.outstanding.values())
@@ -166,7 +157,7 @@ class TickSnapshot:
 def new_state(receiver_ids) -> ControllerState:
     receivers = {rid: ReceiverStats() for rid in receiver_ids}
     state = ControllerState(receivers=receivers)
-    state.outstanding = {rid: {} for rid in receiver_ids}
+    state.outstanding = {rid: OrderedDict() for rid in receiver_ids}
     return state
 
 
@@ -203,11 +194,11 @@ def qmax_estimate(receivers: dict[str, ReceiverStats],
     return params.initial_qmax_offset
 
 
-def compute_dref(receivers: dict[str, ReceiverStats],
-                 params: ControllerParams) -> float:
-    """Queue-delay reference: alpha times the estimated maximum queue delay.
-    The per-receiver RTT-level target is d_min + d_ref."""
-    return params.alpha * qmax_estimate(receivers, params)
+def compute_dref(qmax: float, params: ControllerParams) -> float:
+    """Queue-delay reference: alpha times the estimated maximum queue delay
+    ``qmax`` (``qmax_estimate``).  The per-receiver RTT-level target is
+    d_min + d_ref."""
+    return params.alpha * qmax
 
 
 def compute_window(state: ControllerState, params: ControllerParams,
@@ -280,7 +271,6 @@ class Controller:
             raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
                              f"after seq {last_seq} sent at {last_time}")
         recv.last_sent = (seq, now)
-        recv.send_order.append(seq)
         state.outstanding[receiver_id][seq] = _Outstanding(now)
         state.cumulative_sent += 1
 
@@ -311,12 +301,9 @@ class Controller:
         state.cumulative_acked += 1
 
         # the walk bumps something only if the oldest outstanding seq is lower
-        order = recv.send_order
-        while order and order[0] not in pending:
-            order.popleft()
-        if not order or order[0] > seq:
+        if not pending or next(iter(pending)) > seq:
             return []
-        lost = dupgap_losses(((s, pending[s]) for s in order if s in pending), seq)
+        lost = dupgap_losses(pending.items(), seq)
         for lost_seq in lost:
             self.on_loss(receiver_id, lost_seq, ack_time)
         return [(receiver_id, s) for s in lost]
@@ -343,9 +330,8 @@ class Controller:
         elif recv.last_ack_latency is not None:
             recv.d_max = recv.last_ack_latency
 
-    def _expire_timeouts(self, now: float) -> int:
+    def _expire_timeouts(self, now: float, qmax: float) -> int:
         state = self.state
-        qmax = qmax_estimate(state.receivers, self.params)
         count = 0
         for rid, pending in state.outstanding.items():
             recv = state.receivers[rid]
@@ -356,15 +342,11 @@ class Controller:
             observed = recv.last_ack_latency or 0.0
             deadline = TIMEOUT_FACTOR * max(base + qmax, observed)
             # send times never fall along the send order, so the expired are
-            # a prefix of it; seqs no longer outstanding are dropped on the way
-            order = recv.send_order
+            # a prefix of it
             expired = []
-            while order:
-                info = pending.get(order[0])
-                if info is None:
-                    order.popleft()
-                elif now - info.send_time > deadline:
-                    expired.append(order.popleft())
+            for seq, info in pending.items():
+                if now - info.send_time > deadline:
+                    expired.append(seq)
                 else:
                     break
             for seq in expired:
@@ -377,7 +359,11 @@ class Controller:
         refresh the bandwidth estimate and d_ref, recompute window and quota."""
         state = self.state
         params = self.params
-        timeout_losses = self._expire_timeouts(now)
+        qmax = qmax_estimate(state.receivers, params)
+        timeout_losses = self._expire_timeouts(now, qmax)
+        if timeout_losses:
+            # a loss is the only way d_max changes here
+            qmax = qmax_estimate(state.receivers, params)
 
         samples = state.qdelay_samples
         state.avg_queue_delay_d = sum(samples) / len(samples) if samples else 0.0
@@ -391,7 +377,7 @@ class Controller:
         if bootstrap:
             quota = BOOTSTRAP_QUOTA
         else:
-            state.d_ref = compute_dref(state.receivers, params)
+            state.d_ref = compute_dref(qmax, params)
             state.window_w = compute_window(state, params, lambda_squared_shares(state))
             quota = compute_send_quota(state, params)
 

@@ -9,10 +9,10 @@ window, stays positive (non-empty lemma).
 
 The recursion is the lemma suites' whole cost, so its loop is written for
 few interpreter steps: each ack term reads the served history from its end,
-and the per-term "is it due" test stops once every term is.  It does the
-float operations of the plain per-period loop, in the same order, so its
-traces are bit-identical to that loop's (``tests/test_fluid.py`` keeps the
-plain loop as ``reference_trace`` and compares with ``==``).
+and a term that is not yet due reads a leading zero and adds ``0.0``.  It
+does the float operations of the plain per-period loop, in the same order,
+so its traces are bit-identical to that loop's (``tests/test_fluid.py``
+keeps the plain loop as ``reference_trace`` and compares with ``==``).
 """
 
 from __future__ import annotations
@@ -37,40 +37,27 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
     exceeds what is present in the queue.
 
     Period l's ack adds share * served[l - n] over the receivers with
-    l - n >= 0, in receiver order.  Once served[l] is appended, served[l - n]
-    is served_hist[~n], -(n + 1) from the end; for l below the longest delay
-    a term is due only if n <= l, and from then on every term is.
+    l - n >= 0, in receiver order.  served_hist starts with max(delays)
+    zeros, so once served[l] is appended, served[l - n] is served_hist[~n],
+    -(n + 1) from the end, and a term not yet due reads a zero.
     """
-    if abs(sum(shares) - 1.0) > 1e-9:
+    if not abs(sum(shares) - 1.0) <= 1e-9:     # not >, so that NaN fails
         raise ValueError("shares must sum to 1")
     if len(shares) != len(delays):
         raise ValueError("shares and delays must align")
+    if min(delays) < 0:
+        raise ValueError("delays must not be negative")
     y = 0.0
     cum_u = 0.0
     cum_ack = 0.0
-    served_hist: list[float] = []
+    lead = max(delays)
+    served_hist = [0.0] * lead
     trace = [0.0]
     append_served = served_hist.append
     append_y = trace.append
     # (share, ~n): after period l is appended, served_hist[~n] is period l - n
     terms = [(share, ~n) for share, n in zip(shares, delays)]
-    periods = iter(schedule)
-    # until l reaches the longest delay, a term is due only once l - n >= 0
-    for l, allowance in zip(range(max(delays)), periods):
-        u = gamma * (w - (cum_u - cum_ack))
-        present = y + u
-        served = present if clip_service and present < allowance else allowance
-        y = present - served
-        append_served(served)
-        cum_u += u
-        ack = 0.0
-        for share, back in terms:
-            if ~back <= l:
-                ack += share * served_hist[back]
-        cum_ack += ack
-        append_y(y)
-    # from then on every term is due
-    for allowance in periods:
+    for allowance in schedule:
         u = gamma * (w - (cum_u - cum_ack))
         present = y + u
         served = present if clip_service and present < allowance else allowance
@@ -82,7 +69,7 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
             ack += share * served_hist[back]
         cum_ack += ack
         append_y(y)
-    return trace, served_hist
+    return trace, served_hist[lead:]
 
 
 def lemma2_min_window(u_max: float, shares, n_p, gamma: float) -> float:

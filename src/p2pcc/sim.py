@@ -245,7 +245,9 @@ class TcpSender:
             return
         if self.outstanding and now - self.last_progress > self.rto:
             self._cc_loss(self.cc, "timeout")
-            self.retransmit_q.extend(sorted(self.outstanding))
+            # resend from the earliest unacknowledged seq (RFC 6298, 5.4); the
+            # queued and the outstanding seqs are disjoint
+            self.retransmit_q = deque(sorted([*self.retransmit_q, *self.outstanding]))
             self.outstanding.clear()
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)

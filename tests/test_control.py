@@ -1,7 +1,7 @@
 """Unit and property tests for the periodic controller."""
 
 import math
-from collections import deque
+from collections import OrderedDict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +69,7 @@ def test_dref_from_calibrated_receiver():
     r = state.receivers["r1"]
     r.d_min, r.d_max = 0.020, 0.120
     params = ControllerParams(alpha=0.75)
-    assert compute_dref(state.receivers, params) == pytest.approx(0.075)
+    assert compute_dref(qmax_estimate(state.receivers, params), params) == pytest.approx(0.075)
     assert rtt_reference(state.receivers, 0.075)["r1"] == pytest.approx(0.095)
 
 
@@ -77,7 +77,7 @@ def test_dref_bootstrap_uses_configured_offset():
     state = make_state()
     state.receivers["r1"].d_min = 0.030  # sample exists, no loss yet
     params = ControllerParams(alpha=0.5, initial_qmax_offset=0.040)
-    assert compute_dref(state.receivers, params) == pytest.approx(0.020)
+    assert compute_dref(qmax_estimate(state.receivers, params), params) == pytest.approx(0.020)
 
 
 def test_dref_takes_minimum_across_calibrated_receivers():
@@ -86,7 +86,7 @@ def test_dref_takes_minimum_across_calibrated_receivers():
     state.receivers["b"].d_min, state.receivers["b"].d_max = 0.010, 0.110
     params = ControllerParams(alpha=0.75)
     # (d_max - d_min) = 80 ms and 100 ms; the tighter one binds
-    assert compute_dref(state.receivers, params) == pytest.approx(0.060)
+    assert compute_dref(qmax_estimate(state.receivers, params), params) == pytest.approx(0.060)
 
 
 def test_dref_requires_at_least_one_sample():
@@ -407,27 +407,27 @@ def test_on_send_rejects_out_of_order_sends(seq, now):
     assert list(c.state.outstanding["r1"]) == [5, 6]
 
 
-class CountingDeque(deque):
-    """A deque that counts the entries its iterators hand out and the
-    entries taken from its front."""
+class CountingOrderedDict(OrderedDict):
+    """An OrderedDict that counts the entries its iterators hand out."""
 
     visits = 0
 
     def __iter__(self):
-        for item in super().__iter__():
+        for key in super().__iter__():
+            self.visits += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
             self.visits += 1
             yield item
-
-    def popleft(self):
-        self.visits += 1
-        return super().popleft()
 
 
 @pytest.mark.parametrize("skip_every", [None, 10])
 def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     n = 5000
     c = Controller(ControllerParams(), ["r1"])
-    order = c.state.receivers["r1"].send_order = CountingDeque()
+    pending = c.state.outstanding["r1"] = CountingOrderedDict()
     for seq in range(n):
         c.on_send("r1", seq, seq * 1e-4)
     unacked = list(range(0, n, skip_every)) if skip_every else []
@@ -435,52 +435,36 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     lost = []
     for seq in acked:
         lost += c.on_ack("r1", seq, 1.0 + seq * 1e-4)
-    # a full scan would visit ~n/2 send-order entries per ack; the walk
-    # visits a few per ack, and each entry leaves the front once
-    assert 0 < order.visits <= 2 * len(acked) + n
+    # a full scan would visit ~n/2 outstanding entries per ack; the walk
+    # visits a few per ack
+    assert 0 < pending.visits <= 2 * len(acked) + n
     assert lost == [("r1", seq) for seq in unacked]
     assert not c.state.outstanding["r1"]
 
 
-class IterationCountingDict(dict):
-    """A dict that counts the calls that would iterate it from its front."""
-
-    calls = 0
-
-    def __iter__(self):
-        self.calls += 1
-        return super().__iter__()
-
-    def keys(self):
-        self.calls += 1
-        return super().keys()
-
-    def values(self):
-        self.calls += 1
-        return super().values()
-
-    def items(self):
-        self.calls += 1
-        return super().items()
-
-
-def test_in_order_acks_never_iterate_the_outstanding_set():
-    # a dict keeps the slots of deleted keys until it resizes, so under this
-    # churn iterating the set from its front would skip ~a window of them
+def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
+    # a plain dict keeps the slots of deleted keys until it resizes, so under
+    # this churn a walk from its front would skip ~a window of them per ack;
+    # the OrderedDict's walk follows its links and visits only live entries
     window = 1000
     c = Controller(ControllerParams(), ["r1"])
-    pending = c.state.outstanding["r1"] = IterationCountingDict()
+    assert type(c.state.outstanding["r1"]) is OrderedDict
+    pending = c.state.outstanding["r1"] = CountingOrderedDict()
     for seq in range(window):
         c.on_send("r1", seq, seq * 1e-4)
+    acks = ticks = 0
     for seq in range(window, 5 * window):
         now = seq * 1e-4
         assert c.on_ack("r1", seq - window, now) == []
+        acks += 1
         c.on_send("r1", seq, now)
         if seq % 100 == 0:
             assert c.control_tick(now).timeout_losses == 0
-    assert pending.calls == 0
+            ticks += 1
+    # the ack's look at the oldest entry, and each tick's walk stops at the
+    # first entry, which has not expired
+    assert 0 < pending.visits <= 2 * acks + ticks
     assert list(pending) == list(range(4 * window, 5 * window))
-    assert pending.calls == 1
 
 
 def test_stale_seqs_behind_a_pending_front():

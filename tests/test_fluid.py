@@ -37,6 +37,10 @@ def test_trace_rejects_bad_shares():
         fluid_queue_trace(0.5, 50.0, [0.4, 0.4], [1, 2], [10.0] * 5)
     with pytest.raises(ValueError):
         fluid_queue_trace(0.5, 50.0, [1.0], [1, 2], [10.0] * 5)
+    with pytest.raises(ValueError):
+        fluid_queue_trace(0.5, 50.0, [math.nan], [1], [10.0] * 5)
+    with pytest.raises(ValueError):
+        fluid_queue_trace(0.5, 50.0, [0.5, 0.5], [1, -1], [10.0] * 5)
 
 
 def test_queue_stays_below_window_constant_service():

@@ -3,10 +3,8 @@
 The expected SHA-256 digests are the benchmark's (``perfbench/golden.json``);
 a change that alters any of them changes the simulator's output.  The
 benchmark-only ``highrate`` scenario is built by ``perfbench/workloads.py``;
-its ~900-packet window is the only one that keeps deep outstanding sets.
-There, a walk of a receiver's dict from its front would first skip about a
-window of deleted-key slots per ack; the controller walks its send-order
-index instead.
+its ~900-packet window is the only one that keeps deep outstanding sets,
+which churn on every ack.
 """
 
 import hashlib

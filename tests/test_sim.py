@@ -345,8 +345,9 @@ class RecordingRun:
 def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
     # every packet is dropped, so each poll of the timer that comes more than
     # rto after the last progress cuts the window once, re-queues every
-    # outstanding seq in seq order, resends as the cut window allows and
-    # doubles rto, up to TCP_RTO_MAX
+    # outstanding seq with those still queued in seq order, so the earliest
+    # goes first, resends as the cut window allows and doubles rto, up to
+    # TCP_RTO_MAX
     run_ = RecordingRun()
     sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=8.0)
     sender.cc.cwnd = 4.0
@@ -361,8 +362,8 @@ def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
 
     progress = 0.0
     # per firing: the re-queued seqs left, the seq resent and the new rto
-    expected = [([1, 2, 3], [0], 2.0), ([2, 3, 0], [1], TCP_RTO_MAX),
-                ([3, 0, 1], [2], TCP_RTO_MAX)]
+    expected = [([1, 2, 3], [0], 2.0), ([1, 2, 3], [0], TCP_RTO_MAX),
+                ([1, 2, 3], [0], TCP_RTO_MAX)]
     for n, (queued, resent, rto) in enumerate(expected, 1):
         fire = next(t for t in polls if t - progress > sender.rto)
         sent = list(run_.sent)
