@@ -76,8 +76,8 @@ class ControllerParams:
 
 @dataclass
 class ReceiverStats:
-    """Per-receiver latency tracking; its unacknowledged packets are
-    ``ControllerState.outstanding[rid]``, in send order."""
+    """Per-receiver latency tracking; its unacknowledged packets' send times
+    are ``ControllerState.outstanding[rid]``, in send order."""
 
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
@@ -89,31 +89,24 @@ class ReceiverStats:
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
 
 
-@dataclass(slots=True)
-class _Outstanding:
-    """A sent, not yet acknowledged packet of either sender."""
-
-    send_time: float
-    acks_after: int = 0
-    retransmitted: bool = False
-
-
-def dupgap_losses(pairs, seq) -> list[int]:
+def dupgap_losses(seqs, seq, acks_after) -> list[int]:
     """Duplicate-gap loss rule shared by the controller and the TCP senders.
 
     An ack for ``seq`` counts as a later ack for each pending packet with a
-    lower seq.  ``pairs`` yields pending ``(seq, record)`` pairs, and the walk
-    stops at the first that is not below ``seq``: a sender whose pending
-    packets are in seq order passes them all and only their prefix below
-    ``seq`` is visited.  Returns, in walk order, the seqs that have now seen
-    DUPACK_LOSS_THRESHOLD later acks.  The caller removes them.
+    lower seq.  ``seqs`` yields pending seqs, and the walk stops at the first
+    that is not below ``seq``: a sender whose pending packets are in seq
+    order passes them all and only their prefix below ``seq`` is visited.
+    The walk bumps their counts in ``acks_after``, which holds the non-zero
+    ones.  Returns, in walk order, the seqs that have now seen
+    DUPACK_LOSS_THRESHOLD later acks.  The caller removes them from both.
     """
     lost = []
-    for other_seq, other in pairs:
+    for other_seq in seqs:
         if other_seq >= seq:
             break
-        other.acks_after += 1
-        if other.acks_after >= DUPACK_LOSS_THRESHOLD:
+        count = acks_after.get(other_seq, 0) + 1
+        acks_after[other_seq] = count
+        if count >= DUPACK_LOSS_THRESHOLD:
             lost.append(other_seq)
     return lost
 
@@ -133,9 +126,11 @@ class ControllerState:
     duplicate_acks: int = 0
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
     qdelay_samples: list = field(default_factory=list)   # current interval
-    # rid -> OrderedDict {seq: _Outstanding} in send order; its walk follows
-    # a linked list, so deleted keys leave no slots to skip at its front
+    # rid -> OrderedDict {seq: send time} in send order; its walk follows a
+    # linked list, so deleted keys leave no slots to skip at its front
     outstanding: dict = field(default_factory=dict)
+    # rid -> {seq: later acks so far}, for the outstanding seqs that have one
+    acks_after: dict = field(default_factory=dict)
 
     def in_flight_total(self) -> int:
         return sum(len(pending) for pending in self.outstanding.values())
@@ -158,6 +153,7 @@ def new_state(receiver_ids) -> ControllerState:
     receivers = {rid: ReceiverStats() for rid in receiver_ids}
     state = ControllerState(receivers=receivers)
     state.outstanding = {rid: OrderedDict() for rid in receiver_ids}
+    state.acks_after = {rid: {} for rid in receiver_ids}
     return state
 
 
@@ -271,7 +267,7 @@ class Controller:
             raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
                              f"after seq {last_seq} sent at {last_time}")
         recv.last_sent = (seq, now)
-        state.outstanding[receiver_id][seq] = _Outstanding(now)
+        state.outstanding[receiver_id][seq] = now
         state.cumulative_sent += 1
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> list[tuple[str, int]]:
@@ -280,12 +276,14 @@ class Controller:
         and leave the state unchanged."""
         state = self.state
         pending = state.outstanding[receiver_id]
-        info = pending.pop(seq, None)
-        if info is None:
+        send_time = pending.pop(seq, None)
+        if send_time is None:
             state.duplicate_acks += 1
             return []
+        acks_after = state.acks_after[receiver_id]
+        acks_after.pop(seq, None)
         recv = state.receivers[receiver_id]
-        latency = ack_time - info.send_time
+        latency = ack_time - send_time
         if recv.d_min is None or latency < recv.d_min:
             recv.d_min = latency
         state.qdelay_samples.append(latency - recv.d_min)
@@ -303,7 +301,7 @@ class Controller:
         # the walk bumps something only if the oldest outstanding seq is lower
         if not pending or next(iter(pending)) > seq:
             return []
-        lost = dupgap_losses(pending.items(), seq)
+        lost = dupgap_losses(pending, seq, acks_after)
         for lost_seq in lost:
             self.on_loss(receiver_id, lost_seq, ack_time)
         return [(receiver_id, s) for s in lost]
@@ -318,6 +316,7 @@ class Controller:
         """
         state = self.state
         state.outstanding[receiver_id].pop(seq, None)
+        state.acks_after[receiver_id].pop(seq, None)
         recv = state.receivers[receiver_id]
         state.cumulative_lost += 1
         # time never goes back, so a peak that left the window is gone for good
@@ -344,8 +343,8 @@ class Controller:
             # send times never fall along the send order, so the expired are
             # a prefix of it
             expired = []
-            for seq, info in pending.items():
-                if now - info.send_time > deadline:
+            for seq, send_time in pending.items():
+                if now - send_time > deadline:
                     expired.append(seq)
                 else:
                     break

@@ -47,8 +47,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .control import (Controller, TickSnapshot, _Outstanding, dupgap_losses,
-                      rtt_reference)
+from .control import Controller, TickSnapshot, dupgap_losses, rtt_reference
 from .metrics import MetricsLog
 from .scenarios import P2P_FLOW_ID, ScenarioConfig
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
@@ -206,7 +205,12 @@ class TcpSender:
     Window growth/decay lives in the traffic-model flow object and loss
     detection in the duplicate-gap rule it shares with the controller; this
     class owns sequencing, the retransmission timer and pushing packets into
-    the shared path.
+    the shared path.  ``outstanding`` maps each unacknowledged seq to its
+    send time, or to ``None`` after a retransmission, whose ack gives no RTT
+    sample (Karn's rule, RFC 6298 section 3); ``acks_after`` holds the later
+    acks of those that have some.  Retransmissions break seq order, so each
+    ack passes the rule every lower outstanding seq: O(window) per ack, until
+    loss is detected in send order (see ROADMAP.md).
     """
 
     def __init__(self, run: "_Run", flow_id: str, kind: str, receiver_id: str,
@@ -222,7 +226,8 @@ class TcpSender:
             self.cc, self._cc_ack, self._cc_loss = TcpRenoFlow(), reno_on_ack, reno_on_loss
         else:
             self.cc, self._cc_ack, self._cc_loss = TcpBicFlow(), bic_on_ack, bic_on_loss
-        self.outstanding: dict[int, _Outstanding] = {}
+        self.outstanding: dict[int, float | None] = {}
+        self.acks_after: dict[int, int] = {}
         self.retransmit_q: deque[int] = deque()
         self.next_seq = 0
         self.recover_until = -1
@@ -249,6 +254,7 @@ class TcpSender:
             # queued and the outstanding seqs are disjoint
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.outstanding]))
             self.outstanding.clear()
+            self.acks_after.clear()
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
             self.try_send(now)
@@ -257,36 +263,45 @@ class TcpSender:
     def try_send(self, now: float) -> None:
         if not self.active(now):
             return
-        while len(self.outstanding) < max(1, int(self.cc.cwnd)):
-            if self.retransmit_q:
-                seq = self.retransmit_q.popleft()
-                retransmitted = True
+        outstanding = self.outstanding
+        retransmit_q = self.retransmit_q
+        send = self.run.send
+        schedule = self.run.loop.schedule
+        # sending does not change the window
+        window = max(1, int(self.cc.cwnd))
+        while len(outstanding) < window:
+            if retransmit_q:
+                seq = retransmit_q.popleft()
+                outstanding[seq] = None
             else:
                 seq = self.next_seq
                 self.next_seq += 1
-                retransmitted = False
-            self.outstanding[seq] = _Outstanding(now, retransmitted=retransmitted)
-            ack = self.run.send(self.receiver_id, self.flow_id, seq, now)
+                outstanding[seq] = now
+            ack = send(self.receiver_id, self.flow_id, seq, now)
             if ack is not None:
-                self.run.loop.schedule(ack, self.on_ack, seq)
+                schedule(ack, self.on_ack, seq)
 
     def on_ack(self, seq: int, now: float) -> None:
-        info = self.outstanding.pop(seq, None)
-        if info is None:
+        outstanding = self.outstanding
+        send_time = outstanding.pop(seq, False)
+        if send_time is False:          # a stale ack; None is a retransmission
             return
+        acks_after = self.acks_after
+        acks_after.pop(seq, None)
         self.last_progress = now
-        if not info.retransmitted:
-            self._update_rtt(now - info.send_time)
+        if send_time is not None:
+            self._update_rtt(now - send_time)
         self._cc_ack(self.cc)
         # retransmissions break seq order, so pass every lower seq, not a prefix
-        lost = dupgap_losses(((s, o) for s, o in self.outstanding.items() if s < seq), seq)
+        lost = dupgap_losses([s for s in outstanding if s < seq], seq, acks_after)
         if lost:
             if max(lost) > self.recover_until:
                 self._cc_loss(self.cc, "triple-dup")
                 # retransmissions resend only lower seqs
                 self.recover_until = self.next_seq - 1
             for lost_seq in lost:
-                del self.outstanding[lost_seq]
+                del outstanding[lost_seq]
+                del acks_after[lost_seq]
                 self.retransmit_q.append(lost_seq)
         self.try_send(now)
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from p2pcc.control import (ACK_HISTORY_LEN, BOOTSTRAP_QUOTA,
                            DUPACK_LOSS_THRESHOLD, TIMEOUT_FACTOR, Controller,
-                           ControllerParams, _Outstanding, compute_dref,
-                           compute_send_quota, compute_window,
-                           current_ack_rate, estimate_bandwidth,
-                           lambda_squared_shares, new_state, qmax_estimate,
-                           rtt_reference)
+                           ControllerParams, compute_dref, compute_send_quota,
+                           compute_window, current_ack_rate,
+                           estimate_bandwidth, lambda_squared_shares,
+                           new_state, qmax_estimate, rtt_reference)
 from p2pcc.fluid import lemma2_min_window
 
 
@@ -22,7 +21,7 @@ def make_state(receiver_ids=("r1",)):
 
 
 def set_in_flight(state, rid, n):
-    state.outstanding[rid] = {seq: _Outstanding(0.0) for seq in range(n)}
+    state.outstanding[rid] = dict.fromkeys(range(n), 0.0)
 
 
 def seed_counts(state, sent, acked):
@@ -596,6 +595,9 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
         for r in ids:
             assert c.state.receivers[r].d_max == ref.d_max[r]
             assert list(c.state.outstanding[r]) == list(ref.pending[r])
+            # later-ack counts are kept only where they are non-zero
+            assert c.state.acks_after[r] == {s: rec[1] for s, rec in ref.pending[r].items()
+                                             if rec[1]}
 
 
 # -- parameter validation ---------------------------------------------------

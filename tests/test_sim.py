@@ -5,19 +5,22 @@ import itertools
 import math
 import statistics
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2pcc.control import ControllerParams
+from p2pcc.control import DUPACK_LOSS_THRESHOLD, ControllerParams, dupgap_losses
 from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
                              constant, uniform_resample)
-from p2pcc.sim import (TCP_RTO_MAX, TCP_TIMER_INTERVAL, Bottleneck, DelayLink,
-                       EventLoop, SimPacket, TcpSender, _Run, run)
+from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, TCP_TIMER_INTERVAL, Bottleneck,
+                       DelayLink, EventLoop, SimPacket, TcpSender, _Run, run)
+from p2pcc.traffic import (TcpBicFlow, TcpRenoFlow, bic_on_ack, bic_on_loss,
+                           reno_on_ack, reno_on_loss)
 
 
 PACKET_BITS = 12000.0
@@ -407,6 +410,145 @@ def test_tcp_sender_retransmits_on_third_later_ack_and_cuts_once():
     assert sender.cc.ssthresh == 4.0
 
 
+def test_tcp_ack_of_a_retransmission_gives_no_rtt_sample():
+    # Karn's rule (RFC 6298, section 3): the ack of a retransmitted seq may
+    # answer either transmission, so it leaves srtt, rttvar and rto as they
+    # are; the ack of a seq sent once updates them
+    run_ = RecordingRun()
+    sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
+    sender.try_send(0.0)                 # cwnd 2: seqs 0 and 1
+    sender.on_ack(0, 0.1)                # a sample of 0.1; cwnd 3 sends 2 and 3
+    assert (sender.srtt, sender.rttvar) == (0.1, 0.05)
+    sender._timer(1.5)                   # re-queues 1, 2 and 3, resends 1
+    held = (sender.srtt, sender.rttvar, sender.rto)
+    for seq, now in ((1, 1.6), (2, 1.7), (3, 1.8)):
+        sender.on_ack(seq, now)
+        assert (sender.srtt, sender.rttvar, sender.rto) == held
+    assert run_.sent == [0, 1, 2, 3, 1, 2, 3, 4, 5]
+    assert sender.outstanding[4] == 1.7  # sent once, by the ack of 2
+    sender.on_ack(4, 1.9)
+    srtt, rttvar, _ = held
+    sample = 1.9 - 1.7
+    assert sender.rttvar == 0.75 * rttvar + 0.25 * abs(srtt - sample)
+    assert sender.srtt == 0.875 * srtt + 0.125 * sample
+    assert sender.rto == sender.srtt + 4.0 * sender.rttvar
+
+
+class PerRecordTcpReference:
+    """The TCP sender's bookkeeping with one record per outstanding seq,
+    ``[send time, later acks, retransmitted]``: every ack scans all records
+    for lower seqs.  Transmissions go to ``sent``."""
+
+    def __init__(self, kind, start):
+        if kind == "reno":
+            self.cc, self.cc_ack, self.cc_loss = TcpRenoFlow(), reno_on_ack, reno_on_loss
+        else:
+            self.cc, self.cc_ack, self.cc_loss = TcpBicFlow(), bic_on_ack, bic_on_loss
+        self.pending = {}
+        self.retransmit_q = deque()
+        self.next_seq = 0
+        self.recover_until = -1
+        self.srtt = None
+        self.rttvar = 0.0
+        self.rto = 1.0
+        self.last_progress = start
+        self.sent = []
+
+    def send(self, now):
+        while len(self.pending) < max(1, int(self.cc.cwnd)):
+            if self.retransmit_q:
+                seq = self.retransmit_q.popleft()
+                self.pending[seq] = [now, 0, True]
+            else:
+                seq = self.next_seq
+                self.next_seq += 1
+                self.pending[seq] = [now, 0, False]
+            self.sent.append(seq)
+
+    def ack(self, seq, now):
+        record = self.pending.pop(seq, None)
+        if record is None:
+            return []
+        self.last_progress = now
+        if not record[2]:
+            sample = now - record[0]
+            if self.srtt is None:
+                self.srtt, self.rttvar = sample, sample / 2.0
+            else:
+                self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
+                self.srtt = 0.875 * self.srtt + 0.125 * sample
+            self.rto = min(max(self.srtt + 4.0 * self.rttvar, TCP_RTO_MIN), TCP_RTO_MAX)
+        self.cc_ack(self.cc)
+        lost = []
+        for other_seq, other in self.pending.items():
+            if other_seq < seq:
+                other[1] += 1
+                if other[1] >= DUPACK_LOSS_THRESHOLD:
+                    lost.append(other_seq)
+        if lost:
+            if max(lost) > self.recover_until:
+                self.cc_loss(self.cc, "triple-dup")
+                self.recover_until = self.next_seq - 1
+            for lost_seq in lost:
+                del self.pending[lost_seq]
+                self.retransmit_q.append(lost_seq)
+        self.send(now)
+        return lost
+
+    def timer(self, now):
+        if self.pending and now - self.last_progress > self.rto:
+            self.cc_loss(self.cc, "timeout")
+            self.retransmit_q = deque(sorted([*self.retransmit_q, *self.pending]))
+            self.pending.clear()
+            self.last_progress = now
+            self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
+            self.send(now)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["reno", "bic"]), ops=st.lists(st.tuples(
+    st.sampled_from(["ack", "ack", "reordered-ack", "stale-ack", "timer"]),
+    st.sampled_from([0.0, 0.001, 0.01, 0.1, 1.0]),
+    st.integers(0, 10**6)), min_size=20, max_size=150))
+def test_property_tcp_sender_matches_per_record_reference(kind, ops):
+    # every packet is dropped and the test acks outstanding seqs in send
+    # order or at random, and seqs sent before (stale or duplicate acks)
+    run_ = RecordingRun()
+    sender = TcpSender(run_, "tcp1", kind, "r1", start=0.0, stop=math.inf)
+    ref = PerRecordTcpReference(kind, 0.0)
+    run_.loop.run(0.0)                  # the sender's start sends its window
+    ref.send(0.0)
+    lost = []
+
+    def recording_dupgap_losses(*args):
+        newly_lost = dupgap_losses(*args)
+        lost.extend(newly_lost)
+        return newly_lost
+
+    t = 0.0
+    with mock.patch("p2pcc.sim.dupgap_losses", recording_dupgap_losses):
+        for op, dt, pick in ops:
+            t += dt
+            live = list(sender.outstanding)
+            if op == "timer":
+                sender._timer(t)
+                ref.timer(t)
+            elif op == "stale-ack" or live:
+                pool = run_.sent if op == "stale-ack" else live
+                seq = live[0] if op == "ack" else pool[pick % len(pool)]
+                lost.clear()
+                sender.on_ack(seq, t)
+                assert lost == ref.ack(seq, t)
+            assert run_.sent == ref.sent
+            assert list(sender.outstanding) == list(ref.pending)
+            assert sender.outstanding == {s: None if r[2] else r[0]
+                                          for s, r in ref.pending.items()}
+            assert sender.acks_after == {s: r[1] for s, r in ref.pending.items() if r[1]}
+            assert list(sender.retransmit_q) == list(ref.retransmit_q)
+            assert (sender.srtt, sender.rttvar, sender.rto) == (ref.srtt, ref.rttvar, ref.rto)
+            assert (sender.cc.cwnd, sender.cc.ssthresh) == (ref.cc.cwnd, ref.cc.ssthresh)
+
+
 # -- whole runs -------------------------------------------------------------
 
 def small_single_receiver(duration=5.0, seed=7):
@@ -613,10 +755,19 @@ P2P_DROPPING = {"exp2-dynamic", "exp3-bic-p2pfirst", "exp3-bic-tcpfirst",
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_run_end_state_conserves_packets(name):
+def test_run_end_state_conserves_packets(name, monkeypatch):
     # every P2P packet sent is acked, declared lost or still in flight; every
     # P2P packet the bottleneck dropped is declared lost or still in flight;
-    # and every packet it admitted leaves it once it has drained
+    # every packet it admitted leaves it once it has drained; and each
+    # sender counts later acks only of outstanding packets not yet lost
+    senders = []
+    init = TcpSender.__init__
+
+    def recording_init(sender, *args):
+        init(sender, *args)
+        senders.append(sender)
+
+    monkeypatch.setattr(TcpSender, "__init__", recording_init)
     run_ = _Run(BUILTIN_SCENARIOS[name]())
     p2p_drops = [0]
     enqueue = run_.bottleneck.enqueue
@@ -638,6 +789,12 @@ def test_run_end_state_conserves_packets(name):
     bn.advance(math.inf)
     assert bn.served == bn.enqueued
     assert bn.occupancy == 0
+    assert len(senders) == len(run_.cfg.flows)
+    counted = [(state.acks_after[rid], state.outstanding[rid]) for rid in state.receivers]
+    counted += [(sender.acks_after, sender.outstanding) for sender in senders]
+    for acks_after, outstanding in counted:
+        assert acks_after.keys() <= outstanding.keys()
+        assert set(acks_after.values()) <= set(range(1, DUPACK_LOSS_THRESHOLD))
 
 
 class EventPacedRun(_Run):
