@@ -439,7 +439,7 @@ class PerRecordTcpReference:
     ``[send time, later acks, retransmitted]``: every ack scans all records
     for lower seqs.  Transmissions go to ``sent``."""
 
-    def __init__(self, kind, start):
+    def __init__(self, kind):
         if kind == "reno":
             self.cc, self.cc_ack, self.cc_loss = TcpRenoFlow(), reno_on_ack, reno_on_loss
         else:
@@ -451,7 +451,7 @@ class PerRecordTcpReference:
         self.srtt = None
         self.rttvar = 0.0
         self.rto = 1.0
-        self.last_progress = start
+        self.last_progress = 0.0       # the sender's start
         self.sent = []
 
     def send(self, now):
@@ -515,7 +515,7 @@ def test_property_tcp_sender_matches_per_record_reference(kind, ops):
     # order or at random, and seqs sent before (stale or duplicate acks)
     run_ = RecordingRun()
     sender = TcpSender(run_, "tcp1", kind, "r1", start=0.0, stop=math.inf)
-    ref = PerRecordTcpReference(kind, 0.0)
+    ref = PerRecordTcpReference(kind)
     run_.loop.run(0.0)                  # the sender's start sends its window
     ref.send(0.0)
     lost = []
