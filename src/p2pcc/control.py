@@ -62,6 +62,8 @@ class ControllerParams:
         """Range checks; each error message starts with its field's name."""
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma: must be in (0, 1]")
+        if not self.gamma2 >= 0.0:
+            raise ValueError("gamma2: must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha: must be in (0, 1)")
         if self.period_T <= 0.0:
@@ -123,7 +125,6 @@ class ControllerState:
     est_bandwidth_U: float = 0.0    # packets per second
     d_ref: float = 0.0
     avg_queue_delay_d: float = 0.0  # d(kT) of the last closed interval
-    duplicate_acks: int = 0
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
     qdelay_samples: list = field(default_factory=list)   # current interval
     # rid -> OrderedDict {seq: send time} in send order; its walk follows a
@@ -145,8 +146,6 @@ class TickSnapshot:
     est_bandwidth_pps: float
     ack_rate_pps: float
     d_ref: float
-    bootstrap: bool
-    timeout_losses: int
 
 
 def new_state(receiver_ids) -> ControllerState:
@@ -223,15 +222,13 @@ def current_ack_rate(state: ControllerState, params: ControllerParams,
     return len(arrivals) / params.bw_window_tc
 
 
-def estimate_bandwidth(state: ControllerState, params: ControllerParams,
-                       now: float) -> float:
+def estimate_bandwidth(state: ControllerState, raw: float) -> float:
     """Ack-rate bandwidth estimate with the non-empty-queue trust gate.
 
-    The raw rate is adopted when the measured queue delay says the queue is
-    non-empty, or when the raw rate exceeds the held estimate; otherwise the
-    previous estimate is kept.
+    The raw rate (``current_ack_rate``) is adopted when the measured queue
+    delay says the queue is non-empty, or when the raw rate exceeds the held
+    estimate; otherwise the previous estimate is kept.
     """
-    raw = current_ack_rate(state, params, now)
     gate = U_TRUST_RATIO * state.d_ref
     if state.avg_queue_delay_d >= gate or raw > state.est_bandwidth_U:
         return raw
@@ -272,13 +269,13 @@ class Controller:
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> list[tuple[str, int]]:
         """Process one ack; returns packets newly declared lost by the
-        duplicate-gap rule.  Unknown (duplicate or spurious) acks are counted
-        and leave the state unchanged."""
+        duplicate-gap rule.  An ack of a packet not outstanding (a duplicate,
+        or one already declared lost) is ignored: it returns ``[]`` and
+        changes no state."""
         state = self.state
         pending = state.outstanding[receiver_id]
         send_time = pending.pop(seq, None)
         if send_time is None:
-            state.duplicate_acks += 1
             return []
         acks_after = state.acks_after[receiver_id]
         acks_after.pop(seq, None)
@@ -359,8 +356,7 @@ class Controller:
         state = self.state
         params = self.params
         qmax = qmax_estimate(state.receivers, params)
-        timeout_losses = self._expire_timeouts(now, qmax)
-        if timeout_losses:
+        if self._expire_timeouts(now, qmax):
             # a loss is the only way d_max changes here
             qmax = qmax_estimate(state.receivers, params)
 
@@ -368,12 +364,11 @@ class Controller:
         state.avg_queue_delay_d = sum(samples) / len(samples) if samples else 0.0
         state.qdelay_samples = []
 
-        state.est_bandwidth_U = estimate_bandwidth(state, params, now)
-        ack_rate = len(state.ack_arrivals) / params.bw_window_tc
+        ack_rate = current_ack_rate(state, params, now)
+        state.est_bandwidth_U = estimate_bandwidth(state, ack_rate)
 
         # until some receiver has a latency sample there is no d_min to aim at
-        bootstrap = all(r.d_min is None for r in state.receivers.values())
-        if bootstrap:
+        if all(r.d_min is None for r in state.receivers.values()):
             quota = BOOTSTRAP_QUOTA
         else:
             state.d_ref = compute_dref(qmax, params)
@@ -386,6 +381,4 @@ class Controller:
             est_bandwidth_pps=state.est_bandwidth_U,
             ack_rate_pps=ack_rate,
             d_ref=state.d_ref,
-            bootstrap=bootstrap,
-            timeout_losses=timeout_losses,
         )

@@ -24,17 +24,19 @@ from dataclasses import dataclass, field
 # Slack for floating-point accumulation in the strict < / > comparisons.
 _EPS = 1e-9
 
+# Periods of service each lemma-suite trial runs the recursion for.
+PERIODS = 1000
 
-def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
-                      clip_service: bool = True):
+
+def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule):
     """Iterate the period recursion and return the queue trace.
 
     shares[p] is the fraction of traffic attributed to receiver p, delays[p]
     its round trip in whole periods, schedule[l] the service allowance of
     period l (packets).  Returns (y, served) with y[l] the queue length at
     the start of period l (y[0] == 0) and served[l] the packets actually
-    forwarded in period l.  With clip_service the per-period service never
-    exceeds what is present in the queue.
+    forwarded in period l.  The per-period service never exceeds what is
+    present in the queue.
 
     Period l's ack adds share * served[l - n] over the receivers with
     l - n >= 0, in receiver order.  served_hist starts with max(delays)
@@ -60,7 +62,7 @@ def fluid_queue_trace(gamma: float, w: float, shares, delays, schedule,
     for allowance in schedule:
         u = gamma * (w - (cum_u - cum_ack))
         present = y + u
-        served = present if clip_service and present < allowance else allowance
+        served = present if present < allowance else allowance
         y = present - served
         append_served(served)
         cum_u += u
@@ -105,10 +107,6 @@ class LemmaReport:
     def violation_count(self) -> int:
         return sum(len(t.violations) for t in self.trials)
 
-    @property
-    def ok(self) -> bool:
-        return self.violation_count == 0
-
     def summary(self) -> str:
         return (f"lemma{self.lemma}: {len(self.trials)} trials, "
                 f"{self.violation_count} violations, {self.elapsed:.2f}s")
@@ -124,8 +122,7 @@ def _sample_topology(rng: random.Random):
     return shares, delays, u_max
 
 
-def verify_lemma1(trials: int = 100, seed: int = 0,
-                  periods: int = 1000) -> LemmaReport:
+def verify_lemma1(trials: int = 100, seed: int = 0) -> LemmaReport:
     """Queue never reaches w: random gains, topologies and service schedules
     driven through the recursion; any y(lT) >= w is a violation."""
     start = time.perf_counter()
@@ -137,7 +134,7 @@ def verify_lemma1(trials: int = 100, seed: int = 0,
         shares, delays, u_max = _sample_topology(rng)
         w = rng.uniform(10.0, 500.0)
         # the float rng.uniform(0.0, u_max) returns, from the same draw
-        schedule = [u_max * rand() for _ in range(periods)]
+        schedule = [u_max * rand() for _ in range(PERIODS)]
         trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
         trial = LemmaTrial(i, gamma, w, shares, delays, u_max)
         bound = w + _EPS
@@ -147,8 +144,7 @@ def verify_lemma1(trials: int = 100, seed: int = 0,
     return LemmaReport(1, out, time.perf_counter() - start)
 
 
-def verify_lemma2(trials: int = 100, seed: int = 0,
-                  periods: int = 1000) -> LemmaReport:
+def verify_lemma2(trials: int = 100, seed: int = 0) -> LemmaReport:
     """Queue stays positive once past the longest round trip when the window
     strictly exceeds the minimum-window bound and the sender is always
     backlogged; any y(lT) <= 0 for l > n_m + 1 is a violation."""
@@ -160,7 +156,7 @@ def verify_lemma2(trials: int = 100, seed: int = 0,
         gamma = rng.uniform(0.05, 1.0)
         shares, delays, u_max = _sample_topology(rng)
         w = lemma2_min_window(u_max, shares, delays, gamma) + 1.0
-        schedule = [u_max * rand() for _ in range(periods)]
+        schedule = [u_max * rand() for _ in range(PERIODS)]
         trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
         first = max(delays) + 2             # the first period checked
         checked = trace[first:]

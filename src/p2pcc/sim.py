@@ -135,9 +135,11 @@ class Bottleneck:
     arrival if the server is idle, and lasts ``packet_bits / rate(start)``,
     which the queue holds for the whole rate step and computes again only
     for a start outside it.  ``enqueue`` returns the departure, or ``None``
-    for a drop.  The counters (``drops``, ``occupancy``, ``served_bits``,
-    ``enqueued``, ``served``) move only in ``advance(now)``, which counts the
-    arrivals and departures strictly before ``now`` (rule 1).
+    for a drop.  The counters (``drops``, ``occupancy``, ``served_bits``)
+    move only in ``advance(now)``, which counts the arrivals and departures
+    strictly before ``now`` (rule 1).  The packets served so far are
+    ``sum(served_bits.values()) / packet_bits``, and the packets admitted
+    are those plus ``occupancy``.
     """
 
     def __init__(self, rate, capacity: int, packet_bits: float):
@@ -157,8 +159,6 @@ class Bottleneck:
         self._in_queue: deque[tuple[float, float, str]] = deque()
         self.drops = 0
         self.served_bits: dict[str, float] = {}
-        self.enqueued = 0
-        self.served = 0
 
     @property
     def occupancy(self) -> int:
@@ -190,12 +190,10 @@ class Bottleneck:
             if record[1] is None:
                 self.drops += 1
             else:
-                self.enqueued += 1
                 in_queue.append(record)
         served_bits = self.served_bits
         while in_queue and in_queue[0][1] < now:
             flow_id = in_queue.popleft()[2]
-            self.served += 1
             served_bits[flow_id] = served_bits.get(flow_id, 0.0) + self.packet_bits
 
 
@@ -326,12 +324,12 @@ class _Run:
 
     - A tick files its quota as one batch of paced sends, ``[tick instant,
       spacing, assignments, next index]``: send ``i`` goes at ``tick + i *
-      spacing``.  In FIFO order, each send gets ``Controller.on_send`` and is
-      put on the path at each clock event, and in ``send`` before a TCP
-      packet, if it is strictly before that instant (rules 1 and 3).  The
-      path (access link, bottleneck, receiver links) is thus used in time
-      order.  ``_put`` returns each packet's ack instant; the TCP senders
-      file their acks from it.
+      spacing`` to the receiver ``assignments[i]``.  In FIFO order, each
+      send gets ``Controller.on_send`` and is put on the path at each clock
+      event, and in ``send`` before a TCP packet, if it is strictly before
+      that instant (rules 1 and 3).  The path (access link, bottleneck,
+      receiver links) is thus used in time order.  ``_put`` returns each
+      packet's ack instant; the TCP senders file their acks from it.
     - A P2P ack, ``(ack, seq, rid, round trip, queue-free round trip)``,
       goes into its receiver's FIFO as its packet is put on the path.  Each
       clock event, after the paced sends, applies the acks strictly before
@@ -377,7 +375,7 @@ class _Run:
                                   cfg.source.backlog_blocks)
         self.next_seq = 0
         # the metric samples before the first control tick read zeros
-        self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0, False, 0)
+        self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
         # batches of paced sends not yet all on the path:
         # [tick instant, spacing, assignments, next index]
         self._paced: deque[list] = deque()
@@ -474,7 +472,7 @@ class _Run:
                     batch[3] = i
                     self.next_seq = seq
                     return
-                rid = assignments[i][0]
+                rid = assignments[i]
                 i += 1
                 on_send(rid, seq, now)
                 ack = put(rid, P2P_FLOW_ID, seq, now)

@@ -27,17 +27,17 @@ class BlockSource:
     _sent_in_block: int = 0
     _next_receiver: int = 0
 
-    def next_packets(self, quota: int) -> list[tuple[str, int]]:
-        """Up to quota (receiver, block) assignments, fewer only when the
-        backlog runs out."""
-        out: list[tuple[str, int]] = []
+    def next_packets(self, quota: int) -> list[str]:
+        """The receivers of up to quota packets, in send order, fewer only
+        when the backlog runs out."""
+        out: list[str] = []
         left = quota
         while left > 0:
             if self.backlog_blocks is not None and self._block_id >= self.backlog_blocks:
                 break
             # the rest of the current block's share, or of the quota
             n = min(left, self.block_size - self._sent_in_block)
-            out.extend([(self.receiver_ids[self._next_receiver], self._block_id)] * n)
+            out.extend([self.receiver_ids[self._next_receiver]] * n)
             left -= n
             self._sent_in_block += n
             if self._sent_in_block >= self.block_size:
@@ -56,21 +56,19 @@ class TcpRenoFlow:
     ssthresh: float = float("inf")
 
 
-def reno_on_ack(flow: TcpRenoFlow) -> TcpRenoFlow:
+def reno_on_ack(flow: TcpRenoFlow) -> None:
     if flow.cwnd < flow.ssthresh:
         flow.cwnd += 1.0
     else:
         flow.cwnd += 1.0 / flow.cwnd
-    return flow
 
 
-def reno_on_loss(flow: TcpRenoFlow, kind: str) -> TcpRenoFlow:
+def reno_on_loss(flow: TcpRenoFlow, kind: str) -> None:
     flow.ssthresh = max(flow.cwnd / 2.0, 2.0)
     if kind == "timeout":
         flow.cwnd = 1.0
     else:  # triple-dup
         flow.cwnd = flow.ssthresh
-    return flow
 
 
 @dataclass
@@ -80,36 +78,31 @@ class TcpBicFlow:
     cwnd: float = 2.0
     ssthresh: float = float("inf")
     w_max: float = 0.0
-    s_max: float = BIC_S_MAX
-    s_min: float = BIC_S_MIN
-    beta: float = BIC_BETA
 
 
-def bic_on_ack(flow: TcpBicFlow) -> TcpBicFlow:
+def bic_on_ack(flow: TcpBicFlow) -> None:
     if flow.cwnd < flow.ssthresh and flow.w_max == 0.0:
         flow.cwnd += 1.0
-        return flow
+        return
     if flow.w_max > 0.0 and flow.cwnd < flow.w_max:
         # binary search toward the pre-loss window
         inc = (flow.w_max - flow.cwnd) / 2.0
     else:
         # max probing beyond the last known maximum
         inc = max(flow.cwnd - flow.w_max, 1.0)
-    inc = min(max(inc, flow.s_min), flow.s_max)
+    inc = min(max(inc, BIC_S_MIN), BIC_S_MAX)
     flow.cwnd += inc / flow.cwnd
-    return flow
 
 
-def bic_on_loss(flow: TcpBicFlow, kind: str) -> TcpBicFlow:
+def bic_on_loss(flow: TcpBicFlow, kind: str) -> None:
     if flow.cwnd < flow.w_max:
         # fast convergence: release bandwidth when losses repeat below w_max
-        flow.w_max = flow.cwnd * (2.0 - flow.beta) / 2.0
+        flow.w_max = flow.cwnd * (2.0 - BIC_BETA) / 2.0
     else:
         flow.w_max = flow.cwnd
     if kind == "timeout":
-        flow.ssthresh = max(flow.cwnd * flow.beta, 2.0)
+        flow.ssthresh = max(flow.cwnd * BIC_BETA, 2.0)
         flow.cwnd = 1.0
     else:
-        flow.cwnd = max(flow.cwnd * flow.beta, 1.0)
+        flow.cwnd = max(flow.cwnd * BIC_BETA, 1.0)
         flow.ssthresh = flow.cwnd
-    return flow

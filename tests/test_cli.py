@@ -157,6 +157,7 @@ def _repeat_receiver(data):
     (_set(["controller", "gamma"], 2.0), [], "controller.gamma"),
     (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
     (_set(["source", "backlog_blocks"], -1), [], "source.backlog_blocks"),
+    (lambda data: None, ["--gamma2", "-50"], "controller.gamma2"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

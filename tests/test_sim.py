@@ -34,6 +34,12 @@ def fixed(value):
     return PiecewiseConstant([0.0], [value])
 
 
+def served(bn):
+    """Packets the bottleneck has served, from its served bits: a sum of
+    whole packets' bits, so the quotient is exact."""
+    return sum(bn.served_bits.values()) / PACKET_BITS
+
+
 # -- event loop -------------------------------------------------------------
 
 def test_events_pop_in_time_order_with_insertion_tiebreak():
@@ -102,11 +108,10 @@ def test_queue_conservation_counters():
         bn.enqueue(packet(seq), 0.0)
     bn.enqueue(packet(6), 0.0015)
     bn.advance(0.0025)      # 1 ms per packet: two served, two queued
-    assert (bn.served, bn.occupancy) == (2, 2)
-    assert bn.enqueued == bn.served + bn.occupancy
+    assert (served(bn), bn.occupancy, bn.drops) == (2, 2, 3)
     bn.advance(10.0)
-    assert bn.enqueued == bn.served + bn.occupancy
-    assert bn.enqueued + bn.drops == 7
+    assert (served(bn), bn.occupancy, bn.drops) == (4, 0, 3)
+    assert served(bn) + bn.drops == 7
 
 
 class RankedLoop:
@@ -609,13 +614,13 @@ def test_ticks_off_the_sample_grid_keep_their_own_events(monkeypatch):
     assert all(min(abs(t - s) for s in samples) < 1e-12 for t in off_grid)
     calls = count_schedule_calls(monkeypatch)
     new = _Run(cfg)
-    new.execute()
+    spurious = [execute_counting_spurious_acks(new)]
     assert calls[0] == len(set(ticks) | set(samples)) == 640
     old = EventPacedRun(cfg)
-    old.execute()
+    spurious.append(execute_counting_spurious_acks(old))
     assert old.controller.state.cumulative_sent > 1000
     assert new.log.rows == old.log.rows
-    assert end_state(new) == end_state(old)
+    assert end_state(new, spurious[0]) == end_state(old, spurious[1])
 
 
 def test_clock_is_one_heap_entry():
@@ -723,28 +728,39 @@ def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
 
 
 def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
-    # every packet put on the path is admitted or dropped, and every admitted
-    # one is served once the queue has drained
+    # at every metric sample, each packet that reached the queue before it
+    # has been served, is queued or was dropped; every admitted one is served
+    # once the queue has drained
     enqueue = Bottleneck.enqueue
-    calls = [0]
+    advance = Bottleneck.advance
+    arrivals, admitted, advances = [], [0], [0]
 
-    def counting_enqueue(bottleneck, pkt, arrival):
-        calls[0] += 1
-        return enqueue(bottleneck, pkt, arrival)
+    def recording_enqueue(bottleneck, pkt, arrival):
+        arrivals.append(arrival)
+        departure = enqueue(bottleneck, pkt, arrival)
+        admitted[0] += departure is not None
+        return departure
 
-    monkeypatch.setattr(Bottleneck, "enqueue", counting_enqueue)
+    def checked_advance(bottleneck, now):
+        advance(bottleneck, now)
+        advances[0] += 1
+        before = sum(arrival < now for arrival in arrivals)
+        assert served(bottleneck) + bottleneck.occupancy + bottleneck.drops == before
+
+    monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
+    monkeypatch.setattr(Bottleneck, "advance", checked_advance)
     cfg = small_single_receiver(duration=3.0)
     cfg.bottleneck.buffer_capacity = 8
     cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.5, 3.0)]
     run_ = _Run(cfg)
     run_.execute()
+    assert advances[0] == len(run_.log.rows)
     bn = run_.bottleneck
     bn.advance(math.inf)
     assert bn.drops > 0
-    assert bn.enqueued + bn.drops == calls[0]
-    assert bn.served == bn.enqueued
+    assert admitted[0] + bn.drops == len(arrivals)
+    assert served(bn) == admitted[0]
     assert bn.occupancy == 0
-    assert sum(bn.served_bits.values()) == bn.served * PACKET_BITS
     assert set(bn.served_bits) == {"p2p", "tcp1"}
 
 
@@ -769,12 +785,14 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
 
     monkeypatch.setattr(TcpSender, "__init__", recording_init)
     run_ = _Run(BUILTIN_SCENARIOS[name]())
-    p2p_drops = [0]
+    p2p_drops, admitted = [0], [0]
     enqueue = run_.bottleneck.enqueue
 
     def counting_enqueue(pkt, arrival):
         departure = enqueue(pkt, arrival)
-        if departure is None and pkt.flow_id == P2P_FLOW_ID:
+        if departure is not None:
+            admitted[0] += 1
+        elif pkt.flow_id == P2P_FLOW_ID:
             p2p_drops[0] += 1
         return departure
 
@@ -787,7 +805,7 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
     assert (p2p_drops[0] > 0) == (name in P2P_DROPPING)
     bn = run_.bottleneck
     bn.advance(math.inf)
-    assert bn.served == bn.enqueued
+    assert served(bn) == admitted[0]
     assert bn.occupancy == 0
     assert len(senders) == len(run_.cfg.flows)
     counted = [(state.acks_after[rid], state.outstanding[rid]) for rid in state.receivers]
@@ -836,7 +854,7 @@ class EventPacedRun(_Run):
         if not assignments:
             return
         spacing = self.T / len(assignments)
-        for i, (rid, _) in enumerate(assignments):
+        for i, rid in enumerate(assignments):
             self.loop.schedule(now + i * spacing, self._send_p2p, rid)
 
     def _send_p2p(self, rid, now):
@@ -882,13 +900,29 @@ def tie_heavy_scenarios(draw):
         flows=flows, p2p_start=draw(st.integers(0, 20)) * 0.05)
 
 
-def end_state(run_):
+def execute_counting_spurious_acks(run_):
+    """Execute ``run_``; return how many of the acks it gave its controller
+    were for packets no longer outstanding, which the controller ignores."""
+    controller = run_.controller
+    on_ack = controller.on_ack
+    spurious = [0]
+
+    def counting_on_ack(rid, seq, now):
+        spurious[0] += seq not in controller.state.outstanding[rid]
+        return on_ack(rid, seq, now)
+
+    controller.on_ack = counting_on_ack
+    run_.execute()
+    return spurious[0]
+
+
+def end_state(run_, spurious_acks):
     state = run_.controller.state
     bn = run_.bottleneck
     bn.advance(math.inf)
     return (state.cumulative_sent, state.cumulative_acked, state.cumulative_lost,
-            state.duplicate_acks, {rid: list(p) for rid, p in state.outstanding.items()},
-            bn.drops, bn.enqueued, bn.served_bits)
+            spurious_acks, {rid: list(p) for rid, p in state.outstanding.items()},
+            bn.drops, bn.occupancy, bn.served_bits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -897,10 +931,9 @@ def test_on_demand_sender_matches_event_oracle(cfg):
     # equal metric rows, and equal controller and bottleneck counters at the
     # end of the run
     new, old = _Run(cfg), EventPacedRun(cfg)
-    new.execute()
-    old.execute()
+    spurious = [execute_counting_spurious_acks(new), execute_counting_spurious_acks(old)]
     assert new.log.rows == old.log.rows
-    assert end_state(new) == end_state(old)
+    assert end_state(new, spurious[0]) == end_state(old, spurious[1])
 
 
 def test_tcp_send_goes_before_a_paced_send_at_its_instant():

@@ -25,17 +25,17 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   float;
 - the queue model: both lemma suites of ``p2pcc verify`` at seeds 1..K
   (default 20), 100 trials each, and 50 K random direct calls of
-  ``fluid_queue_trace``, drawn by ``fluid_call(i)``, half of them with
-  ``clip_service=False``.  A suite's digest covers every trial's ``(trace,
-  served)``, taken by wrapping ``fluid.fluid_queue_trace`` as the
-  benchmark's child does (so a suite that stops calling it through the
-  module differs), and every trial's report fields.
+  ``fluid_queue_trace``, drawn by ``fluid_call(i)``.  A suite's digest
+  covers every trial's ``(trace, served)``, taken by wrapping
+  ``fluid.fluid_queue_trace`` as the benchmark's child does (so a suite
+  that stops calling it through the module differs), and every trial's
+  report fields.
 
 It prints the count of differing cases, then that count per family
 (built-in, tie-heavy, clock-offset, lemma, fluid), and, for each differing
 case, its index and what it is, and exits with status 1 if any case differs, or 2, naming the checkout,
 if a child fails.  Runtime on a 2-vCPU host is
-a few minutes, so the script is not part of the test suite.
+a few minutes at the defaults, so the test suite runs it only on a few cases.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def clock_offset(index: int) -> dict:
 def fluid_call(index: int) -> list:
     """Arguments of random direct call ``index`` of ``fluid_queue_trace``:
     1-5 receivers with delays of 0-12 periods, 0-200 periods of service
-    with zeros and repeated values, ``clip_service`` off at odd indices."""
+    with zeros and repeated values."""
     rng = random.Random(f"fluid:{index}")
     m = rng.randint(1, 5)
     raw = [rng.random() + 1e-3 for _ in range(m)]
@@ -141,8 +141,7 @@ def fluid_call(index: int) -> list:
     palette = [0.0] + [rng.uniform(0.0, 60.0) for _ in range(3)]
     schedule = [rng.choice(palette) if rng.random() < 0.5 else rng.uniform(0.0, 60.0)
                 for _ in range(rng.randint(0, 200))]
-    return [rng.uniform(0.05, 1.0), rng.uniform(1.0, 500.0), shares, delays, schedule,
-            index % 2 == 0]
+    return [rng.uniform(0.05, 1.0), rng.uniform(1.0, 500.0), shares, delays, schedule]
 
 
 def cases(seeds: int, n_random: int, n_clock: int, n_lemma: int) -> list[dict]:
@@ -202,8 +201,7 @@ def digest(case: dict) -> str:
     if "lemma" in case:
         return lemma_digest(case["lemma"], case["seed"])
     if "fluid" in case:
-        *args, clip_service = case["fluid"]
-        result = fluid_queue_trace(*args, clip_service=clip_service)
+        result = fluid_queue_trace(*case["fluid"])
     else:
         if "builtin" in case:
             cfg = BUILTIN_SCENARIOS[case["builtin"]]()
