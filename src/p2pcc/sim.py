@@ -53,10 +53,9 @@ from .scenarios import P2P_FLOW_ID, ScenarioConfig
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
                       bic_on_loss, reno_on_ack, reno_on_loss)
 
-# TCP retransmission timer bounds and polling interval (seconds).
+# TCP retransmission timer bounds (seconds).
 TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
-TCP_TIMER_INTERVAL = 0.05
 
 
 class EventLoop:
@@ -209,6 +208,12 @@ class TcpSender:
     acks of those that have some.  Retransmissions break seq order, so each
     ack passes the rule every lower outstanding seq: O(window) per ack, until
     loss is detected in send order (see ROADMAP.md).
+
+    The retransmission timer is one pending wakeup at the deadline
+    ``last_progress + rto`` (RFC 6298, section 5).  A wakeup that finds the
+    deadline moved later by progress files one at the new deadline; an RTT
+    sample that moves it earlier files an earlier wakeup, and the later one
+    returns at once.
     """
 
     def __init__(self, run: "_Run", flow_id: str, kind: str, receiver_id: str,
@@ -233,20 +238,24 @@ class TcpSender:
         self.rttvar = 0.0
         self.rto = 1.0
         self.last_progress = start
+        # the instant of the pending wakeup; one at another instant is superseded
+        self._wakeup = math.inf
         run.loop.schedule(start, self._activate)
 
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.stop
-
     def _activate(self, now: float) -> None:
-        self.last_progress = now
         self.try_send(now)
-        self.run.loop.schedule(now + TCP_TIMER_INTERVAL, self._timer)
+        self._file_wakeup()
+
+    def _file_wakeup(self) -> None:
+        self._wakeup = self.last_progress + self.rto
+        self.run.loop.schedule(self._wakeup, self._timer)
 
     def _timer(self, now: float) -> None:
-        if now >= self.stop:
-            return
-        if self.outstanding and now - self.last_progress > self.rto:
+        if now != self._wakeup or now >= self.stop:
+            return                      # superseded, or the flow has stopped
+        # the deadline as the filing computes it; while the flow is active,
+        # try_send keeps at least one seq outstanding
+        if now >= self.last_progress + self.rto:
             self._cc_loss(self.cc, "timeout")
             # resend from the earliest unacknowledged seq (RFC 6298, 5.4); the
             # queued and the outstanding seqs are disjoint
@@ -256,10 +265,10 @@ class TcpSender:
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
             self.try_send(now)
-        self.run.loop.schedule(now + TCP_TIMER_INTERVAL, self._timer)
+        self._file_wakeup()
 
     def try_send(self, now: float) -> None:
-        if not self.active(now):
+        if not self.start <= now < self.stop:
             return
         outstanding = self.outstanding
         retransmit_q = self.retransmit_q
@@ -289,6 +298,8 @@ class TcpSender:
         self.last_progress = now
         if send_time is not None:
             self._update_rtt(now - send_time)
+            if now + self.rto < self._wakeup:    # the sample pulled the deadline in
+                self._file_wakeup()
         self._cc_ack(self.cc)
         # retransmissions break seq order, so pass every lower seq, not a prefix
         lost = dupgap_losses([s for s in outstanding if s < seq], seq, acks_after)
@@ -316,7 +327,8 @@ class TcpSender:
 class _Run:
     """One simulation run: wiring, event handlers and metrics sampling.
 
-    The heap holds one clock event and the TCP senders' acks and timers.  A
+    The heap holds one clock event and, per TCP sender, its acks and its
+    wakeup at the retransmission deadline (and any wakeup it superseded).  A
     clock event stands for the next control tick, the next metric sample, or
     both where they fall on one float instant; it runs the tick first, so the
     sample sees that tick's snapshot.  A tick an ulp away from a sample is an

@@ -16,8 +16,8 @@ from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
-                             constant, uniform_resample)
-from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, TCP_TIMER_INTERVAL, Bottleneck,
+                             build_experiment_3, constant, uniform_resample)
+from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, Bottleneck,
                        DelayLink, EventLoop, SimPacket, TcpSender, _Run, run)
 from p2pcc.traffic import (TcpBicFlow, TcpRenoFlow, bic_on_ack, bic_on_loss,
                            reno_on_ack, reno_on_loss)
@@ -351,8 +351,8 @@ class RecordingRun:
 
 
 def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
-    # every packet is dropped, so each poll of the timer that comes more than
-    # rto after the last progress cuts the window once, re-queues every
+    # every packet is dropped, so the timer fires at each deadline, rto after
+    # the last progress: it cuts the window once, re-queues every
     # outstanding seq with those still queued in seq order, so the earliest
     # goes first, resends as the cut window allows and doubles rto, up to
     # TCP_RTO_MAX
@@ -362,33 +362,51 @@ def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
     cuts = []
     cut = sender._cc_loss
     sender._cc_loss = lambda cc, kind: (cuts.append(kind), cut(cc, kind))
-    # the timer polls every 50 ms from the start
-    polls = list(itertools.takewhile(lambda t: t < 8.0, itertools.accumulate(
-        itertools.repeat(TCP_TIMER_INTERVAL))))
     run_.loop.run(0.0)
     assert run_.sent == [0, 1, 2, 3]
 
-    progress = 0.0
-    # per firing: the re-queued seqs left, the seq resent and the new rto
-    expected = [([1, 2, 3], [0], 2.0), ([1, 2, 3], [0], TCP_RTO_MAX),
-                ([1, 2, 3], [0], TCP_RTO_MAX)]
-    for n, (queued, resent, rto) in enumerate(expected, 1):
-        fire = next(t for t in polls if t - progress > sender.rto)
+    # per firing: its instant, the re-queued seqs left, the seq resent and
+    # the new rto
+    expected = [(1.0, [1, 2, 3], [0], 2.0), (3.0, [1, 2, 3], [0], TCP_RTO_MAX),
+                (6.0, [1, 2, 3], [0], TCP_RTO_MAX)]
+    for n, (fire, queued, resent, rto) in enumerate(expected, 1):
         sent = list(run_.sent)
-        run_.loop.run(math.nextafter(fire, 0.0))     # no earlier poll fires
+        run_.loop.run(math.nextafter(fire, 0.0))     # nothing fires earlier
         assert run_.sent == sent and len(cuts) == n - 1
         run_.loop.run(fire)
         assert cuts == ["timeout"] * n and sender.cc.cwnd == 1.0
         assert run_.sent == sent + resent and list(sender.outstanding) == resent
         assert list(sender.retransmit_q) == queued
         assert sender.rto == rto and sender.last_progress == fire
-        progress = fire
-    assert progress + sender.rto >= sender.stop     # no poll before stop fires
+    assert 6.0 + sender.rto >= sender.stop          # the next deadline is past stop
 
     # after stop, the timer files nothing more
     run_.loop.run(math.inf)
     assert not run_.loop._heap
     assert len(cuts) == 3 and len(run_.sent) == 7
+
+
+def test_tcp_timeout_fires_at_the_deadline_set_by_an_rtt_sample():
+    # an ack at 0.123 s gives an RTT sample that pulls the deadline in
+    # before the wakeup filed at the start; every later packet is dropped,
+    # so the timeout fires exactly rto after the ack
+    run_ = RecordingRun()
+    sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
+    cuts = []
+    cut = sender._cc_loss
+    sender._cc_loss = lambda cc, kind: (cuts.append(kind), cut(cc, kind))
+    run_.loop.schedule(0.123, sender.on_ack, 0)
+    run_.loop.run(0.123)
+    assert sender.srtt == 0.123
+    deadline = 0.123 + sender.rto
+    assert deadline < 1.0
+    run_.loop.run(math.nextafter(deadline, 0.0))
+    assert not cuts
+    run_.loop.run(deadline)
+    assert cuts == ["timeout"] and sender.last_progress == deadline
+    run_.loop.run(1.0)                   # the wakeup filed at the start does nothing
+    assert cuts == ["timeout"]
+    assert [event[0] for event in run_.loop._heap] == [deadline + sender.rto]
 
 
 def test_tcp_sender_retransmits_on_third_later_ack_and_cuts_once():
@@ -421,19 +439,21 @@ def test_tcp_ack_of_a_retransmission_gives_no_rtt_sample():
     # are; the ack of a seq sent once updates them
     run_ = RecordingRun()
     sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
-    sender.try_send(0.0)                 # cwnd 2: seqs 0 and 1
+    run_.loop.run(0.0)                   # cwnd 2: seqs 0 and 1
     sender.on_ack(0, 0.1)                # a sample of 0.1; cwnd 3 sends 2 and 3
     assert (sender.srtt, sender.rttvar) == (0.1, 0.05)
-    sender._timer(1.5)                   # re-queues 1, 2 and 3, resends 1
+    fire = 0.1 + sender.rto
+    run_.loop.run(fire)                  # re-queues 1, 2 and 3, resends 1
+    assert sender.last_progress == fire and run_.sent == [0, 1, 2, 3, 1]
     held = (sender.srtt, sender.rttvar, sender.rto)
-    for seq, now in ((1, 1.6), (2, 1.7), (3, 1.8)):
+    for seq, now in ((1, 0.5), (2, 0.6), (3, 0.7)):
         sender.on_ack(seq, now)
         assert (sender.srtt, sender.rttvar, sender.rto) == held
     assert run_.sent == [0, 1, 2, 3, 1, 2, 3, 4, 5]
-    assert sender.outstanding[4] == 1.7  # sent once, by the ack of 2
-    sender.on_ack(4, 1.9)
+    assert sender.outstanding[4] == 0.6  # sent once, by the ack of 2
+    sender.on_ack(4, 0.8)
     srtt, rttvar, _ = held
-    sample = 1.9 - 1.7
+    sample = 0.8 - 0.6
     assert sender.rttvar == 0.75 * rttvar + 0.25 * abs(srtt - sample)
     assert sender.srtt == 0.875 * srtt + 0.125 * sample
     assert sender.rto == sender.srtt + 4.0 * sender.rttvar
@@ -500,24 +520,28 @@ class PerRecordTcpReference:
         self.send(now)
         return lost
 
-    def timer(self, now):
-        if self.pending and now - self.last_progress > self.rto:
+    def expire(self, now):
+        """Time out at each deadline, rto after the last progress, at or
+        before ``now``."""
+        while self.pending and self.last_progress + self.rto <= now:
+            deadline = self.last_progress + self.rto
             self.cc_loss(self.cc, "timeout")
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.pending]))
             self.pending.clear()
-            self.last_progress = now
+            self.last_progress = deadline
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
-            self.send(now)
+            self.send(deadline)
 
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["reno", "bic"]), ops=st.lists(st.tuples(
-    st.sampled_from(["ack", "ack", "reordered-ack", "stale-ack", "timer"]),
+    st.sampled_from(["ack", "ack", "reordered-ack", "stale-ack", "wait"]),
     st.sampled_from([0.0, 0.001, 0.01, 0.1, 1.0]),
     st.integers(0, 10**6)), min_size=20, max_size=150))
 def test_property_tcp_sender_matches_per_record_reference(kind, ops):
     # every packet is dropped and the test acks outstanding seqs in send
-    # order or at random, and seqs sent before (stale or duplicate acks)
+    # order or at random, and seqs sent before (stale or duplicate acks);
+    # before each op at t, the timer fires at every deadline at or before t
     run_ = RecordingRun()
     sender = TcpSender(run_, "tcp1", kind, "r1", start=0.0, stop=math.inf)
     ref = PerRecordTcpReference(kind)
@@ -534,11 +558,10 @@ def test_property_tcp_sender_matches_per_record_reference(kind, ops):
     with mock.patch("p2pcc.sim.dupgap_losses", recording_dupgap_losses):
         for op, dt, pick in ops:
             t += dt
+            run_.loop.run(t)
+            ref.expire(t)
             live = list(sender.outstanding)
-            if op == "timer":
-                sender._timer(t)
-                ref.timer(t)
-            elif op == "stale-ack" or live:
+            if op == "stale-ack" or op != "wait" and live:
                 pool = run_.sent if op == "stale-ack" else live
                 seq = live[0] if op == "ack" else pool[pick % len(pool)]
                 lost.clear()
@@ -552,6 +575,41 @@ def test_property_tcp_sender_matches_per_record_reference(kind, ops):
             assert list(sender.retransmit_q) == list(ref.retransmit_q)
             assert (sender.srtt, sender.rttvar, sender.rto) == (ref.srtt, ref.rttvar, ref.rto)
             assert (sender.cc.cwnd, sender.cc.ssthresh) == (ref.cc.cwnd, ref.cc.ssthresh)
+
+
+# -- TCP-only calibration ---------------------------------------------------
+
+def tcp_only(*flows):
+    """exp3's topology, a 4-Mbps bottleneck with a 116-packet buffer, with
+    the P2P stream off and ``flows`` as its only traffic."""
+    cfg = build_experiment_3()
+    cfg.p2p_start = cfg.duration
+    cfg.flows = list(flows)
+    return cfg
+
+
+def mean_throughputs(log, flow_ids):
+    """Each flow's mean served throughput over 20-100 s, in Kbps."""
+    return [statistics.mean(log.select(f"throughput_{fid}_kbps", 20.0, 100.0))
+            for fid in flow_ids]
+
+
+def test_reno_alone_fills_the_link():
+    # once its window passes the path's bandwidth-delay product, a TCP sender
+    # with data always to send keeps the bottleneck busy
+    log = run(tcp_only(TcpFlowConfig("tcp1", "reno", "r1", 0.0, 100.0)))
+    [throughput] = mean_throughputs(log, ["tcp1"])
+    assert throughput >= 0.95 * 4000.0
+
+
+def test_two_renos_share_the_link_fairly():
+    # equal AIMD flows on one path converge to equal shares: Jain's index,
+    # (sum x)^2 / (n sum x^2), is 1 for equal shares and 1/n for one flow
+    # taking all
+    log = run(tcp_only(TcpFlowConfig("tcp1", "reno", "r1", 0.0, 100.0),
+                       TcpFlowConfig("tcp2", "reno", "r1", 0.0, 100.0)))
+    shares = mean_throughputs(log, ["tcp1", "tcp2"])
+    assert sum(shares) ** 2 / (len(shares) * sum(x * x for x in shares)) >= 0.95
 
 
 # -- whole runs -------------------------------------------------------------
@@ -878,9 +936,10 @@ class EventPacedRun(_Run):
 def tie_heavy_scenarios(draw):
     """Short runs whose events tie often: latencies on a 1-ms grid, a service
     time equal to the access latency, TCP starts and stops and the P2P start
-    on the 50-ms grid, and a period of 50 or 100 ms, so that the 50-ms TCP
-    timers can land on paced sends.  A run ends on a period boundary or
-    inside a period."""
+    on the 50-ms grid, and a period of 50 or 100 ms, so that a TCP flow's
+    start, its stop and its first deadline (the start plus the initial rto
+    of 1 s) can land on control ticks and paced sends.  A run ends on a
+    period boundary or inside a period."""
     sender = draw(st.integers(1, 5)) / 1000.0
     receivers = [ReceiverConfig(f"r{i + 1}", constant(draw(st.integers(0, 5)) / 1000.0))
                  for i in range(draw(st.integers(1, 3)))]

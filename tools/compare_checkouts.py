@@ -14,7 +14,8 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
 - M (default 1,500) random tie-heavy scenarios, drawn by ``tie_heavy(i)``:
   3-s runs whose events often fall on one instant.  Even indices use a
   control period of 50 ms and odd ones 100 ms, so that the TCP senders'
-  50-ms timers can land on paced sends;
+  starts, stops and first deadlines (the start plus the initial rto of
+  1 s), all on the 50-ms grid, can land on control ticks and paced sends;
 - C (default 200) random clock-offset scenarios, drawn by
   ``clock_offset(i)``: 3-s runs whose P2P start is a whole number of
   milliseconds (0-1,000; in half the cases a multiple of 50), with a control
