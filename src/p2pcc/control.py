@@ -118,6 +118,11 @@ class ControllerState:
     """Mutable controller state; one instance per sender."""
 
     receivers: dict[str, ReceiverStats]
+    # rid -> OrderedDict {seq: send time} in send order; its walk follows a
+    # linked list, so deleted keys leave no slots to skip at its front
+    outstanding: dict
+    # rid -> {seq: later acks so far}, for the outstanding seqs that have one
+    acks_after: dict
     cumulative_sent: int = 0
     cumulative_acked: int = 0
     cumulative_lost: int = 0
@@ -127,11 +132,6 @@ class ControllerState:
     avg_queue_delay_d: float = 0.0  # d(kT) of the last closed interval
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
     qdelay_samples: list = field(default_factory=list)   # current interval
-    # rid -> OrderedDict {seq: send time} in send order; its walk follows a
-    # linked list, so deleted keys leave no slots to skip at its front
-    outstanding: dict = field(default_factory=dict)
-    # rid -> {seq: later acks so far}, for the outstanding seqs that have one
-    acks_after: dict = field(default_factory=dict)
 
     def in_flight_total(self) -> int:
         return sum(len(pending) for pending in self.outstanding.values())
@@ -149,11 +149,9 @@ class TickSnapshot:
 
 
 def new_state(receiver_ids) -> ControllerState:
-    receivers = {rid: ReceiverStats() for rid in receiver_ids}
-    state = ControllerState(receivers=receivers)
-    state.outstanding = {rid: OrderedDict() for rid in receiver_ids}
-    state.acks_after = {rid: {} for rid in receiver_ids}
-    return state
+    return ControllerState(receivers={rid: ReceiverStats() for rid in receiver_ids},
+                           outstanding={rid: OrderedDict() for rid in receiver_ids},
+                           acks_after={rid: {} for rid in receiver_ids})
 
 
 def compute_send_quota(state: ControllerState, params: ControllerParams) -> int:
@@ -267,16 +265,16 @@ class Controller:
         state.outstanding[receiver_id][seq] = now
         state.cumulative_sent += 1
 
-    def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> list[tuple[str, int]]:
-        """Process one ack; returns packets newly declared lost by the
-        duplicate-gap rule.  An ack of a packet not outstanding (a duplicate,
-        or one already declared lost) is ignored: it returns ``[]`` and
-        changes no state."""
+    def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> None:
+        """Process one ack, and pass to ``on_loss`` each packet that it
+        declares lost by the duplicate-gap rule.  An ack of a packet not
+        outstanding (a duplicate, or one already declared lost) is ignored:
+        it changes no state."""
         state = self.state
         pending = state.outstanding[receiver_id]
         send_time = pending.pop(seq, None)
         if send_time is None:
-            return []
+            return
         acks_after = state.acks_after[receiver_id]
         acks_after.pop(seq, None)
         recv = state.receivers[receiver_id]
@@ -296,12 +294,9 @@ class Controller:
         state.cumulative_acked += 1
 
         # the walk bumps something only if the oldest outstanding seq is lower
-        if not pending or next(iter(pending)) > seq:
-            return []
-        lost = dupgap_losses(pending, seq, acks_after)
-        for lost_seq in lost:
-            self.on_loss(receiver_id, lost_seq, ack_time)
-        return [(receiver_id, s) for s in lost]
+        if pending and next(iter(pending)) < seq:
+            for lost_seq in dupgap_losses(pending, seq, acks_after):
+                self.on_loss(receiver_id, lost_seq, ack_time)
 
     def on_loss(self, receiver_id: str, seq: int, now: float) -> None:
         """Account a detected loss and recalibrate the receiver's d_max.

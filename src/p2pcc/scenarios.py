@@ -135,29 +135,25 @@ class PiecewiseConstant:
     ``step(t)`` also returns the bounds of the step that holds at ``t``.  The
     simulator's hops hold their delay for a whole step with it and read the
     schedule again only when their time leaves that step, so a run reads
-    each schedule about once per step, not once per packet.
+    each schedule about once per step, not once per packet.  A read changes
+    no state: a call is ``step(t)``'s value.
     """
 
     def __init__(self, times: list[float], values: list[float]):
         self.times = times
         self.values = values
-        # the step the last call landed in, which step() reports
-        self._lo = -math.inf
-        self._hi = math.inf
 
     def __call__(self, t: float) -> float:
-        times = self.times
-        idx = max(bisect.bisect_right(times, t) - 1, 0)
-        self._lo = times[idx] if idx else -math.inf
-        self._hi = times[idx + 1] if idx + 1 < len(times) else math.inf
-        return self.values[idx]
+        return self.step(t)[2]
 
     def step(self, t: float) -> tuple[float, float, float]:
         """``(lo, hi, value)``: the value at ``t`` and the step ``[lo, hi)``
-        it holds on (``-inf`` and ``inf`` at the ends).  It reads through the
-        call, so whatever counts or times calls sees this read too."""
-        value = self(t)
-        return self._lo, self._hi, value
+        it holds on (``-inf`` and ``inf`` at the ends)."""
+        times = self.times
+        idx = max(bisect.bisect_right(times, t) - 1, 0)
+        lo = times[idx] if idx else -math.inf
+        hi = times[idx + 1] if idx + 1 < len(times) else math.inf
+        return lo, hi, self.values[idx]
 
 
 def constant(value: float) -> Schedule:
@@ -195,6 +191,16 @@ class TcpFlowConfig:
     stop: float
 
 
+def _claim_id(ids: list[str], value: str, path: str) -> None:
+    """Add ``value`` to ``ids``.  An id names CSV columns, so it must be new
+    and hold no comma or line break."""
+    if value in ids:
+        raise ScenarioError(f"{path}: {value!r} is already in use")
+    if any(c in value for c in ",\r\n"):
+        raise ScenarioError(f"{path}: {value!r} holds a comma or a line break")
+    ids.append(value)
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -223,10 +229,7 @@ class ScenarioConfig:
         self.sender_latency.validate("sender_latency")
         ids = []
         for i, r in enumerate(self.receivers):
-            if r.receiver_id in ids:
-                raise ScenarioError(
-                    f"receivers[{i}].receiver_id: {r.receiver_id!r} is already in use")
-            ids.append(r.receiver_id)
+            _claim_id(ids, r.receiver_id, f"receivers[{i}].receiver_id")
             r.latency.validate(f"receivers[{i}].latency")
         rate = self.bottleneck.rate
         rate.validate("bottleneck.rate")
@@ -243,9 +246,7 @@ class ScenarioConfig:
                                 "an always-backlogged source")
         flow_ids = [P2P_FLOW_ID]
         for i, f in enumerate(self.flows):
-            if f.flow_id in flow_ids:
-                raise ScenarioError(f"flows[{i}].flow_id: {f.flow_id!r} is already in use")
-            flow_ids.append(f.flow_id)
+            _claim_id(flow_ids, f.flow_id, f"flows[{i}].flow_id")
             if f.kind not in ("reno", "bic"):
                 raise ScenarioError(f"flows[{i}].kind: unknown TCP kind {f.kind!r}")
             if f.receiver_id not in ids:
@@ -310,7 +311,7 @@ _KBPS = 1000.0
 def build_experiment_1(seed: int = 1) -> ScenarioConfig:
     """Single receiver behind a 4000 Kbps link; the router-receiver one-way
     delay is redrawn from U(2 ms, 22 ms) every 10 s."""
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name="exp1",
         duration=100.0,
         seed=seed,
@@ -318,8 +319,6 @@ def build_experiment_1(seed: int = 1) -> ScenarioConfig:
         receivers=[ReceiverConfig("r1", uniform_resample(0.002, 0.022, 10.0))],
         bottleneck=BottleneckConfig(rate=constant(4000.0 * _KBPS)),
     )
-    cfg.validate()
-    return cfg
 
 
 _EXP2_LATENCIES = {"r1": 0.012, "r2": 0.022, "r3": 0.007, "r4": 0.016}
@@ -344,7 +343,7 @@ def build_experiment_2(variant: str = "static", seed: int = 2) -> ScenarioConfig
             rate=uniform_resample(1000.0 * _KBPS, 5000.0 * _KBPS, 10.0),
             buffer_capacity=60,
         )
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=f"exp2-{variant}",
         duration=100.0,
         seed=seed,
@@ -352,8 +351,6 @@ def build_experiment_2(variant: str = "static", seed: int = 2) -> ScenarioConfig
         receivers=_four_receivers(),
         bottleneck=bottleneck,
     )
-    cfg.validate()
-    return cfg
 
 
 def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
@@ -371,7 +368,7 @@ def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
     else:
         window = (0.0, duration) if tcp == "reno" else (0.0, 60.0)
         p2p_start = 25.0 if tcp == "reno" else 30.0
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=f"exp3-{tcp}-{ordering}",
         duration=duration,
         seed=seed,
@@ -386,8 +383,6 @@ def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
         flows=[TcpFlowConfig("tcp1", tcp, "r1", window[0], window[1])],
         p2p_start=p2p_start,
     )
-    cfg.validate()
-    return cfg
 
 
 BUILTIN_SCENARIOS = {

@@ -221,7 +221,6 @@ class TcpSender:
         self.run = run
         self.flow_id = flow_id
         self.receiver_id = receiver_id
-        self.start = start
         self.stop = stop
         # the update functions are looked up when the sender is built, so a
         # tracer that replaces the module attributes beforehand sees the calls
@@ -268,7 +267,7 @@ class TcpSender:
         self._file_wakeup()
 
     def try_send(self, now: float) -> None:
-        if not self.start <= now < self.stop:
+        if now >= self.stop:            # every caller runs at or after the start
             return
         outstanding = self.outstanding
         retransmit_q = self.retransmit_q
@@ -362,15 +361,14 @@ class _Run:
         self.loop = EventLoop()
         params = cfg.controller
         self.T = params.period_T
-        self.packet_size_s = params.packet_size_s
         duration = cfg.duration
 
         self.sender_lat = cfg.sender_latency.materialize(rng, duration)
         self.receiver_lat = {r.receiver_id: r.latency.materialize(rng, duration)
                              for r in cfg.receivers}
-        self.rate = cfg.bottleneck.rate.materialize(rng, duration)
+        rate = cfg.bottleneck.rate.materialize(rng, duration)
 
-        self.bottleneck = Bottleneck(self.rate, cfg.buffer_capacity(), self.packet_size_s)
+        self.bottleneck = Bottleneck(rate, cfg.buffer_capacity(), params.packet_size_s)
         self.access_link = DelayLink(self.sender_lat)
         self.forward_links = {rid: DelayLink(lat) for rid, lat in self.receiver_lat.items()}
         # both return latencies are summed first: the ack hop adds them as one
@@ -385,7 +383,6 @@ class _Run:
         self.controller = Controller(params, receiver_ids)
         self.source = BlockSource(cfg.source.block_size, receiver_ids,
                                   cfg.source.backlog_blocks)
-        self.next_seq = 0
         # the metric samples before the first control tick read zeros
         self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
         # batches of paced sends not yet all on the path:
@@ -473,7 +470,8 @@ class _Run:
         put = self._put
         base_rtt = self._base_rtt
         acks = self._acks
-        seq = self.next_seq
+        # on_send counts each P2P send, and seqs run 0, 1, 2, ...
+        seq = self.controller.state.cumulative_sent
         while paced:
             batch = paced[0]
             tick, spacing, assignments, i = batch
@@ -482,7 +480,6 @@ class _Run:
                 now = tick + i * spacing
                 if now >= until:
                     batch[3] = i
-                    self.next_seq = seq
                     return
                 rid = assignments[i]
                 i += 1
@@ -496,7 +493,6 @@ class _Run:
                     acks[rid].append((ack, seq, rid, ack - now, held[2]))
                 seq += 1
             paced.popleft()
-        self.next_seq = seq
 
     def _apply_acks(self, until: float) -> None:
         due = []
@@ -544,7 +540,7 @@ class _Run:
         bottleneck = self.bottleneck
         bottleneck.advance(now)
         snap = self.last_snapshot
-        s_kbit = self.packet_size_s / 1000.0
+        s_kbit = bottleneck.packet_bits / 1000.0
         state = self.controller.state
 
         rtts = self._rtts
@@ -564,7 +560,7 @@ class _Run:
 
         row = [now, snap.window * s_kbit, snap.quota * s_kbit,
                snap.ack_rate_pps * s_kbit, snap.est_bandwidth_pps * s_kbit,
-               self.rate(now) / 1000.0, snap.d_ref * 1000.0,
+               bottleneck.rate(now) / 1000.0, snap.d_ref * 1000.0,
                self._rtt_avg_ms, self._rtt_ref_ms, self._path_rtt_ms,
                float(bottleneck.occupancy), float(bottleneck.drops), *drtt_ms]
         served_bits = bottleneck.served_bits

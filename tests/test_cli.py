@@ -158,6 +158,9 @@ def _repeat_receiver(data):
     (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
     (_set(["source", "backlog_blocks"], -1), [], "source.backlog_blocks"),
     (lambda data: None, ["--gamma2", "-50"], "controller.gamma2"),
+    # ids name CSV columns
+    (_set(["receivers", 0, "receiver_id"], "r,1"), [], "receivers[0].receiver_id"),
+    (_add_flows("tcp\n1"), [], "flows[0].flow_id"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

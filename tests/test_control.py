@@ -39,6 +39,13 @@ def in_bootstrap(c, snap):
             and all(r.d_min is None for r in c.state.receivers.values()))
 
 
+def acked_losses(c, rid, seq, now):
+    """Pass an ack to the controller and return the losses it declared."""
+    lost = c.state.cumulative_lost
+    c.on_ack(rid, seq, now)
+    return c.state.cumulative_lost - lost
+
+
 def tick_timeouts(c, now):
     """Run a control tick and return the losses it declared.  A tick takes no
     ack, so each is a timeout."""
@@ -271,7 +278,7 @@ def test_duplicate_ack_counted_but_state_unchanged():
     c.on_ack("r1", 0, 0.020)
     c.on_send("r1", 1, 0.030)
     before = copy.deepcopy(c.state)
-    assert c.on_ack("r1", 0, 0.025) == []
+    c.on_ack("r1", 0, 0.025)
     assert c.state == before
 
 
@@ -279,14 +286,14 @@ def test_gap_of_three_later_acks_declares_loss():
     c = Controller(ControllerParams(), ["r1"])
     for seq in range(5):
         c.on_send("r1", seq, 0.0)
-    lost = []
-    lost += c.on_ack("r1", 1, 0.02)
-    lost += c.on_ack("r1", 2, 0.03)
-    assert lost == []
-    lost += c.on_ack("r1", 3, 0.04)
-    assert lost == [("r1", 0)]
+    c.on_ack("r1", 1, 0.02)
+    c.on_ack("r1", 2, 0.03)
+    assert c.state.cumulative_lost == 0
+    assert c.state.acks_after["r1"] == {0: 2}
+    c.on_ack("r1", 3, 0.04)
     assert c.state.cumulative_lost == 1
-    assert 0 not in c.state.outstanding["r1"]
+    assert list(c.state.outstanding["r1"]) == [4]
+    assert c.state.acks_after["r1"] == {}
 
 
 def test_loss_calibrates_dmax_from_recent_peak_latency():
@@ -437,14 +444,15 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
         c.on_send("r1", seq, seq * 1e-4)
     unacked = list(range(0, n, skip_every)) if skip_every else []
     acked = sorted(set(range(n)) - set(unacked))
-    lost = []
     for seq in acked:
-        lost += c.on_ack("r1", seq, 1.0 + seq * 1e-4)
+        c.on_ack("r1", seq, 1.0 + seq * 1e-4)
     # a full scan would visit ~n/2 outstanding entries per ack; the walk
     # visits a few per ack
     assert 0 < pending.visits <= 2 * len(acked) + n
-    assert lost == [("r1", seq) for seq in unacked]
+    # every unacked seq has seen three later acks and is lost
+    assert c.state.cumulative_lost == len(unacked)
     assert not c.state.outstanding["r1"]
+    assert c.state.acks_after["r1"] == {}
 
 
 def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
@@ -460,7 +468,8 @@ def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
     acks = ticks = 0
     for seq in range(window, 5 * window):
         now = seq * 1e-4
-        assert c.on_ack("r1", seq - window, now) == []
+        c.on_ack("r1", seq - window, now)
+        assert c.state.acks_after["r1"] == {}
         acks += 1
         c.on_send("r1", seq, now)
         if seq % 100 == 0:
@@ -470,6 +479,7 @@ def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
     # first entry, which has not expired
     assert 0 < pending.visits <= 2 * acks + ticks
     assert list(pending) == list(range(4 * window, 5 * window))
+    assert c.state.cumulative_lost == 0
 
 
 def test_stale_seqs_behind_a_pending_front():
@@ -487,10 +497,17 @@ def test_stale_seqs_behind_a_pending_front():
 
     c.on_loss = record
     # acked seqs 1 and 2 sit behind the pending seq 0 until the third ack
-    assert c.on_ack("r1", 1, 0.021) == []
-    assert c.on_ack("r1", 2, 0.022) == []
-    assert c.on_ack("r1", 3, 0.023) == [("r1", 0)]
-    assert c.on_ack("r1", 5, 0.025) == []
+    c.on_ack("r1", 1, 0.021)
+    c.on_ack("r1", 2, 0.022)
+    assert c.state.cumulative_lost == 0
+    assert c.state.acks_after["r1"] == {0: 2}
+    c.on_ack("r1", 3, 0.023)
+    assert c.state.cumulative_lost == 1
+    assert c.state.acks_after["r1"] == {}
+    c.on_ack("r1", 5, 0.025)
+    assert c.state.cumulative_lost == 1
+    assert c.state.acks_after["r1"] == {4: 1}
+    assert list(c.state.outstanding["r1"]) == [4, 6, 7, 8, 9]
     assert losses == [0]
     # deadline ~2 * 20 ms: 4, 6 and 7 expire, the acked 5 between them is
     # passed over, and 8 and 9 are too young
@@ -587,10 +604,10 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
             next_seq += 1
         elif op in ("ack", "reordered-ack") and live:
             seq = live[0] if op == "ack" else live[pick % len(live)]
-            assert c.on_ack(rid, seq, t) == ref.ack(rid, seq, t)
+            assert acked_losses(c, rid, seq, t) == len(ref.ack(rid, seq, t))
         elif op == "duplicate-ack" and sent[rid]:    # any seq sent so far
             seq = sent[rid][pick % len(sent[rid])]
-            assert c.on_ack(rid, seq, t) == ref.ack(rid, seq, t)
+            assert acked_losses(c, rid, seq, t) == len(ref.ack(rid, seq, t))
         elif op == "loss" and live:
             seq = live[pick % len(live)]
             c.on_loss(rid, seq, t)

@@ -66,6 +66,8 @@ def test_cached_step_matches_bisect_oracle(times, data):
         # the step holds that value from its first instant to its last
         ends = [max(lo, t - 1.0), min(math.nextafter(hi, -math.inf), t + 1.0)]
         assert [sched(e) for e in ends] == [expected, expected]
+    # a read leaves no state behind
+    assert vars(sched).keys() == {"times", "values"}
 
 
 # -- builders ---------------------------------------------------------------

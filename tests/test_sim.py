@@ -691,14 +691,15 @@ def test_clock_is_one_heap_entry():
 
 
 def count_schedule_reads(monkeypatch):
-    read = PiecewiseConstant.__call__
+    # a call reads through step, so this counts the hops' reads and the calls
+    read = PiecewiseConstant.step
     calls = [0]
 
     def counting_read(schedule, t):
         calls[0] += 1
         return read(schedule, t)
 
-    monkeypatch.setattr(PiecewiseConstant, "__call__", counting_read)
+    monkeypatch.setattr(PiecewiseConstant, "step", counting_read)
     return calls
 
 
@@ -714,7 +715,7 @@ def held_reads(run_):
     per receiver, the forward link, the ack link and the ack record's
     queue-free round trip."""
     sender = run_.sender_lat
-    reads = steps_crossed(sender) + steps_crossed(run_.rate)
+    reads = steps_crossed(sender) + steps_crossed(run_.bottleneck.rate)
     for lat in run_.receiver_lat.values():
         # the forward link reads one schedule; the ack link and the ack
         # record read both
@@ -916,8 +917,7 @@ class EventPacedRun(_Run):
             self.loop.schedule(now + i * spacing, self._send_p2p, rid)
 
     def _send_p2p(self, rid, now):
-        seq = self.next_seq
-        self.next_seq += 1
+        seq = self.controller.state.cumulative_sent
         self.controller.on_send(rid, seq, now)
         base_rtt = 2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now))
         ack = self.send(rid, P2P_FLOW_ID, seq, now)
