@@ -20,6 +20,10 @@ from .control import ControllerParams
 from .fluid import lemma2_min_window
 
 P2P_FLOW_ID = "p2p"     # the stream's flow id; TCP flows may not take it
+# the most steps a resampled schedule may take over a run (duration / interval):
+# a run holds every step, and a step under about duration * 1e-16 adds nothing
+# to the float time, so materializing would never end
+MAX_SCHEDULE_STEPS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -88,7 +92,8 @@ class Schedule:
 
     kind "constant": fixed ``value``.
     kind "uniform_resample": redrawn uniformly from [low, high] every
-    ``interval`` seconds using the run's seeded generator.
+    ``interval`` seconds using the run's seeded generator.  A scenario
+    takes at most MAX_SCHEDULE_STEPS of them over its duration.
     """
 
     kind: str = "constant"
@@ -226,13 +231,13 @@ class ScenarioConfig:
             raise ScenarioError("duration: must be positive")
         if not self.receivers:
             raise ScenarioError("receivers: at least one receiver is required")
-        self.sender_latency.validate("sender_latency")
+        self._validate_schedule(self.sender_latency, "sender_latency")
         ids = []
         for i, r in enumerate(self.receivers):
             _claim_id(ids, r.receiver_id, f"receivers[{i}].receiver_id")
-            r.latency.validate(f"receivers[{i}].latency")
+            self._validate_schedule(r.latency, f"receivers[{i}].latency")
         rate = self.bottleneck.rate
-        rate.validate("bottleneck.rate")
+        self._validate_schedule(rate, "bottleneck.rate")
         if rate.kind == "constant" and rate.value <= 0.0:
             raise ScenarioError("bottleneck.rate.value: must be positive")
         if rate.kind == "uniform_resample" and rate.low <= 0.0:
@@ -258,6 +263,13 @@ class ScenarioConfig:
                 raise ScenarioError(f"flows[{i}].stop: must be greater than start")
         if self.p2p_start < 0.0:
             raise ScenarioError("p2p_start: must be >= 0")
+
+    def _validate_schedule(self, schedule: Schedule, name: str) -> None:
+        schedule.validate(name)
+        if (schedule.kind == "uniform_resample"
+                and self.duration / schedule.interval > MAX_SCHEDULE_STEPS):
+            raise ScenarioError(f"{name}.interval: must be at least duration / "
+                                f"{MAX_SCHEDULE_STEPS:,}")
 
     def buffer_capacity(self) -> int:
         """The configured buffer, or by default twice the minimum-window bound

@@ -44,8 +44,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .control import Controller, TickSnapshot, dupgap_losses, rtt_reference
 from .metrics import MetricsLog
@@ -121,6 +123,11 @@ class DelayLink:
         return out
 
 
+# the keys of a bottleneck record (arrival, departure, flow)
+_arrival = itemgetter(0)
+_departure = itemgetter(1)
+
+
 class Bottleneck:
     """Drop-tail FIFO served at the scheduled bitrate ``rate``, a
     ``PiecewiseConstant``; every packet is ``packet_bits`` long.  A packet's
@@ -128,15 +135,20 @@ class Bottleneck:
 
     ``enqueue(pkt, arrival)`` runs at the send instant, with the packet's
     arrival at the queue.  Earlier packets arrive no later, so it first
-    forgets the queued packets that have left by ``arrival``, those departing
-    at it included (rule 2), and decides admission against what is left.  An
-    admitted packet's service starts at the previous departure, or at its
-    arrival if the server is idle, and lasts ``packet_bits / rate(start)``,
-    which the queue holds for the whole rate step and computes again only
-    for a start outside it.  ``enqueue`` returns the departure, or ``None``
-    for a drop.  The counters (``drops``, ``occupancy``, ``served_bits``)
-    move only in ``advance(now)``, which counts the arrivals and departures
-    strictly before ``now`` (rule 1).  The packets served so far are
+    forgets the queued departures at or before ``arrival`` (rule 2) and
+    decides admission against what is left.  An admitted packet's service
+    starts at the previous departure, or at its arrival if the server is
+    idle, and lasts ``packet_bits / rate(start)``, which the queue holds for
+    the whole rate step and computes again only for a start outside it.
+    ``enqueue`` returns the departure, or ``None`` for a drop.
+
+    Each admitted packet is held once, as ``(arrival, departure, flow)``,
+    and each drop as its arrival; both lists are in arrival order, and the
+    records in departure order too.  The counters (``drops``, ``occupancy``,
+    ``served_bits``) move only in ``advance(now)``, which finds the drops,
+    arrivals and departures strictly before ``now`` (rule 1) by bisection,
+    adds ``packet_bits`` to each departed packet's flow, and forgets the
+    departed records and the counted drops.  The packets served so far are
     ``sum(served_bits.values()) / packet_bits``, and the packets admitted
     are those plus ``occupancy``.
     """
@@ -152,24 +164,21 @@ class Bottleneck:
         # departures of the admitted packets that may still be queued at the
         # next arrival
         self._queued: deque[float] = deque()
-        # arrivals not yet counted: (arrival, departure or None if dropped, flow)
-        self._arrivals: deque[tuple[float, float | None, str]] = deque()
-        # the counted arrivals not yet departed, as recorded in _arrivals
-        self._in_queue: deque[tuple[float, float, str]] = deque()
+        # the admitted packets not yet departed as of the last advance:
+        # (arrival, departure, flow)
+        self._records: list[tuple[float, float, str]] = []
+        # arrivals of the dropped packets not yet counted
+        self._dropped: list[float] = []
         self.drops = 0
+        self.occupancy = 0          # packets queued or in service, as of the last advance
         self.served_bits: dict[str, float] = {}
-
-    @property
-    def occupancy(self) -> int:
-        """Packets queued or in service, as of the last ``advance``."""
-        return len(self._in_queue)
 
     def enqueue(self, pkt: SimPacket, arrival: float) -> float | None:
         queued = self._queued
         while queued and queued[0] <= arrival:
             queued.popleft()
         if len(queued) >= self.capacity:
-            self._arrivals.append((arrival, None, pkt.flow_id))
+            self._dropped.append(arrival)
             return None
         start = queued[-1] if queued else arrival
         if not self._lo <= start < self._hi:
@@ -177,23 +186,26 @@ class Bottleneck:
             self._service = self.packet_bits / rate
         departure = start + self._service
         queued.append(departure)
-        self._arrivals.append((arrival, departure, pkt.flow_id))
+        self._records.append((arrival, departure, pkt.flow_id))
         return departure
 
     def advance(self, now: float) -> None:
         """Count the arrivals and departures strictly before ``now``."""
-        arrivals = self._arrivals
-        in_queue = self._in_queue
-        while arrivals and arrivals[0][0] < now:
-            record = arrivals.popleft()
-            if record[1] is None:
-                self.drops += 1
-            else:
-                in_queue.append(record)
-        served_bits = self.served_bits
-        while in_queue and in_queue[0][1] < now:
-            flow_id = in_queue.popleft()[2]
-            served_bits[flow_id] = served_bits.get(flow_id, 0.0) + self.packet_bits
+        dropped = self._dropped
+        n = bisect_left(dropped, now)
+        if n:
+            self.drops += n
+            del dropped[:n]
+        records = self._records
+        arrived = bisect_left(records, now, key=_arrival)
+        departed = bisect_left(records, now, hi=arrived, key=_departure)
+        if departed:
+            served_bits = self.served_bits
+            packet_bits = self.packet_bits
+            for _, _, flow_id in records[:departed]:
+                served_bits[flow_id] = served_bits.get(flow_id, 0.0) + packet_bits
+            del records[:departed]
+        self.occupancy = arrived - departed
 
 
 class TcpSender:
@@ -205,9 +217,13 @@ class TcpSender:
     the shared path.  ``outstanding`` maps each unacknowledged seq to its
     send time, or to ``None`` after a retransmission, whose ack gives no RTT
     sample (Karn's rule, RFC 6298 section 3); ``acks_after`` holds the later
-    acks of those that have some.  Retransmissions break seq order, so each
-    ack passes the rule every lower outstanding seq: O(window) per ack, until
-    loss is detected in send order (see ROADMAP.md).
+    acks of those that have some.  ``outstanding`` is in send order, which is
+    seq order while no retransmission is outstanding: the sender counts the
+    seqs that map to ``None``, and while there are none an ack hands the rule
+    the set itself, which it walks only below the acked seq.  A
+    retransmission breaks seq order, so until it leaves each ack passes the
+    rule every lower outstanding seq: O(window) per ack, until loss is
+    detected in send order (see ROADMAP.md).
 
     The retransmission timer is one pending wakeup at the deadline
     ``last_progress + rto`` (RFC 6298, section 5).  A wakeup that finds the
@@ -230,6 +246,7 @@ class TcpSender:
             self.cc, self._cc_ack, self._cc_loss = TcpBicFlow(), bic_on_ack, bic_on_loss
         self.outstanding: dict[int, float | None] = {}
         self.acks_after: dict[int, int] = {}
+        self._resent = 0                # outstanding seqs that map to None
         self.retransmit_q: deque[int] = deque()
         self.next_seq = 0
         self.recover_until = -1
@@ -261,6 +278,7 @@ class TcpSender:
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.outstanding]))
             self.outstanding.clear()
             self.acks_after.clear()
+            self._resent = 0
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
             self.try_send(now)
@@ -279,6 +297,7 @@ class TcpSender:
             if retransmit_q:
                 seq = retransmit_q.popleft()
                 outstanding[seq] = None
+                self._resent += 1
             else:
                 seq = self.next_seq
                 self.next_seq += 1
@@ -295,20 +314,26 @@ class TcpSender:
         acks_after = self.acks_after
         acks_after.pop(seq, None)
         self.last_progress = now
-        if send_time is not None:
+        if send_time is None:
+            self._resent -= 1
+        else:
             self._update_rtt(now - send_time)
             if now + self.rto < self._wakeup:    # the sample pulled the deadline in
                 self._file_wakeup()
         self._cc_ack(self.cc)
-        # retransmissions break seq order, so pass every lower seq, not a prefix
-        lost = dupgap_losses([s for s in outstanding if s < seq], seq, acks_after)
+        # with no retransmission outstanding, the seqs are in seq order and the
+        # rule walks only the prefix below seq; a retransmission breaks that
+        # order, so then every lower seq is passed
+        lost = dupgap_losses(outstanding if not self._resent else
+                             [s for s in outstanding if s < seq], seq, acks_after)
         if lost:
             if max(lost) > self.recover_until:
                 self._cc_loss(self.cc, "triple-dup")
                 # retransmissions resend only lower seqs
                 self.recover_until = self.next_seq - 1
             for lost_seq in lost:
-                del outstanding[lost_seq]
+                if outstanding.pop(lost_seq) is None:
+                    self._resent -= 1
                 del acks_after[lost_seq]
                 self.retransmit_q.append(lost_seq)
         self.try_send(now)

@@ -161,6 +161,13 @@ def _repeat_receiver(data):
     # ids name CSV columns
     (_set(["receivers", 0, "receiver_id"], "r,1"), [], "receivers[0].receiver_id"),
     (_add_flows("tcp\n1"), [], "flows[0].flow_id"),
+    # a schedule resampled too often would never finish materializing
+    (_set(["sender_latency"], {"kind": "uniform_resample", "low": 0.01, "high": 0.02,
+                               "interval": 1e-12}), [], "sender_latency.interval"),
+    (_set(["receivers", 0, "latency", "interval"], 1e-12), [],
+     "receivers[0].latency.interval"),
+    (_set(["bottleneck", "rate"], {"kind": "uniform_resample", "low": 1e6, "high": 4e6,
+                                   "interval": 1e-12}), [], "bottleneck.rate.interval"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

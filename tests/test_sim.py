@@ -823,6 +823,35 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
     assert set(bn.served_bits) == {"p2p", "tcp1"}
 
 
+def test_bottleneck_holds_only_what_a_sample_still_needs(monkeypatch):
+    # after every metric sample, the bottleneck holds a record only for a
+    # packet still queued or not yet arrived, and no drop the sample counted
+    enqueue = Bottleneck.enqueue
+    advance = Bottleneck.advance
+    admitted_arrivals, advances = [], [0]
+
+    def recording_enqueue(bottleneck, pkt, arrival):
+        departure = enqueue(bottleneck, pkt, arrival)
+        if departure is not None:
+            admitted_arrivals.append(arrival)
+        return departure
+
+    def checked_advance(bottleneck, now):
+        advance(bottleneck, now)
+        advances[0] += 1
+        # arrivals reach the queue in send order, so the list is sorted
+        later = len(admitted_arrivals) - bisect.bisect_left(admitted_arrivals, now)
+        assert len(bottleneck._records) <= bottleneck.occupancy + later
+        assert all(arrival >= now for arrival in bottleneck._dropped)
+
+    monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
+    monkeypatch.setattr(Bottleneck, "advance", checked_advance)
+    run_ = _Run(BUILTIN_SCENARIOS["exp3-bic-tcpfirst"]())
+    run_.execute()
+    assert advances[0] == len(run_.log.rows)
+    assert run_.bottleneck.drops > 0
+
+
 # the built-ins whose full-length run drops P2P packets, so that the drop
 # bound below is not met trivially
 P2P_DROPPING = {"exp2-dynamic", "exp3-bic-p2pfirst", "exp3-bic-tcpfirst",
