@@ -141,7 +141,7 @@ class Counts:
         }
 
 
-def count(workload: str, seconds: float = 20.0) -> Counts:
+def count(workload: str, seconds: float) -> Counts:
     """Count one workload with the ``p2pcc`` that ``import`` finds."""
     workloads = _workloads()
     counts = Counts()
