@@ -142,15 +142,17 @@ class Bottleneck:
     the whole rate step and computes again only for a start outside it.
     ``enqueue`` returns the departure, or ``None`` for a drop.
 
-    Each admitted packet is held once, as ``(arrival, departure, flow)``,
-    and each drop as its arrival; both lists are in arrival order, and the
-    records in departure order too.  The counters (``drops``, ``occupancy``,
-    ``served_bits``) move only in ``advance(now)``, which finds the drops,
-    arrivals and departures strictly before ``now`` (rule 1) by bisection,
-    adds ``packet_bits`` to each departed packet's flow, and forgets the
-    departed records and the counted drops.  The packets served so far are
-    ``sum(served_bits.values()) / packet_bits``, and the packets admitted
-    are those plus ``occupancy``.
+    Each admitted packet has one record, ``(arrival, departure, flow)``, and
+    each drop its arrival; both lists are in arrival order, and the records
+    in departure order too.  Admission keeps its own copy of the departures
+    that may still be queued, at most ``capacity`` of them, in a deque: a
+    cursor into the records ran slower.  The counters (``drops``,
+    ``occupancy``, ``served_bits``) move only in ``advance(now)``, which
+    finds the drops, arrivals and departures strictly before ``now`` (rule 1)
+    by bisection, adds ``packet_bits`` to each departed packet's flow, and
+    forgets the departed records and the counted drops.  The packets served
+    so far are ``sum(served_bits.values()) / packet_bits``, and the packets
+    admitted are those plus ``occupancy``.
     """
 
     def __init__(self, rate, capacity: int, packet_bits: float):
@@ -217,13 +219,9 @@ class TcpSender:
     the shared path.  ``outstanding`` maps each unacknowledged seq to its
     send time, or to ``None`` after a retransmission, whose ack gives no RTT
     sample (Karn's rule, RFC 6298 section 3); ``acks_after`` holds the later
-    acks of those that have some.  ``outstanding`` is in send order, which is
-    seq order while no retransmission is outstanding: the sender counts the
-    seqs that map to ``None``, and while there are none an ack hands the rule
-    the set itself, which it walks only below the acked seq.  A
-    retransmission breaks seq order, so until it leaves each ack passes the
-    rule every lower outstanding seq: O(window) per ack, until loss is
-    detected in send order (see ROADMAP.md).
+    acks of those that have some.  Retransmissions break seq order, so each
+    ack passes the rule every lower outstanding seq: O(window) per ack, until
+    loss is detected in send order (see ROADMAP.md).
 
     The retransmission timer is one pending wakeup at the deadline
     ``last_progress + rto`` (RFC 6298, section 5).  A wakeup that finds the
@@ -246,7 +244,6 @@ class TcpSender:
             self.cc, self._cc_ack, self._cc_loss = TcpBicFlow(), bic_on_ack, bic_on_loss
         self.outstanding: dict[int, float | None] = {}
         self.acks_after: dict[int, int] = {}
-        self._resent = 0                # outstanding seqs that map to None
         self.retransmit_q: deque[int] = deque()
         self.next_seq = 0
         self.recover_until = -1
@@ -278,7 +275,6 @@ class TcpSender:
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.outstanding]))
             self.outstanding.clear()
             self.acks_after.clear()
-            self._resent = 0
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
             self.try_send(now)
@@ -297,7 +293,6 @@ class TcpSender:
             if retransmit_q:
                 seq = retransmit_q.popleft()
                 outstanding[seq] = None
-                self._resent += 1
             else:
                 seq = self.next_seq
                 self.next_seq += 1
@@ -314,26 +309,20 @@ class TcpSender:
         acks_after = self.acks_after
         acks_after.pop(seq, None)
         self.last_progress = now
-        if send_time is None:
-            self._resent -= 1
-        else:
+        if send_time is not None:
             self._update_rtt(now - send_time)
             if now + self.rto < self._wakeup:    # the sample pulled the deadline in
                 self._file_wakeup()
         self._cc_ack(self.cc)
-        # with no retransmission outstanding, the seqs are in seq order and the
-        # rule walks only the prefix below seq; a retransmission breaks that
-        # order, so then every lower seq is passed
-        lost = dupgap_losses(outstanding if not self._resent else
-                             [s for s in outstanding if s < seq], seq, acks_after)
+        # retransmissions break seq order, so pass every lower seq, not a prefix
+        lost = dupgap_losses([s for s in outstanding if s < seq], seq, acks_after)
         if lost:
             if max(lost) > self.recover_until:
                 self._cc_loss(self.cc, "triple-dup")
                 # retransmissions resend only lower seqs
                 self.recover_until = self.next_seq - 1
             for lost_seq in lost:
-                if outstanding.pop(lost_seq) is None:
-                    self._resent -= 1
+                del outstanding[lost_seq]
                 del acks_after[lost_seq]
                 self.retransmit_q.append(lost_seq)
         self.try_send(now)
