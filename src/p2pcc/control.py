@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
 # loop has something to start from.
@@ -356,7 +358,9 @@ class Controller:
             qmax = qmax_estimate(state.receivers, params)
 
         samples = state.qdelay_samples
-        state.avg_queue_delay_d = sum(samples) / len(samples) if samples else 0.0
+        # added left to right: sum() compensates rounding from Python 3.12 on
+        state.avg_queue_delay_d = (reduce(add, samples, 0.0) / len(samples)
+                                   if samples else 0.0)
         state.qdelay_samples = []
 
         ack_rate = current_ack_rate(state, params, now)

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 # Slack for floating-point accumulation in the strict < / > comparisons.
 _EPS = 1e-9
@@ -83,7 +85,8 @@ def lemma2_min_window(u_max: float, shares, n_p, gamma: float) -> float:
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    return u_max * (sum(l * n for l, n in zip(shares, n_p)) + 1.0 / gamma)
+    # added left to right: sum() compensates rounding from Python 3.12 on
+    return u_max * (reduce(add, map(mul, shares, n_p), 0.0) + 1.0 / gamma)
 
 
 @dataclass
@@ -115,7 +118,7 @@ class LemmaReport:
 def _sample_topology(rng: random.Random):
     m = rng.randint(1, 5)
     raw = [rng.random() + 1e-3 for _ in range(m)]
-    total = sum(raw)
+    total = reduce(add, raw, 0.0)
     shares = [x / total for x in raw]
     delays = [rng.randint(0, 10) for _ in range(m)]
     u_max = float(rng.randint(5, 50))

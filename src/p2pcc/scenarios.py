@@ -22,7 +22,8 @@ from .fluid import lemma2_min_window
 P2P_FLOW_ID = "p2p"     # the stream's flow id; TCP flows may not take it
 # the most steps a resampled schedule may take over a run (duration / interval):
 # a run holds every step, and a step under about duration * 1e-16 adds nothing
-# to the float time, so materializing would never end
+# to the float time, so materializing would never end.  The control periods
+# are capped alike, since the CSV holds a row per period.
 MAX_SCHEDULE_STEPS = 1_000_000
 
 
@@ -161,6 +162,13 @@ class PiecewiseConstant:
         return lo, hi, self.values[idx]
 
 
+def schedule_sum(a: PiecewiseConstant, b: PiecewiseConstant) -> PiecewiseConstant:
+    """``a + b``: a step at each breakpoint of either schedule, holding the
+    value of ``a`` there plus the value of ``b``."""
+    times = sorted({*a.times, *b.times})
+    return PiecewiseConstant(times, [a.step(t)[2] + b.step(t)[2] for t in times])
+
+
 def constant(value: float) -> Schedule:
     return Schedule(kind="constant", value=value)
 
@@ -229,6 +237,9 @@ class ScenarioConfig:
             raise ScenarioError(_join("controller", str(exc))) from None
         if self.duration <= 0.0:
             raise ScenarioError("duration: must be positive")
+        if self.duration / self.controller.period_T > MAX_SCHEDULE_STEPS:
+            raise ScenarioError(f"controller.period_T: must be at least duration / "
+                                f"{MAX_SCHEDULE_STEPS:,}")
         if not self.receivers:
             raise ScenarioError("receivers: at least one receiver is required")
         self._validate_schedule(self.sender_latency, "sender_latency")
@@ -263,6 +274,11 @@ class ScenarioConfig:
                 raise ScenarioError(f"flows[{i}].stop: must be greater than start")
         if self.p2p_start < 0.0:
             raise ScenarioError("p2p_start: must be >= 0")
+        try:
+            self.buffer_capacity()
+        except OverflowError:       # math.ceil of an infinite bound
+            raise ScenarioError("bottleneck.buffer_capacity: the default is not "
+                                "finite; give one") from None
 
     def _validate_schedule(self, schedule: Schedule, name: str) -> None:
         schedule.validate(name)

@@ -32,11 +32,12 @@ One rule orders what happens at one instant:
    earlier.
 4. Heap events at one instant run in the order they were scheduled.
 
-Each hop holds its delay for a whole schedule step: a ``DelayLink`` its
-latency, the bottleneck its service time, a receiver's ack record its
-queue-free round trip.  A hop reads its schedules again (``step``) only when
-its time leaves the step ``[lo, hi)`` it holds, so a packet reads no
-schedule unless it is the first of a hop's step.
+Each hop reads one schedule and holds its delay for a whole step of it: a
+``DelayLink`` its latency, the bottleneck its service time, a receiver's ack
+record its queue-free round trip (twice the path latency, sender plus
+receiver, which the ack link reads too).  A hop reads its schedule again
+(``step``) only when its time leaves the step ``[lo, hi)`` it holds, so a
+packet reads no schedule unless it is the first of a hop's step.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from .control import Controller, TickSnapshot, dupgap_losses, rtt_reference
 from .metrics import MetricsLog
-from .scenarios import P2P_FLOW_ID, ScenarioConfig
+from .scenarios import P2P_FLOW_ID, ScenarioConfig, schedule_sum
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
                       bic_on_loss, reno_on_ack, reno_on_loss)
 
@@ -86,28 +88,17 @@ class SimPacket:
     flow_id: str
 
 
-def _step_sum(schedules, t: float) -> tuple[float, float, float]:
-    """``(lo, hi, total)``: the schedules' values at ``t``, added in the order
-    given, and ``[lo, hi)``, the intersection of their steps at ``t``, on
-    which that total holds."""
-    lows, highs, values = zip(*(schedule.step(t) for schedule in schedules))
-    total = values[0]
-    for value in values[1:]:     # not sum(), which may compensate rounding
-        total += value
-    return max(lows), min(highs), total
-
-
 class DelayLink:
-    """One-way link whose latency is the sum of its latency schedules at the
-    send instant, added in the order given; delivery order is FIFO even
-    across a latency decrease (in-flight packets keep their assigned delay).
+    """One-way link whose latency is its latency schedule's value at the send
+    instant; delivery order is FIFO even across a latency decrease (in-flight
+    packets keep their assigned delay).
 
-    The link holds its delay on ``[lo, hi)``, the step of every schedule at
-    the last send it read them at, and reads them again only for a send
-    outside it.  Before the first send it holds nothing."""
+    The link holds its delay on ``[lo, hi)``, the schedule's step at the last
+    send it read it at, and reads it again only for a send outside it.
+    Before the first send it holds nothing."""
 
-    def __init__(self, *latencies):
-        self._latencies = latencies
+    def __init__(self, latency):
+        self._latency = latency
         self._lo = math.inf
         self._hi = -math.inf
         self._delay = 0.0
@@ -115,7 +106,7 @@ class DelayLink:
 
     def transit(self, now: float) -> float:
         if not self._lo <= now < self._hi:
-            self._lo, self._hi, self._delay = _step_sum(self._latencies, now)
+            self._lo, self._hi, self._delay = self._latency.step(now)
         out = now + self._delay
         if out < self._last_out:
             out = self._last_out
@@ -269,7 +260,7 @@ class TcpSender:
         # the deadline as the filing computes it; while the flow is active,
         # try_send keeps at least one seq outstanding
         if now >= self.last_progress + self.rto:
-            self._cc_loss(self.cc, "timeout")
+            self._cc_loss(self.cc, timeout=True)
             # resend from the earliest unacknowledged seq (RFC 6298, 5.4); the
             # queued and the outstanding seqs are disjoint
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.outstanding]))
@@ -318,7 +309,7 @@ class TcpSender:
         lost = dupgap_losses([s for s in outstanding if s < seq], seq, acks_after)
         if lost:
             if max(lost) > self.recover_until:
-                self._cc_loss(self.cc, "triple-dup")
+                self._cc_loss(self.cc, timeout=False)
                 # retransmissions resend only lower seqs
                 self.recover_until = self.next_seq - 1
             for lost_seq in lost:
@@ -385,12 +376,13 @@ class _Run:
         self.bottleneck = Bottleneck(rate, cfg.buffer_capacity(), params.packet_size_s)
         self.access_link = DelayLink(self.sender_lat)
         self.forward_links = {rid: DelayLink(lat) for rid, lat in self.receiver_lat.items()}
-        # both return latencies are summed first: the ack hop adds them as one
-        # delay, and the CSVs depend on that order of float additions
-        self.ack_links = {rid: DelayLink(lat, self.sender_lat)
-                          for rid, lat in self.receiver_lat.items()}
-        # per receiver, the queue-free round trip 2 (sender + receiver latency)
-        # at send, held as [lo, hi, value] on the steps of both schedules
+        # per receiver, the path latency: sender plus receiver, which the ack
+        # hop takes as one delay and the ack record doubles
+        self.path_lat = {rid: schedule_sum(self.sender_lat, lat)
+                         for rid, lat in self.receiver_lat.items()}
+        self.ack_links = {rid: DelayLink(path) for rid, path in self.path_lat.items()}
+        # per receiver, the queue-free round trip at send, held as
+        # [lo, hi, value] on the path latency's step
         self._base_rtt = {rid: [math.inf, -math.inf, 0.0] for rid in self.receiver_lat}
 
         receiver_ids = [r.receiver_id for r in cfg.receivers]
@@ -502,7 +494,7 @@ class _Run:
                 if ack is not None:
                     held = base_rtt[rid]
                     if not held[0] <= now < held[1]:
-                        lo, hi, path = _step_sum((self.sender_lat, self.receiver_lat[rid]), now)
+                        lo, hi, path = self.path_lat[rid].step(now)
                         held[:] = lo, hi, 2.0 * path
                     acks[rid].append((ack, seq, rid, ack - now, held[2]))
                 seq += 1
@@ -557,19 +549,21 @@ class _Run:
         s_kbit = bottleneck.packet_bits / 1000.0
         state = self.controller.state
 
+        # the means add left to right: sum() compensates rounding from Python
+        # 3.12 on
         rtts = self._rtts
         if rtts:
-            self._rtt_avg_ms = 1000.0 * sum(rtts) / len(rtts)
-            self._path_rtt_ms = 1000.0 * sum(self._base_rtts) / len(rtts)
+            self._rtt_avg_ms = 1000.0 * reduce(add, rtts, 0.0) / len(rtts)
+            self._path_rtt_ms = 1000.0 * reduce(add, self._base_rtts, 0.0) / len(rtts)
             rtts.clear()
             self._base_rtts.clear()
         refs = list(rtt_reference(state.receivers, state.d_ref).values())
         if refs:
-            self._rtt_ref_ms = 1000.0 * sum(refs) / len(refs)
+            self._rtt_ref_ms = 1000.0 * reduce(add, refs, 0.0) / len(refs)
         drtt_ms = self._drtt_ms
         for i, samples in enumerate(self._drtts.values()):
             if samples:
-                drtt_ms[i] = 1000.0 * sum(samples) / len(samples)
+                drtt_ms[i] = 1000.0 * reduce(add, samples, 0.0) / len(samples)
                 samples.clear()
 
         row = [now, snap.window * s_kbit, snap.quota * s_kbit,

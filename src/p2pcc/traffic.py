@@ -63,12 +63,10 @@ def reno_on_ack(flow: TcpRenoFlow) -> None:
         flow.cwnd += 1.0 / flow.cwnd
 
 
-def reno_on_loss(flow: TcpRenoFlow, kind: str) -> None:
+def reno_on_loss(flow: TcpRenoFlow, timeout: bool) -> None:
+    """A loss found by the retransmission timer, or else by three later acks."""
     flow.ssthresh = max(flow.cwnd / 2.0, 2.0)
-    if kind == "timeout":
-        flow.cwnd = 1.0
-    else:  # triple-dup
-        flow.cwnd = flow.ssthresh
+    flow.cwnd = 1.0 if timeout else flow.ssthresh
 
 
 @dataclass
@@ -94,13 +92,13 @@ def bic_on_ack(flow: TcpBicFlow) -> None:
     flow.cwnd += inc / flow.cwnd
 
 
-def bic_on_loss(flow: TcpBicFlow, kind: str) -> None:
+def bic_on_loss(flow: TcpBicFlow, timeout: bool) -> None:
     if flow.cwnd < flow.w_max:
         # fast convergence: release bandwidth when losses repeat below w_max
         flow.w_max = flow.cwnd * (2.0 - BIC_BETA) / 2.0
     else:
         flow.w_max = flow.cwnd
-    if kind == "timeout":
+    if timeout:
         flow.ssthresh = max(flow.cwnd * BIC_BETA, 2.0)
         flow.cwnd = 1.0
     else:

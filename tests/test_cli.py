@@ -168,6 +168,12 @@ def _repeat_receiver(data):
      "receivers[0].latency.interval"),
     (_set(["bottleneck", "rate"], {"kind": "uniform_resample", "low": 1e6, "high": 4e6,
                                    "interval": 1e-12}), [], "bottleneck.rate.interval"),
+    # a CSV row per period, capped as a schedule's steps are
+    (lambda data: None, ["--period", "5e-324"], "controller.period_T"),
+    (lambda data: None, ["--period", "1e-9"], "controller.period_T"),
+    # finite inputs whose default buffer is not
+    (_set(["sender_latency", "value"], 1e308), [], "bottleneck.buffer_capacity"),
+    (_set(["controller", "gamma"], 5e-324), [], "bottleneck.buffer_capacity"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

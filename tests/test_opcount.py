@@ -1,5 +1,5 @@
-"""The bytecode counter ``tools/opcount.py``, run in this process on short
-runs of this checkout."""
+"""The bytecode and call counter ``tools/opcount.py``, run in this process on
+short runs of this checkout."""
 
 import importlib.util
 from pathlib import Path
@@ -18,14 +18,15 @@ def test_two_runs_of_one_tree_give_equal_counts():
     first = opcount.count("paper-tcp", SECONDS)
     second = opcount.count("paper-tcp", SECONDS)
     assert first.ops == second.ops
+    assert first.calls == second.calls
     assert first.c_calls == second.c_calls
     summary = first.summary()
-    assert summary["bytecodes"] > 0 and summary["c_calls"] > 0
+    assert summary["bytecodes"] > 0 and summary["calls"] > 0 and summary["c_calls"] > 0
     assert {"sim", "control", "traffic"} <= summary["layers"].keys()
 
 
 def test_one_more_call_per_packet_raises_the_count_by_the_packets(monkeypatch):
-    before = opcount.count("highrate", SECONDS).summary()["bytecodes"]
+    before = opcount.count("highrate", SECONDS).summary()
     enqueue = Bottleneck.enqueue
     packets = [0]
 
@@ -34,9 +35,10 @@ def test_one_more_call_per_packet_raises_the_count_by_the_packets(monkeypatch):
         return enqueue(bottleneck, pkt, arrival)
 
     monkeypatch.setattr(Bottleneck, "enqueue", wrapped_enqueue)
-    after = opcount.count("highrate", SECONDS).summary()["bytecodes"]
+    after = opcount.count("highrate", SECONDS).summary()
     assert packets[0] > 100
-    assert after - before >= packets[0]
+    assert after["bytecodes"] - before["bytecodes"] >= packets[0]
+    assert after["calls"] - before["calls"] >= packets[0]
 
 
 def test_shortening_keeps_each_flow_after_its_start():

@@ -16,7 +16,8 @@ from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
-                             build_experiment_3, constant, uniform_resample)
+                             build_experiment_3, constant, schedule_sum,
+                             uniform_resample)
 from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, Bottleneck,
                        DelayLink, EventLoop, SimPacket, TcpSender, _Run, run)
 from p2pcc.traffic import (TcpBicFlow, TcpRenoFlow, bic_on_ack, bic_on_loss,
@@ -313,11 +314,14 @@ latencies = st.floats(0.0, 1.0)
 @settings(max_examples=200, deadline=None)
 @given(st.data(), schedules(latencies), schedules(latencies))
 def test_link_holds_the_delay_its_schedules_give_at_each_send(data, a, b):
-    # a link reads its schedules only when a send leaves the step it holds;
-    # at every send its delay is still theirs, added in the order given
-    one, two = DelayLink(a), DelayLink(a, b)
+    # the summed schedule holds a's value plus b's at every time; a link reads
+    # its schedule only when a send leaves the step it holds, and at every
+    # send its delay is still the schedule's
+    path = schedule_sum(a, b)
+    one, two = DelayLink(a), DelayLink(path)
     last_one = last_two = 0.0
     for now in data.draw(query_times(a, b)):
+        assert path.step(now)[2] == value_at(path, now) == value_at(a, now) + value_at(b, now)
         last_one = max(last_one, now + value_at(a, now))
         last_two = max(last_two, now + (value_at(a, now) + value_at(b, now)))
         assert one.transit(now) == last_one
@@ -361,7 +365,7 @@ def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
     sender.cc.cwnd = 4.0
     cuts = []
     cut = sender._cc_loss
-    sender._cc_loss = lambda cc, kind: (cuts.append(kind), cut(cc, kind))
+    sender._cc_loss = lambda cc, timeout: (cuts.append(timeout), cut(cc, timeout))
     run_.loop.run(0.0)
     assert run_.sent == [0, 1, 2, 3]
 
@@ -374,7 +378,7 @@ def test_tcp_timer_requeues_every_outstanding_seq_and_backs_off():
         run_.loop.run(math.nextafter(fire, 0.0))     # nothing fires earlier
         assert run_.sent == sent and len(cuts) == n - 1
         run_.loop.run(fire)
-        assert cuts == ["timeout"] * n and sender.cc.cwnd == 1.0
+        assert cuts == [True] * n and sender.cc.cwnd == 1.0
         assert run_.sent == sent + resent and list(sender.outstanding) == resent
         assert list(sender.retransmit_q) == queued
         assert sender.rto == rto and sender.last_progress == fire
@@ -394,7 +398,7 @@ def test_tcp_timeout_fires_at_the_deadline_set_by_an_rtt_sample():
     sender = TcpSender(run_, "tcp1", "reno", "r1", start=0.0, stop=10.0)
     cuts = []
     cut = sender._cc_loss
-    sender._cc_loss = lambda cc, kind: (cuts.append(kind), cut(cc, kind))
+    sender._cc_loss = lambda cc, timeout: (cuts.append(timeout), cut(cc, timeout))
     run_.loop.schedule(0.123, sender.on_ack, 0)
     run_.loop.run(0.123)
     assert sender.srtt == 0.123
@@ -403,9 +407,9 @@ def test_tcp_timeout_fires_at_the_deadline_set_by_an_rtt_sample():
     run_.loop.run(math.nextafter(deadline, 0.0))
     assert not cuts
     run_.loop.run(deadline)
-    assert cuts == ["timeout"] and sender.last_progress == deadline
+    assert cuts == [True] and sender.last_progress == deadline
     run_.loop.run(1.0)                   # the wakeup filed at the start does nothing
-    assert cuts == ["timeout"]
+    assert cuts == [True]
     assert [event[0] for event in run_.loop._heap] == [deadline + sender.rto]
 
 
@@ -512,7 +516,7 @@ class PerRecordTcpReference:
                     lost.append(other_seq)
         if lost:
             if max(lost) > self.recover_until:
-                self.cc_loss(self.cc, "triple-dup")
+                self.cc_loss(self.cc, timeout=False)
                 self.recover_until = self.next_seq - 1
             for lost_seq in lost:
                 del self.pending[lost_seq]
@@ -525,7 +529,7 @@ class PerRecordTcpReference:
         before ``now``."""
         while self.pending and self.last_progress + self.rto <= now:
             deadline = self.last_progress + self.rto
-            self.cc_loss(self.cc, "timeout")
+            self.cc_loss(self.cc, timeout=True)
             self.retransmit_q = deque(sorted([*self.retransmit_q, *self.pending]))
             self.pending.clear()
             self.last_progress = deadline
@@ -710,17 +714,20 @@ def steps_crossed(*scheds):
 
 
 def held_reads(run_):
-    """Reads of the hops that hold a step, if each reads each of its
-    schedules once per step it crosses: the access link, the bottleneck and,
-    per receiver, the forward link, the ack link and the ack record's
-    queue-free round trip."""
-    sender = run_.sender_lat
-    reads = steps_crossed(sender) + steps_crossed(run_.bottleneck.rate)
-    for lat in run_.receiver_lat.values():
-        # the forward link reads one schedule; the ack link and the ack
-        # record read both
-        reads += steps_crossed(lat) + 2 * 2 * steps_crossed(sender, lat)
+    """Reads of the hops that hold a step, if each reads its schedule once
+    per step it crosses: the access link, the bottleneck and, per receiver,
+    the forward link, and the ack link and the ack record's queue-free round
+    trip, which both read the path latency."""
+    reads = steps_crossed(run_.sender_lat) + steps_crossed(run_.bottleneck.rate)
+    for rid, lat in run_.receiver_lat.items():
+        reads += steps_crossed(lat) + 2 * steps_crossed(run_.path_lat[rid])
     return reads
+
+
+def setup_reads(run_):
+    """Reads of building each receiver's path latency: both of its schedules,
+    once at each of its breakpoints."""
+    return sum(2 * len(path.times) for path in run_.path_lat.values())
 
 
 def resampled_latencies(cfg):
@@ -735,13 +742,15 @@ def test_schedule_reads_do_not_grow_with_packets(monkeypatch):
     # steps crossed, plus the rate each metric sample reads, at any packet count
     calls = count_schedule_reads(monkeypatch)
     run_ = _Run(resampled_latencies(small_single_receiver()))
+    setup = calls[0]
+    assert setup == setup_reads(run_) == 10
     run_.execute()
     assert run_.bottleneck.drops == 0
     sent = run_.controller.state.cumulative_sent
     samples = len(run_.log.rows)
     assert sent > 1000
-    assert held_reads(run_) == 31    # 5 + 1 + 5 + 2 * 5 + 2 * 5: five latency steps
-    assert calls[0] <= samples + held_reads(run_)
+    assert held_reads(run_) == 21    # 5 + 1 + 5 + 5 + 5: five latency steps
+    assert calls[0] - setup <= samples + held_reads(run_)
 
 
 def test_tcp_schedule_reads_do_not_grow_with_transmissions(monkeypatch):
@@ -751,6 +760,8 @@ def test_tcp_schedule_reads_do_not_grow_with_transmissions(monkeypatch):
     cfg.bottleneck.buffer_capacity = 5000
     cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 3.0)]
     run_ = _Run(cfg)
+    setup = calls[0]
+    assert setup == setup_reads(run_)
     tcp = [0]
     enqueue = run_.bottleneck.enqueue
 
@@ -764,7 +775,7 @@ def test_tcp_schedule_reads_do_not_grow_with_transmissions(monkeypatch):
     assert run_.bottleneck.drops == 0
     sent = run_.controller.state.cumulative_sent
     assert sent + tcp[0] > 1000 and tcp[0] > 300
-    assert calls[0] <= len(run_.log.rows) + held_reads(run_)
+    assert calls[0] - setup <= len(run_.log.rows) + held_reads(run_)
 
 
 def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):

@@ -93,14 +93,14 @@ def test_exponential_growth_doubles_per_round_trip():
 def test_triple_duplicate_halves_window():
     flow = TcpRenoFlow(cwnd=10.0, ssthresh=8.0)
     assert flow.cwnd >= flow.ssthresh
-    reno_on_loss(flow, "triple-dup")
+    reno_on_loss(flow, timeout=False)
     assert flow.cwnd == 5.0
     assert flow.ssthresh == 5.0
 
 
 def test_timeout_resets_window_to_one():
     flow = TcpRenoFlow(cwnd=10.0, ssthresh=8.0)
-    reno_on_loss(flow, "timeout")
+    reno_on_loss(flow, timeout=True)
     assert flow.cwnd == 1.0
     assert flow.ssthresh == 5.0
 
@@ -159,12 +159,12 @@ def test_increment_capped_by_maximum_step():
 
 def test_loss_records_maximum_and_decays():
     flow = TcpBicFlow(cwnd=100.0, w_max=0.0)
-    bic_on_loss(flow, "triple-dup")
+    bic_on_loss(flow, timeout=False)
     assert flow.w_max == 100.0
     assert flow.cwnd == pytest.approx(80.0)
 
 
 def test_repeat_loss_below_maximum_releases_bandwidth():
     flow = TcpBicFlow(cwnd=60.0, w_max=100.0)
-    bic_on_loss(flow, "triple-dup")
+    bic_on_loss(flow, timeout=False)
     assert flow.w_max == pytest.approx(60.0 * (2.0 - BIC_BETA) / 2.0)

@@ -1,5 +1,5 @@
-"""Count the bytecodes a benchmark workload executes, per function and per
-layer, and the C calls it makes.
+"""Count the bytecodes a benchmark workload executes and the Python calls it
+makes, per function and per layer, and the C calls it makes.
 
     python3 tools/opcount.py [CHECKOUT] --workload W [--seconds S]
 
@@ -20,11 +20,14 @@ importing are not.
   instruction executed, per (module, function).  A layer is a module of
   ``p2pcc`` (``sim``, ``control``, ...); code outside the package is
   ``other``.
+- Python calls: ``sys.settrace``'s ``call`` events, per (module, function)
+  and per layer.  A generator or coroutine gives one each time it resumes,
+  not only when it starts.
 - C calls: ``sys.setprofile``'s ``c_call`` events, per callee and per layer
   of the caller.  Work done inside C (dict upkeep, a sort, a bisection) adds
   no bytecodes, so this count shows where it happens, by number only.
 
-Both counts are exact: two runs of one tree give equal counts, so a change's
+The counts are exact: two runs of one tree give equal counts, so a change's
 count moves only with the code.  The garbage collector is off while
 counting, so that no gc callback runs inside the count.  The counts can
 support a host-time claim but not replace one.  Counting makes a run about
@@ -84,11 +87,12 @@ def shorten(cfg, seconds: float):
 
 
 class Counts:
-    """Bytecodes per (module, function) and C calls per (caller layer,
-    callee), gathered while ``record`` runs its argument."""
+    """Bytecodes and Python calls per (module, function) and C calls per
+    (caller layer, callee), gathered while ``record`` runs its argument."""
 
     def __init__(self) -> None:
         self.ops: Counter = Counter()
+        self.calls: Counter = Counter()
         self.c_calls: Counter = Counter()
 
     def _call(self, frame, event, arg):
@@ -98,6 +102,7 @@ class Counts:
         # co_qualname is new in Python 3.11
         key = (frame.f_globals.get("__name__", "?"),
                getattr(code, "co_qualname", code.co_name))
+        self.calls[key] += 1
         ops = self.ops
 
         def opcode(frame, event, arg):
@@ -124,9 +129,6 @@ class Counts:
             gc.enable()
 
     def summary(self) -> dict:
-        layers: Counter = Counter()
-        for (module, _), n in self.ops.items():
-            layers[_layer(module)] += n
         c_layers: Counter = Counter()
         callees: Counter = Counter()
         for (layer, callee), n in self.c_calls.items():
@@ -134,13 +136,26 @@ class Counts:
             callees[callee] += n
         return {
             "bytecodes": sum(self.ops.values()),
-            "layers": dict(layers.most_common()),
-            "functions": {f"{module}:{name}": n
-                          for (module, name), n in self.ops.most_common()},
+            "layers": _by_layer(self.ops),
+            "functions": _by_function(self.ops),
+            "calls": sum(self.calls.values()),
+            "call_layers": _by_layer(self.calls),
+            "call_functions": _by_function(self.calls),
             "c_calls": sum(self.c_calls.values()),
             "c_call_layers": dict(c_layers.most_common()),
             "c_callees": dict(callees.most_common()),
         }
+
+
+def _by_layer(counts: Counter) -> dict:
+    layers: Counter = Counter()
+    for (module, _), n in counts.items():
+        layers[_layer(module)] += n
+    return dict(layers.most_common())
+
+
+def _by_function(counts: Counter) -> dict:
+    return {f"{module}:{name}": n for (module, name), n in counts.most_common()}
 
 
 def count(workload: str, seconds: float) -> Counts:
@@ -186,6 +201,9 @@ def main(argv=None) -> int:
     print(f"bytecodes: {summary['bytecodes']:,}")
     _print_table("by layer:", summary["layers"], summary["bytecodes"])
     _print_table("by function:", summary["functions"], summary["bytecodes"])
+    print(f"Python calls: {summary['calls']:,} (a generator's resumptions count too)")
+    _print_table("by layer:", summary["call_layers"], summary["calls"])
+    _print_table("by function:", summary["call_functions"], summary["calls"])
     print(f"C calls: {summary['c_calls']:,}")
     _print_table("by caller layer:", summary["c_call_layers"], summary["c_calls"])
     _print_table("by callee:", summary["c_callees"], summary["c_calls"])
