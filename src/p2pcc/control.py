@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
 # loop has something to start from.
@@ -91,6 +89,16 @@ class ReceiverStats:
     latency_peaks: deque = field(default_factory=deque)
     last_ack_latency: float | None = None
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
+
+
+def float_total(values) -> float:
+    """The total of ``values``, added left to right from ``0.0``.  ``sum()``
+    compensates rounding from Python 3.12 on, so a total made with it could
+    differ in its last bits from one interpreter to the next."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def dupgap_losses(seqs, seq, acks_after) -> list[int]:
@@ -254,18 +262,36 @@ class Controller:
         self.state = new_state(receiver_ids)
 
     def on_send(self, receiver_id: str, seq: int, now: float) -> None:
-        """Track a sent packet.  Per receiver, seqs must rise and send times
-        must not fall (ValueError otherwise): the dup-gap and timeout walks
-        stop at the first packet they leave alone, so they rely on that order."""
+        """Track a sent packet: ``on_send_run`` with a run of one."""
+        self.on_send_run(receiver_id, seq, (now,))
+
+    def on_send_run(self, receiver_id: str, first_seq: int, times) -> None:
+        """Track a run of packets sent to one receiver, with seqs
+        ``first_seq``, ``first_seq + 1``, ... at the send ``times``.  Per
+        receiver, seqs must rise and send times must not fall: the dup-gap and
+        timeout walks stop at the first packet they leave alone, so they rely
+        on that order.  A packet out of order raises ValueError, after the
+        packets before it are tracked."""
         state = self.state
         recv = state.receivers[receiver_id]
+        pending = state.outstanding[receiver_id]
         last_seq, last_time = recv.last_sent
-        if seq <= last_seq or now < last_time:
-            raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
+        seq = first_seq
+        if seq > last_seq:
+            for now in times:
+                if now < last_time:
+                    break
+                pending[seq] = now
+                last_time = now
+                seq += 1
+        n = seq - first_seq
+        if n:
+            recv.last_sent = (seq - 1, last_time)
+            state.cumulative_sent += n
+        if n < len(times):
+            last_seq, last_time = recv.last_sent
+            raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {times[n]} "
                              f"after seq {last_seq} sent at {last_time}")
-        recv.last_sent = (seq, now)
-        state.outstanding[receiver_id][seq] = now
-        state.cumulative_sent += 1
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> None:
         """Process one ack, and pass to ``on_loss`` each packet that it
@@ -358,9 +384,7 @@ class Controller:
             qmax = qmax_estimate(state.receivers, params)
 
         samples = state.qdelay_samples
-        # added left to right: sum() compensates rounding from Python 3.12 on
-        state.avg_queue_delay_d = (reduce(add, samples, 0.0) / len(samples)
-                                   if samples else 0.0)
+        state.avg_queue_delay_d = float_total(samples) / len(samples) if samples else 0.0
         state.qdelay_samples = []
 
         ack_rate = current_ack_rate(state, params, now)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
+from operator import mul
+
+from .control import float_total
 
 # Slack for floating-point accumulation in the strict < / > comparisons.
 _EPS = 1e-9
@@ -85,8 +86,7 @@ def lemma2_min_window(u_max: float, shares, n_p, gamma: float) -> float:
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    # added left to right: sum() compensates rounding from Python 3.12 on
-    return u_max * (reduce(add, map(mul, shares, n_p), 0.0) + 1.0 / gamma)
+    return u_max * (float_total(map(mul, shares, n_p)) + 1.0 / gamma)
 
 
 @dataclass
@@ -118,7 +118,7 @@ class LemmaReport:
 def _sample_topology(rng: random.Random):
     m = rng.randint(1, 5)
     raw = [rng.random() + 1e-3 for _ in range(m)]
-    total = reduce(add, raw, 0.0)
+    total = float_total(raw)
     shares = [x / total for x in raw]
     delays = [rng.randint(0, 10) for _ in range(m)]
     u_max = float(rng.randint(5, 50))

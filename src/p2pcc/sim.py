@@ -15,11 +15,22 @@ sample reads them.
 The periodic sender takes no events either.  Control ticks and metric samples
 form one chained clock: each clock event files its successor, and a tick and
 a sample that fall on one float instant share one event.  A tick files its
-paced sends as one batch, which goes onto the path send by send, on demand,
-before the next clock event or the next TCP send.  A P2P ack waits in its
-receiver's FIFO, and the next clock event applies it.  So a P2P packet takes
-no event and a TCP packet one (its ack; TCP sends happen inside ack and
-timer handlers).
+paced sends as one batch, which goes onto the path on demand, before the next
+clock event or the next TCP send.  A P2P ack waits in its receiver's FIFO,
+and the next clock event applies it.  So a P2P packet takes no event and a
+TCP packet one (its ack; TCP sends happen inside ack and timer handlers).
+
+The paced sends go onto the path in runs, one layer at a time.  A run is the
+sends of one batch strictly before the next clock event (rule 1) or the next
+TCP send (rule 3), the only places where a run is cut.  The whole run passes
+the access link (``DelayLink.transit_many``) and then the bottleneck
+(``Bottleneck.enqueue_many``); each stretch of it to one receiver then passes
+the controller (``Controller.on_send_run``) and, less the packets the
+bottleneck dropped, that receiver's forward and ack links.  Each layer keeps
+its state across the run and sees its packets in send order, so it does the
+float operations that it would do send by send, in the same order.  A run of
+fewer than ``SHORT_RUN`` sends, and every TCP packet, goes through the
+per-packet forms (``transit``, ``enqueue``) one send at a time.
 
 One rule orders what happens at one instant:
 
@@ -48,10 +59,10 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from operator import itemgetter
 
-from .control import Controller, TickSnapshot, dupgap_losses, rtt_reference
+from .control import (Controller, TickSnapshot, dupgap_losses, float_total,
+                      rtt_reference)
 from .metrics import MetricsLog
 from .scenarios import P2P_FLOW_ID, ScenarioConfig, schedule_sum
 from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
@@ -60,6 +71,14 @@ from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
 # TCP retransmission timer bounds (seconds).
 TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
+
+# Fewer paced sends than this go onto the path send by send, not as a run:
+# there the run's lists cost more than the calls they save.  A run of one
+# executes 540 bytecodes and 15 C calls against 401 and 10 send by send; from
+# three sends on, a run executes fewer bytecodes and at most 28 % of the
+# Python calls.  Without this, the benchmark's paper-tcp workload, whose TCP sends
+# cut most runs to one or two sends, lost 3 % of its packets per second.
+SHORT_RUN = 3
 
 
 class EventLoop:
@@ -93,9 +112,15 @@ class DelayLink:
     instant; delivery order is FIFO even across a latency decrease (in-flight
     packets keep their assigned delay).
 
-    The link holds its delay on ``[lo, hi)``, the schedule's step at the last
-    send it read it at, and reads it again only for a send outside it.
-    Before the first send it holds nothing."""
+    ``transit_many(times)`` takes a run of send instants (a cut of the paced
+    sends, rules 1 and 3 of the module) and returns their delivery
+    instants; ``transit(now)`` takes one send, and does what a run of one
+    does.  It keeps its own copy of the run's loop body, because a TCP
+    packet passes each hop alone: delegating to ``transit_many`` cost the
+    benchmark's paper-tcp workload 14 % of its packets per second.  The link
+    holds its delay on ``[lo, hi)``, the schedule's step at the last send it
+    read it at, and reads it again only for a send outside it.  Before the
+    first send it holds nothing."""
 
     def __init__(self, latency):
         self._latency = latency
@@ -113,6 +138,21 @@ class DelayLink:
         self._last_out = out
         return out
 
+    def transit_many(self, times) -> list[float]:
+        lo, hi, delay, last = self._lo, self._hi, self._delay, self._last_out
+        deliveries = []
+        for now in times:
+            if not lo <= now < hi:
+                lo, hi, delay = self._latency.step(now)
+                self._lo, self._hi, self._delay = lo, hi, delay
+            out = now + delay
+            if out < last:
+                out = last
+            last = out
+            deliveries.append(out)
+        self._last_out = last
+        return deliveries
+
 
 # the keys of a bottleneck record (arrival, departure, flow)
 _arrival = itemgetter(0)
@@ -124,14 +164,19 @@ class Bottleneck:
     ``PiecewiseConstant``; every packet is ``packet_bits`` long.  A packet's
     fate is computed when it is sent.
 
-    ``enqueue(pkt, arrival)`` runs at the send instant, with the packet's
-    arrival at the queue.  Earlier packets arrive no later, so it first
-    forgets the queued departures at or before ``arrival`` (rule 2) and
-    decides admission against what is left.  An admitted packet's service
-    starts at the previous departure, or at its arrival if the server is
-    idle, and lasts ``packet_bits / rate(start)``, which the queue holds for
-    the whole rate step and computes again only for a start outside it.
-    ``enqueue`` returns the departure, or ``None`` for a drop.
+    ``enqueue_many(flow_id, arrivals)`` takes a run of one flow's packets,
+    cut as the paced sends are (rules 1 and 3), with their arrivals at the
+    queue in send order, and returns each one's departure, or ``None`` for a
+    drop; a drop leaves a gap in the run that goes on to the receiver's
+    links.  ``enqueue(pkt, arrival)`` takes one packet, and does what a run
+    of one does, with its own copy of the loop body for the same reason as
+    ``DelayLink.transit``.  Earlier packets arrive no later, so for each
+    arrival the queue first forgets the queued departures at or before it
+    (rule 2) and decides admission against what is left.  An admitted
+    packet's service starts at the previous departure, or at its arrival if
+    the server is idle, and lasts ``packet_bits / rate(start)``, which the
+    queue holds for the whole rate step and computes again only for a start
+    outside it.
 
     Each admitted packet has one record, ``(arrival, departure, flow)``, and
     each drop its arrival; both lists are in arrival order, and the records
@@ -181,6 +226,30 @@ class Bottleneck:
         queued.append(departure)
         self._records.append((arrival, departure, pkt.flow_id))
         return departure
+
+    def enqueue_many(self, flow_id: str, arrivals) -> list[float | None]:
+        queued = self._queued
+        capacity = self.capacity
+        lo, hi, service = self._lo, self._hi, self._service
+        add_record = self._records.append
+        departures = []
+        for arrival in arrivals:
+            while queued and queued[0] <= arrival:
+                queued.popleft()
+            if len(queued) >= capacity:
+                self._dropped.append(arrival)
+                departures.append(None)
+                continue
+            start = queued[-1] if queued else arrival
+            if not lo <= start < hi:
+                lo, hi, rate = self.rate.step(start)
+                service = self.packet_bits / rate
+                self._lo, self._hi, self._service = lo, hi, service
+            departure = start + service
+            queued.append(departure)
+            add_record((arrival, departure, flow_id))
+            departures.append(departure)
+        return departures
 
     def advance(self, now: float) -> None:
         """Count the arrivals and departures strictly before ``now``."""
@@ -338,14 +407,15 @@ class _Run:
     sample sees that tick's snapshot.  A tick an ulp away from a sample is an
     event of its own.  The periodic sender stays off the heap:
 
-    - A tick files its quota as one batch of paced sends, ``[tick instant,
-      spacing, assignments, next index]``: send ``i`` goes at ``tick + i *
-      spacing`` to the receiver ``assignments[i]``.  In FIFO order, each
-      send gets ``Controller.on_send`` and is put on the path at each clock
-      event, and in ``send`` before a TCP packet, if it is strictly before
-      that instant (rules 1 and 3).  The path (access link, bottleneck,
-      receiver links) is thus used in time order.  ``_put`` returns each
-      packet's ack instant; the TCP senders file their acks from it.
+    - A tick files its quota as one batch of paced sends, ``[times,
+      assignments, next index]``: send ``i`` goes at ``times[i] = tick + i *
+      spacing`` to the receiver ``assignments[i]``.  At each clock event, and
+      in ``send`` before a TCP packet, the batches' sends strictly before
+      that instant (rules 1 and 3) go onto the path as one run per batch
+      (``_put_paced``), in FIFO order, and the controller tracks them.  Each
+      hop (access link, bottleneck, receiver links) is thus used in time
+      order.  ``_put`` returns a packet's ack instant; the TCP senders file
+      their acks from it.
     - A P2P ack, ``(ack, seq, rid, round trip, queue-free round trip)``,
       goes into its receiver's FIFO as its packet is put on the path.  Each
       clock event, after the paced sends, applies the acks strictly before
@@ -468,37 +538,81 @@ class _Run:
         self.last_snapshot = snapshot
         assignments = self.source.next_packets(snapshot.quota)
         if assignments:
-            self._paced.append([now, self.T / len(assignments), assignments, 0])
+            spacing = self.T / len(assignments)
+            times = [now + i * spacing for i in range(len(assignments))]
+            self._paced.append([times, assignments, 0])
 
     def _send_paced(self, until: float) -> None:
+        """Put on the path the paced sends strictly before ``until``: each
+        batch's as one run, or send by send if they are fewer than
+        ``SHORT_RUN``."""
         paced = self._paced
-        on_send = self.controller.on_send
-        put = self._put
-        base_rtt = self._base_rtt
-        acks = self._acks
-        # on_send counts each P2P send, and seqs run 0, 1, 2, ...
-        seq = self.controller.state.cumulative_sent
         while paced:
             batch = paced[0]
-            tick, spacing, assignments, i = batch
-            n = len(assignments)
-            while i < n:
-                now = tick + i * spacing
-                if now >= until:
-                    batch[3] = i
-                    return
-                rid = assignments[i]
-                i += 1
-                on_send(rid, seq, now)
-                ack = put(rid, P2P_FLOW_ID, seq, now)
-                if ack is not None:
-                    held = base_rtt[rid]
-                    if not held[0] <= now < held[1]:
-                        lo, hi, path = self.path_lat[rid].step(now)
-                        held[:] = lo, hi, 2.0 * path
-                    acks[rid].append((ack, seq, rid, ack - now, held[2]))
-                seq += 1
+            times, assignments, i = batch
+            # send times do not fall along a batch
+            j = bisect_left(times, until, i)
+            if j - i >= SHORT_RUN:
+                self._put_paced(assignments, i, times[i:j])
+            elif j > i:
+                # on_send counts each P2P send, and seqs run 0, 1, 2, ...
+                seq = self.controller.state.cumulative_sent
+                for x in range(i, j):
+                    rid = assignments[x]
+                    now = times[x]
+                    self.controller.on_send(rid, seq, now)
+                    ack = self._put(rid, P2P_FLOW_ID, seq, now)
+                    if ack is not None:
+                        held = self._base_rtt[rid]
+                        if not held[0] <= now < held[1]:
+                            lo, hi, path = self.path_lat[rid].step(now)
+                            held[:] = lo, hi, 2.0 * path
+                        self._acks[rid].append((ack, seq, rid, ack - now, held[2]))
+                    seq += 1
+            if j < len(times):
+                batch[2] = j
+                return
             paced.popleft()
+
+    def _put_paced(self, assignments: list[str], first: int, times: list[float]) -> None:
+        """Put the paced sends ``first``, ``first + 1``, ... of a batch, at
+        ``times``, on the path one layer at a time: the whole run through the
+        access link and the bottleneck, then each stretch of it to one
+        receiver through the controller and, less its drops, through that
+        receiver's forward and ack links.  Each layer takes its packets in
+        send order, so each computes what it would send by send."""
+        # on_send_run counts each P2P send, and seqs run 0, 1, 2, ...
+        seq = self.controller.state.cumulative_sent
+        departures = self.bottleneck.enqueue_many(P2P_FLOW_ID,
+                                                  self.access_link.transit_many(times))
+        end = len(times)
+        k = 0
+        while k < end:
+            rid = assignments[first + k]
+            e = k + 1
+            while e < end and assignments[first + e] == rid:
+                e += 1
+            sent = times[k:e]
+            self.controller.on_send_run(rid, seq + k, sent)
+            seqs = range(seq + k, seq + e)
+            delivered = departures[k:e]
+            if None in delivered:
+                kept = [x for x, departure in enumerate(delivered) if departure is not None]
+                seqs = [seqs[x] for x in kept]
+                sent = [sent[x] for x in kept]
+                delivered = [delivered[x] for x in kept]
+            acked = self.ack_links[rid].transit_many(
+                self.forward_links[rid].transit_many(delivered))
+            held = self._base_rtt[rid]
+            lo, hi, base_rtt = held
+            add_ack = self._acks[rid].append
+            for ack, ack_seq, now in zip(acked, seqs, sent):
+                if not lo <= now < hi:
+                    lo, hi, path = self.path_lat[rid].step(now)
+                    base_rtt = 2.0 * path
+                add_ack((ack, ack_seq, rid, ack - now, base_rtt))
+            held[:] = lo, hi, base_rtt
+            k = e
 
     def _apply_acks(self, until: float) -> None:
         due = []
@@ -549,21 +663,19 @@ class _Run:
         s_kbit = bottleneck.packet_bits / 1000.0
         state = self.controller.state
 
-        # the means add left to right: sum() compensates rounding from Python
-        # 3.12 on
         rtts = self._rtts
         if rtts:
-            self._rtt_avg_ms = 1000.0 * reduce(add, rtts, 0.0) / len(rtts)
-            self._path_rtt_ms = 1000.0 * reduce(add, self._base_rtts, 0.0) / len(rtts)
+            self._rtt_avg_ms = 1000.0 * float_total(rtts) / len(rtts)
+            self._path_rtt_ms = 1000.0 * float_total(self._base_rtts) / len(rtts)
             rtts.clear()
             self._base_rtts.clear()
         refs = list(rtt_reference(state.receivers, state.d_ref).values())
         if refs:
-            self._rtt_ref_ms = 1000.0 * reduce(add, refs, 0.0) / len(refs)
+            self._rtt_ref_ms = 1000.0 * float_total(refs) / len(refs)
         drtt_ms = self._drtt_ms
         for i, samples in enumerate(self._drtts.values()):
             if samples:
-                drtt_ms[i] = 1000.0 * reduce(add, samples, 0.0) / len(samples)
+                drtt_ms[i] = 1000.0 * float_total(samples) / len(samples)
                 samples.clear()
 
         row = [now, snap.window * s_kbit, snap.quota * s_kbit,

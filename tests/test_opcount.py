@@ -4,7 +4,7 @@ short runs of this checkout."""
 import importlib.util
 from pathlib import Path
 
-from p2pcc.sim import Bottleneck
+from p2pcc.control import Controller
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 spec = importlib.util.spec_from_file_location("opcount", TOOL)
@@ -26,15 +26,17 @@ def test_two_runs_of_one_tree_give_equal_counts():
 
 
 def test_one_more_call_per_packet_raises_the_count_by_the_packets(monkeypatch):
+    # the controller takes each ack by itself, so wrapping on_ack adds one
+    # Python call per acked packet
     before = opcount.count("highrate", SECONDS).summary()
-    enqueue = Bottleneck.enqueue
+    on_ack = Controller.on_ack
     packets = [0]
 
-    def wrapped_enqueue(bottleneck, pkt, arrival):
+    def wrapped_on_ack(controller, receiver_id, seq, ack_time):
         packets[0] += 1
-        return enqueue(bottleneck, pkt, arrival)
+        return on_ack(controller, receiver_id, seq, ack_time)
 
-    monkeypatch.setattr(Bottleneck, "enqueue", wrapped_enqueue)
+    monkeypatch.setattr(Controller, "on_ack", wrapped_on_ack)
     after = opcount.count("highrate", SECONDS).summary()
     assert packets[0] > 100
     assert after["bytecodes"] - before["bytecodes"] >= packets[0]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2pcc.control import DUPACK_LOSS_THRESHOLD, ControllerParams, dupgap_losses
+from p2pcc.control import (DUPACK_LOSS_THRESHOLD, Controller, ControllerParams,
+                           dupgap_losses)
 from p2pcc.fluid import fluid_queue_trace
 from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              PiecewiseConstant, ReceiverConfig, ScenarioConfig,
@@ -339,6 +340,101 @@ def test_bottleneck_service_follows_the_rate_across_steps(data, rate):
         start = max(arrival, previous)
         previous = bn.enqueue(packet(seq), arrival)
         assert previous == start + PACKET_BITS / value_at(rate, start)
+
+
+# -- runs against sends one by one ------------------------------------------
+
+@st.composite
+def cut_into_runs(draw, items):
+    """``items`` in order, cut into consecutive runs of 1 or more."""
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(items) - 1, 1)), max_size=6)))
+    bounds = [0] + [c for c in cuts if c < len(items)] + [len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(latencies))
+def test_link_run_equals_transits_one_by_one(data, latency):
+    # the same deliveries and the same held step and last delivery, for send
+    # times in any order that cross the schedule's steps and tie at them
+    runs = data.draw(cut_into_runs(data.draw(query_times(latency))))
+    by_run, by_send = DelayLink(latency), DelayLink(latency)
+    for times in runs:
+        assert by_run.transit_many(times) == [by_send.transit(now) for now in times]
+        assert vars(by_run) == vars(by_send)
+
+
+# arrivals on a 1/8-s grid against services of 1/4, 1 or 3 s, so that a
+# run of arrivals overfills a buffer of up to 40 packets, drops fall inside
+# runs and arrivals tie with departures
+rates = st.sampled_from([4 * PACKET_BITS, PACKET_BITS, PACKET_BITS / 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(rates), st.integers(1, 40))
+def test_bottleneck_run_equals_enqueues_one_by_one(data, rate, capacity):
+    # the same departures and drops and the same state: held step, queued
+    # departures, records and dropped arrivals, and the counters after a
+    # sample
+    arrivals = sorted(data.draw(query_times(rate))
+                      + data.draw(st.lists(st.integers(0, 48).map(lambda k: k / 8.0),
+                                           max_size=60)))
+    runs = data.draw(cut_into_runs(arrivals))
+    by_run, by_send = Bottleneck(rate, capacity, PACKET_BITS), Bottleneck(rate, capacity, PACKET_BITS)
+    seqs = itertools.count()
+    for run_arrivals in runs:
+        flow_id = data.draw(st.sampled_from(["p2p", "tcp1"]))
+        assert by_run.enqueue_many(flow_id, run_arrivals) == [
+            by_send.enqueue(SimPacket(next(seqs), flow_id), arrival) for arrival in run_arrivals]
+        assert vars(by_run) == vars(by_send)
+    now = data.draw(st.sampled_from([2.5, 6.0, math.inf]))
+    by_run.advance(now)
+    by_send.advance(now)
+    assert vars(by_run) == vars(by_send)
+
+
+def test_bottleneck_drops_inside_a_run_and_admits_after():
+    bn = Bottleneck(fixed(PACKET_BITS), 2, PACKET_BITS)
+    assert bn.enqueue_many("p2p", [0.0, 0.0, 0.0, 1.0]) == [1.0, 2.0, None, 3.0]
+
+
+send_runs = st.lists(st.tuples(st.sampled_from(["r1", "r2"]), st.integers(-1, 3),
+                               st.lists(st.integers(-2, 6).map(lambda k: k / 4.0),
+                                        min_size=1, max_size=8)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(send_runs)
+def test_controller_run_equals_sends_one_by_one(runs):
+    # each run is (receiver, seq step from the last seq sent, times); times
+    # may fall and a step may not rise, and then both forms raise the same
+    # ValueError after tracking the same packets
+    params = ControllerParams()
+    by_run, by_send = Controller(params, ["r1", "r2"]), Controller(params, ["r1", "r2"])
+    next_seq = 0
+    for rid, step, times in runs:
+        first = next_seq + step
+        errors = []
+        try:
+            by_run.on_send_run(rid, first, times)
+        except ValueError as exc:
+            errors.append(str(exc))
+        try:
+            for i, now in enumerate(times):
+                by_send.on_send(rid, first + i, now)
+        except ValueError as exc:
+            errors.append(str(exc))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        assert by_run.state == by_send.state
+        next_seq = max(next_seq, first + len(times))
+
+
+def test_controller_run_tracks_the_sends_before_a_falling_time():
+    controller = Controller(ControllerParams(), ["r1"])
+    with pytest.raises(ValueError, match="seq 7 sent at 0.5 after seq 6 sent at 1.0"):
+        controller.on_send_run("r1", 5, [0.0, 1.0, 0.5, 2.0])
+    assert list(controller.state.outstanding["r1"].items()) == [(5, 0.0), (6, 1.0)]
+    assert controller.state.cumulative_sent == 2
 
 
 # -- TCP sender -------------------------------------------------------------
@@ -797,19 +893,40 @@ def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
 
 
 
+def record_offers(monkeypatch, record):
+    """Call ``record(flow_id, seq, arrival, departure)`` for each packet
+    offered to a bottleneck, whether one by one (``enqueue``) or in a run
+    (``enqueue_many``), after the bottleneck has decided its fate.  A run
+    carries no seqs, so ``seq`` is None for its packets."""
+    enqueue = Bottleneck.enqueue
+    enqueue_many = Bottleneck.enqueue_many
+
+    def recording_enqueue(bottleneck, pkt, arrival):
+        departure = enqueue(bottleneck, pkt, arrival)
+        record(pkt.flow_id, pkt.seq, arrival, departure)
+        return departure
+
+    def recording_enqueue_many(bottleneck, flow_id, arrivals):
+        departures = enqueue_many(bottleneck, flow_id, arrivals)
+        for arrival, departure in zip(arrivals, departures):
+            record(flow_id, None, arrival, departure)
+        return departures
+
+    monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
+    monkeypatch.setattr(Bottleneck, "enqueue_many", recording_enqueue_many)
+
+
 def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
     # at every metric sample, each packet that reached the queue before it
     # has been served, is queued or was dropped; every admitted one is served
     # once the queue has drained
-    enqueue = Bottleneck.enqueue
     advance = Bottleneck.advance
-    arrivals, admitted, advances = [], [0], [0]
+    arrivals, admitted, runs, advances = [], [0], [0], [0]
 
-    def recording_enqueue(bottleneck, pkt, arrival):
+    def record(flow_id, seq, arrival, departure):
         arrivals.append(arrival)
-        departure = enqueue(bottleneck, pkt, arrival)
         admitted[0] += departure is not None
-        return departure
+        runs[0] += seq is None
 
     def checked_advance(bottleneck, now):
         advance(bottleneck, now)
@@ -817,7 +934,7 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
         before = sum(arrival < now for arrival in arrivals)
         assert served(bottleneck) + bottleneck.occupancy + bottleneck.drops == before
 
-    monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
+    record_offers(monkeypatch, record)
     monkeypatch.setattr(Bottleneck, "advance", checked_advance)
     cfg = small_single_receiver(duration=3.0)
     cfg.bottleneck.buffer_capacity = 8
@@ -825,6 +942,7 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
     run_ = _Run(cfg)
     run_.execute()
     assert advances[0] == len(run_.log.rows)
+    assert 0 < runs[0] < len(arrivals)      # both seams carried packets
     bn = run_.bottleneck
     bn.advance(math.inf)
     assert bn.drops > 0
@@ -837,15 +955,12 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
 def test_bottleneck_holds_only_what_a_sample_still_needs(monkeypatch):
     # after every metric sample, the bottleneck holds a record only for a
     # packet still queued or not yet arrived, and no drop the sample counted
-    enqueue = Bottleneck.enqueue
     advance = Bottleneck.advance
     admitted_arrivals, advances = [], [0]
 
-    def recording_enqueue(bottleneck, pkt, arrival):
-        departure = enqueue(bottleneck, pkt, arrival)
+    def record(flow_id, seq, arrival, departure):
         if departure is not None:
             admitted_arrivals.append(arrival)
-        return departure
 
     def checked_advance(bottleneck, now):
         advance(bottleneck, now)
@@ -855,7 +970,7 @@ def test_bottleneck_holds_only_what_a_sample_still_needs(monkeypatch):
         assert len(bottleneck._records) <= bottleneck.occupancy + later
         assert all(arrival >= now for arrival in bottleneck._dropped)
 
-    monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
+    record_offers(monkeypatch, record)
     monkeypatch.setattr(Bottleneck, "advance", checked_advance)
     run_ = _Run(BUILTIN_SCENARIOS["exp3-bic-tcpfirst"]())
     run_.execute()
@@ -883,19 +998,16 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
         senders.append(sender)
 
     monkeypatch.setattr(TcpSender, "__init__", recording_init)
-    run_ = _Run(BUILTIN_SCENARIOS[name]())
     p2p_drops, admitted = [0], [0]
-    enqueue = run_.bottleneck.enqueue
 
-    def counting_enqueue(pkt, arrival):
-        departure = enqueue(pkt, arrival)
+    def record(flow_id, seq, arrival, departure):
         if departure is not None:
             admitted[0] += 1
-        elif pkt.flow_id == P2P_FLOW_ID:
+        elif flow_id == P2P_FLOW_ID:
             p2p_drops[0] += 1
-        return departure
 
-    run_.bottleneck.enqueue = counting_enqueue
+    record_offers(monkeypatch, record)
+    run_ = _Run(BUILTIN_SCENARIOS[name]())
     run_.execute()
     state = run_.controller.state
     assert state.cumulative_sent == (state.cumulative_acked + state.cumulative_lost
@@ -1035,18 +1147,19 @@ def test_on_demand_sender_matches_event_oracle(cfg):
     assert end_state(new, spurious[0]) == end_state(old, spurious[1])
 
 
-def test_tcp_send_goes_before_a_paced_send_at_its_instant():
+def test_tcp_send_goes_before_a_paced_send_at_its_instant(monkeypatch):
     # a paced send goes onto the path before a TCP send only if it is
     # strictly earlier
     cfg = small_single_receiver(duration=0.2)
     cfg.controller = ControllerParams(period_T=0.1)
+    order = []
+    # a run carries no seqs; P2P packets reach the bottleneck in seq order
+    record_offers(monkeypatch, lambda flow_id, seq, arrival, departure: order.append(
+        (flow_id, sum(f == P2P_FLOW_ID for f, _ in order) if seq is None else seq)))
     orders = []
     for model in (_Run, EventPacedRun):
         run_ = model(cfg)
-        order = []
-        enqueue = run_.bottleneck.enqueue
-        run_.bottleneck.enqueue = lambda pkt, arrival: (
-            order.append((pkt.flow_id, pkt.seq)), enqueue(pkt, arrival))[1]
+        order.clear()
 
         def send(run_, now):
             run_.send("r1", "tcp1", 0, now)
@@ -1054,7 +1167,7 @@ def test_tcp_send_goes_before_a_paced_send_at_its_instant():
         # the tick's quota is 2: paced sends at 0 and 0.05
         run_.loop.schedule(0.05, send, run_)
         run_.execute()
-        orders.append(order)
+        orders.append(list(order))
     assert orders[0] == orders[1]
     assert orders[0][:3] == [("p2p", 0), ("tcp1", 0), ("p2p", 1)]
 

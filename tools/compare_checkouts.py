@@ -1,7 +1,7 @@
 """Compare the outputs of two checkouts of p2pcc, case by case.
 
     python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N] [--random M]
-                                       [--clock C] [--lemma K]
+                                       [--clock C] [--long L] [--lemma K]
 
 Each checkout's ``src`` runs in its own child process, and both children run
 at once.  For every case a child prints the SHA-256 digest of what it
@@ -24,6 +24,11 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   samples, at ``j T``, or on them, or an ulp away from them, so they check
   that a tick and a sample share a clock event only where they are one
   float;
+- L (default 500) random long-run scenarios, drawn by ``long_run(i)``: 3-s
+  runs at 20-64 Mbps with a stepped rate, a buffer of 2-40 packets,
+  resampled latencies and 1-4 receivers, and no TCP flow.  Their paced
+  runs hold up to hundreds of packets, and cross the hops' held steps and
+  the bottleneck's drops, which the tie-heavy cases rarely do;
 - the queue model: both lemma suites of ``p2pcc verify`` at seeds 1..K
   (default 20), 100 trials each, and 50 K random direct calls of
   ``fluid_queue_trace``, drawn by ``fluid_call(i)``.  A suite's digest
@@ -33,7 +38,7 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   report fields.
 
 It prints the count of differing cases, then that count per family
-(built-in, tie-heavy, clock-offset, lemma, fluid), and, for each differing
+(built-in, tie-heavy, clock-offset, long-run, lemma, fluid), and, for each differing
 case, its index and what it is, and exits with status 1 if any case differs, or 2, naming the checkout,
 if a child fails.  Runtime on a 2-vCPU host is
 a few minutes at the defaults, so the test suite runs it only on a few cases.
@@ -57,7 +62,7 @@ BUILTINS = ["exp1", "exp2-static", "exp2-dynamic", "exp3-reno-p2pfirst",
 PACKET_BITS = 12000.0
 LEMMA_TRIALS = 100          # trials per lemma-suite case
 LEMMA_CALLS = 50            # random direct calls per lemma seed
-FAMILIES = ("built-in", "tie-heavy", "clock-offset", "lemma", "fluid")
+FAMILIES = ("built-in", "tie-heavy", "clock-offset", "long-run", "lemma", "fluid")
 
 
 def tie_heavy(index: int) -> dict:
@@ -130,6 +135,36 @@ def clock_offset(index: int) -> dict:
     }
 
 
+def long_run(index: int) -> dict:
+    """Random scenario ``index`` of the long-run family, in
+    ``ScenarioConfig.to_dict`` form.
+
+    A bottleneck of 20-64 Mbps, redrawn every 0.3-1 s, behind a buffer of
+    2-40 packets, and no TCP flow, so that each clock event puts a paced run
+    of up to hundreds of packets on the path; the runs cross the rate's
+    steps and fill the buffer.  The sender and 1-4 receivers have latencies
+    of 1-25 ms, redrawn every 0.1-0.5 s.  3-s runs with a control period of
+    50 ms (even indices) or 100 ms (odd ones).
+    """
+    rng = random.Random(f"long-run:{index}")
+
+    def latency() -> dict:
+        low = rng.randint(1, 20) / 1000.0
+        return {"kind": "uniform_resample", "low": low, "high": low + rng.randint(0, 5) / 1000.0,
+                "interval": rng.randint(1, 5) / 10.0}
+
+    return {
+        "name": f"long-run-{index}", "duration": 3.0, "seed": index + 1,
+        "controller": {"period_T": 0.1 if index % 2 else 0.05},
+        "sender_latency": latency(),
+        "receivers": [{"receiver_id": f"r{i + 1}", "latency": latency()}
+                      for i in range(rng.randint(1, 4))],
+        "bottleneck": {"rate": {"kind": "uniform_resample", "low": 20e6, "high": 64e6,
+                                "interval": rng.randint(3, 10) / 10.0},
+                       "buffer_capacity": rng.randint(2, 40)},
+    }
+
+
 def fluid_call(index: int) -> list:
     """Arguments of random direct call ``index`` of ``fluid_queue_trace``:
     1-5 receivers with delays of 0-12 periods, 0-200 periods of service
@@ -145,7 +180,7 @@ def fluid_call(index: int) -> list:
     return [rng.uniform(0.05, 1.0), rng.uniform(1.0, 500.0), shares, delays, schedule]
 
 
-def cases(seeds: int, n_random: int, n_clock: int, n_lemma: int) -> list[dict]:
+def cases(seeds: int, n_random: int, n_clock: int, n_long: int, n_lemma: int) -> list[dict]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -159,6 +194,8 @@ def cases(seeds: int, n_random: int, n_clock: int, n_lemma: int) -> list[dict]:
             for i in range(n_random)]
     out += [{"family": "clock-offset", "label": f"clock-offset {i}", "config": clock_offset(i)}
             for i in range(n_clock)]
+    out += [{"family": "long-run", "label": f"long-run {i}", "config": long_run(i)}
+            for i in range(n_long)]
     out += [{"family": "lemma", "label": f"lemma{lemma} seed {seed}", "lemma": lemma,
              "seed": seed} for lemma in (1, 2) for seed in range(1, n_lemma + 1)]
     out += [{"family": "fluid", "label": f"fluid call {i}", "fluid": fluid_call(i)}
@@ -237,6 +274,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=12, help="seeds 1..N of each built-in")
     parser.add_argument("--random", type=int, default=1500, help="random tie-heavy scenarios")
     parser.add_argument("--clock", type=int, default=200, help="random clock-offset scenarios")
+    parser.add_argument("--long", type=int, default=500, help="random long-run scenarios")
     parser.add_argument("--lemma", type=int, default=20,
                         help=f"seeds 1..K of each lemma suite, and {LEMMA_CALLS} K "
                              "random fluid_queue_trace calls")
@@ -246,7 +284,7 @@ def main() -> int:
         if not (checkout / "src" / "p2pcc" / "sim.py").is_file():
             parser.error(f"{checkout}: no src/p2pcc/sim.py")
 
-    todo = cases(args.seeds, args.random, args.clock, args.lemma)
+    todo = cases(args.seeds, args.random, args.clock, args.long, args.lemma)
     payload = json.dumps(todo)
     procs = [digests(checkout, payload) for checkout in checkouts]
     # read and wait on both children, so that neither outlives this process
@@ -262,7 +300,7 @@ def main() -> int:
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"cases: {len(todo)} ({args.seeds * (len(BUILTINS) + 1)} built-in and highrate "
           f"runs at seeds 1-{args.seeds}, {args.random} random tie-heavy, "
-          f"{args.clock} random clock-offset, "
+          f"{args.clock} random clock-offset, {args.long} random long-run, "
           f"{2 * args.lemma} lemma suites at seeds 1-{args.lemma}, "
           f"{LEMMA_CALLS * args.lemma} random fluid calls)")
     print(f"differing: {len(differing)}")
