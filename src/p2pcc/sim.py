@@ -29,8 +29,9 @@ the controller (``Controller.on_send_run``) and, less the packets the
 bottleneck dropped, that receiver's forward and ack links.  Each layer keeps
 its state across the run and sees its packets in send order, so it does the
 float operations that it would do send by send, in the same order.  A run of
-fewer than ``SHORT_RUN`` sends, and every TCP packet, goes through the
-per-packet forms (``transit``, ``enqueue``) one send at a time.
+fewer than ``SHORT_RUN`` sends goes through the per-packet forms
+(``Controller.on_send``, ``transit``, ``enqueue``) one send at a time, and
+so does every TCP packet.
 
 One rule orders what happens at one instant:
 
@@ -73,12 +74,12 @@ TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
 
 # Fewer paced sends than this go onto the path send by send, not as a run:
-# there the run's lists cost more than the calls they save.  A run of one
-# executes 540 bytecodes and 15 C calls against 401 and 10 send by send; from
-# three sends on, a run executes fewer bytecodes and at most 28 % of the
-# Python calls.  Without this, the benchmark's paper-tcp workload, whose TCP sends
-# cut most runs to one or two sends, lost 3 % of its packets per second.
-SHORT_RUN = 3
+# there the run's lists cost more than the calls they save.  Per send, a run
+# of 3 took 1.10 times the host time of the same sends one by one, a run of 4
+# 0.99 and a run of 5 0.93.  With every run taken as a run, the benchmark's
+# paper-tcp workload, whose TCP sends cut most runs to one or two sends, lost
+# 3 % of its packets per second.
+SHORT_RUN = 5
 
 
 class EventLoop:
