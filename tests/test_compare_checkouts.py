@@ -1,9 +1,14 @@
 """The checkout comparison script ``tools/compare_checkouts.py``, run on a
-few cases of each family with this checkout on both sides."""
+few cases of each family with this checkout on both sides, and what its
+long-run family's cases put on the path."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from p2pcc.scenarios import ScenarioConfig
+from p2pcc.sim import Bottleneck, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,11 +28,6 @@ def test_this_checkout_matches_itself():
 def test_long_run_cases_put_long_runs_with_drops_inside_on_the_path(monkeypatch):
     # the long-run family exists for what the other families rarely reach:
     # paced runs of hundreds of packets that the bottleneck drops inside of
-    import importlib.util
-
-    from p2pcc.scenarios import ScenarioConfig
-    from p2pcc.sim import Bottleneck, run
-
     spec = importlib.util.spec_from_file_location("compare_checkouts",
                                                   ROOT / "tools" / "compare_checkouts.py")
     tool = importlib.util.module_from_spec(spec)
