@@ -262,19 +262,8 @@ class Controller:
         self.state = new_state(receiver_ids)
 
     def on_send(self, receiver_id: str, seq: int, now: float) -> None:
-        """Track a sent packet, as ``on_send_run`` does a run of one.  It
-        keeps its own body: the simulator sends a short run of paced sends
-        one by one through it, and as a run of one a send took 14-18 % more
-        host time."""
-        state = self.state
-        recv = state.receivers[receiver_id]
-        last_seq, last_time = recv.last_sent
-        if seq <= last_seq or now < last_time:
-            raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {now} "
-                             f"after seq {last_seq} sent at {last_time}")
-        recv.last_sent = (seq, now)
-        state.outstanding[receiver_id][seq] = now
-        state.cumulative_sent += 1
+        """Track one sent packet: a run of one (see ``on_send_run``)."""
+        self.on_send_run(receiver_id, seq, (now,))
 
     def on_send_run(self, receiver_id: str, first_seq: int, times) -> None:
         """Track a run of packets sent to one receiver, with seqs

@@ -463,7 +463,7 @@ class _Run:
         # the metric samples before the first control tick read zeros
         self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
         # batches of paced sends not yet all on the path:
-        # [tick instant, spacing, assignments, next index]
+        # [send times, assignments, next index]
         self._paced: deque[list] = deque()
         # per receiver, P2P acks not yet applied:
         # (ack, seq, rid, round trip, queue-free round trip at send)
