@@ -85,9 +85,9 @@ class ReceiverStats:
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
     acks: int = 0                   # acks received; numbers latency_peaks
     # (ack number, ack time, latency) of the latest ACK_HISTORY_LEN acks that
-    # no later ack reaches in latency: the front is their peak
+    # no later ack reaches in latency: the front is their peak, the back the
+    # last ack
     latency_peaks: deque = field(default_factory=deque)
-    last_ack_latency: float | None = None
     last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
 
 
@@ -318,7 +318,6 @@ class Controller:
         peaks.append((recv.acks, ack_time, latency))
         if peaks[0][0] <= recv.acks - ACK_HISTORY_LEN:
             peaks.popleft()
-        recv.last_ack_latency = latency
         state.cumulative_acked += 1
 
         # the walk bumps something only if the oldest outstanding seq is lower
@@ -339,15 +338,14 @@ class Controller:
         state.acks_after[receiver_id].pop(seq, None)
         recv = state.receivers[receiver_id]
         state.cumulative_lost += 1
-        # time never goes back, so a peak that left the window is gone for good
+        # time never goes back, so a peak that left the window is gone for
+        # good; the last ack stays, the fallback for a window with no ack
         peaks = recv.latency_peaks
         horizon = now - 2.0 * self.params.bw_window_tc
-        while peaks and peaks[0][1] < horizon:
+        while len(peaks) > 1 and peaks[0][1] < horizon:
             peaks.popleft()
         if peaks:
             recv.d_max = peaks[0][2]
-        elif recv.last_ack_latency is not None:
-            recv.d_max = recv.last_ack_latency
 
     def _expire_timeouts(self, now: float, qmax: float) -> int:
         state = self.state
@@ -358,7 +356,8 @@ class Controller:
             # the observed latency guards against spurious timeouts while the
             # actual queue delay exceeds the calibrated maximum (e.g. right
             # after a capacity drop)
-            observed = recv.last_ack_latency or 0.0
+            peaks = recv.latency_peaks
+            observed = peaks[-1][2] if peaks else 0.0
             deadline = TIMEOUT_FACTOR * max(base + qmax, observed)
             # send times never fall along the send order, so the expired are
             # a prefix of it

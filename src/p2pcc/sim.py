@@ -15,23 +15,23 @@ sample reads them.
 The periodic sender takes no events either.  Control ticks and metric samples
 form one chained clock: each clock event files its successor, and a tick and
 a sample that fall on one float instant share one event.  A tick files its
-paced sends as one batch, which goes onto the path on demand, before the next
-clock event or the next TCP send.  A P2P ack waits in its receiver's FIFO,
-and the next clock event applies it.  So a P2P packet takes no event and a
-TCP packet one (its ack; TCP sends happen inside ack and timer handlers).
+paced sends, which go onto the path on demand, before the next clock event or
+the next TCP send.  A P2P ack waits in its receiver's FIFO, and the next clock
+event applies it.  So a P2P packet takes no event and a TCP packet one (its
+ack; TCP sends happen inside ack and timer handlers).
 
-The paced sends go onto the path in runs, one layer at a time.  A run is the
-sends of one batch strictly before the next clock event (rule 1) or the next
-TCP send (rule 3), the only places where a run is cut.  The whole run passes
-the access link (``DelayLink.transit_many``) and then the bottleneck
-(``Bottleneck.enqueue_many``); each stretch of it to one receiver then passes
-the controller (``Controller.on_send_run``) and, less the packets the
-bottleneck dropped, that receiver's forward and ack links.  Each layer keeps
-its state across the run and sees its packets in send order, so it does the
-float operations that it would do send by send, in the same order.  A run of
-fewer than ``SHORT_RUN`` sends goes through the per-packet forms
-(``Controller.on_send``, ``transit``, ``enqueue``) one send at a time, and
-so does every TCP packet.
+The paced sends go onto the path in runs, one layer at a time.  The block
+source hands out a tick's quota as stretches of sends to one receiver; a run
+is the sends of one stretch strictly before the next clock event (rule 1) or
+the next TCP send (rule 3), the only other places where a run is cut.  The
+whole run passes the controller (``Controller.on_send_run``), the access
+link (``DelayLink.transit_many``), the bottleneck (``Bottleneck.enqueue_many``)
+and, less the packets the bottleneck dropped, the receiver's forward and ack
+links.  Each layer keeps its state across the run and sees its packets in
+send order, so it does the float operations that it would do send by send,
+in the same order.  A run of fewer than ``SHORT_RUN`` sends goes through the
+per-packet forms (``Controller.on_send``, ``transit``, ``enqueue``) one send
+at a time, and so does every TCP packet.
 
 One rule orders what happens at one instant:
 
@@ -47,9 +47,9 @@ One rule orders what happens at one instant:
 Each hop reads one schedule and holds its delay for a whole step of it: a
 ``DelayLink`` its latency, the bottleneck its service time, a receiver's ack
 record its queue-free round trip (twice the path latency, sender plus
-receiver, which the ack link reads too).  A hop reads its schedule again
-(``step``) only when its time leaves the step ``[lo, hi)`` it holds, so a
-packet reads no schedule unless it is the first of a hop's step.
+receiver, at the send; the ack link reads it too).  A hop reads its schedule
+again (``step``) only when its time leaves the step ``[lo, hi)`` it holds, so
+a packet reads no schedule unless it is the first of a hop's step.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from .control import (Controller, TickSnapshot, dupgap_losses, float_total,
@@ -73,12 +74,13 @@ from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
 TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
 
-# Fewer paced sends than this go onto the path send by send, not as a run:
-# there the run's lists cost more than the calls they save.  Per send, a run
-# of 3 took 1.10 times the host time of the same sends one by one, a run of 4
-# 0.99 and a run of 5 0.93.  With every run taken as a run, the benchmark's
+# A cut of a stretch with fewer paced sends than this goes onto the path send
+# by send: there a run's lists cost more than the calls they save.  Per send,
+# a run of 3 took 1.10 times the host time of the same sends one by one, 4
+# 0.99 and 5 0.93, timed when runs were cut from a tick's sends, not a
+# stretch's.  With every cut taken as a run of its stretch, the benchmark's
 # paper-tcp workload, whose TCP sends cut most runs to one or two sends, lost
-# 3 % of its packets per second.
+# 3.9 % of its packets per second.
 SHORT_RUN = 5
 
 
@@ -408,24 +410,24 @@ class _Run:
     sample sees that tick's snapshot.  A tick an ulp away from a sample is an
     event of its own.  The periodic sender stays off the heap:
 
-    - A tick files its quota as one batch of paced sends, ``[times,
-      assignments, next index]``: send ``i`` goes at ``times[i] = tick + i *
-      spacing`` to the receiver ``assignments[i]``.  At each clock event, and
-      in ``send`` before a TCP packet, the batches' sends strictly before
-      that instant (rules 1 and 3) go onto the path as one run per batch
-      (``_put_paced``), in FIFO order, and the controller tracks them.  Each
-      hop (access link, bottleneck, receiver links) is thus used in time
-      order.  ``_put`` returns a packet's ack instant; the TCP senders file
-      their acks from it.
-    - A P2P ack, ``(ack, seq, rid, round trip, queue-free round trip)``,
-      goes into its receiver's FIFO as its packet is put on the path.  Each
-      clock event, after the paced sends, applies the acks strictly before
-      its instant, merged by ``(ack, seq)``.  Each receiver's links are
-      FIFO, so its ack instants never fall.  Applying an ack late is exact:
-      it changes only controller state and the period's round-trip lists,
-      which only clock events read; a packet sent after the acked one has a
-      higher seq, so the dup-gap walk stops before it; and timeouts run only
-      at ticks.
+    - A tick files its quota as the block source's stretches, one entry
+      ``[receiver, send times, next index]`` each: the tick's send ``i``
+      goes at ``tick + i * spacing``.  At each clock event, and in ``send``
+      before a TCP packet, the entries' sends strictly before that instant
+      (rules 1 and 3) go onto the path as one run per entry (``_put_paced``),
+      in FIFO order, and the controller tracks them.  Each hop (access link,
+      bottleneck, receiver links) is thus used in time order.  ``_put``
+      returns a packet's ack instant; the TCP senders file their acks from
+      it.
+    - A P2P ack, ``(ack, seq, send time)``, goes into its receiver's FIFO
+      as its packet is put on the path.  Each clock event, after the paced
+      sends, applies the acks strictly before its instant, merged by
+      ``(ack, seq)``, and gives each its queue-free round trip at its send
+      time.  Each receiver's links are FIFO, so its ack instants never
+      fall.  Applying an ack late is exact: it changes only controller state
+      and the period's round-trip lists, which only clock events read; a
+      packet sent after the acked one has a higher seq, so the dup-gap walk
+      stops before it; and timeouts run only at ticks.
     - ``execute`` ends by putting on the path the paced sends at or before the
       duration and applying the acks at or before it.
     """
@@ -462,11 +464,10 @@ class _Run:
                                   cfg.source.backlog_blocks)
         # the metric samples before the first control tick read zeros
         self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
-        # batches of paced sends not yet all on the path:
-        # [send times, assignments, next index]
+        # stretches of paced sends not yet all on the path:
+        # [receiver, send times, next index]
         self._paced: deque[list] = deque()
-        # per receiver, P2P acks not yet applied:
-        # (ack, seq, rid, round trip, queue-free round trip at send)
+        # per receiver, P2P acks not yet applied: (ack, seq, send time)
         self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
 
         # a sender schedules its own start and files its own acks, so the run
@@ -537,89 +538,76 @@ class _Run:
     def _p2p_tick(self, now: float) -> None:
         snapshot = self.controller.control_tick(now)
         self.last_snapshot = snapshot
-        assignments = self.source.next_packets(snapshot.quota)
-        if assignments:
-            spacing = self.T / len(assignments)
-            times = [now + i * spacing for i in range(len(assignments))]
-            self._paced.append([times, assignments, 0])
+        stretches = self.source.next_packets(snapshot.quota)
+        if stretches:
+            spacing = self.T / sum(n for _, n in stretches)
+            i = 0
+            for rid, n in stretches:
+                self._paced.append([rid, [now + x * spacing for x in range(i, i + n)], 0])
+                i += n
 
     def _send_paced(self, until: float) -> None:
         """Put on the path the paced sends strictly before ``until``: each
-        batch's as one run, or send by send if they are fewer than
+        stretch's as one run, or send by send if they are fewer than
         ``SHORT_RUN``."""
         paced = self._paced
         while paced:
-            batch = paced[0]
-            times, assignments, i = batch
-            # send times do not fall along a batch
+            stretch = paced[0]
+            rid, times, i = stretch
+            # send times do not fall along a stretch
             j = bisect_left(times, until, i)
             if j - i >= SHORT_RUN:
-                self._put_paced(assignments, i, times[i:j])
+                self._put_paced(rid, times[i:j])
             elif j > i:
                 # on_send counts each P2P send, and seqs run 0, 1, 2, ...
                 seq = self.controller.state.cumulative_sent
-                for x in range(i, j):
-                    rid = assignments[x]
-                    now = times[x]
+                add_ack = self._acks[rid].append
+                for now in times[i:j]:
                     self.controller.on_send(rid, seq, now)
                     ack = self._put(rid, P2P_FLOW_ID, seq, now)
                     if ack is not None:
-                        held = self._base_rtt[rid]
-                        if not held[0] <= now < held[1]:
-                            lo, hi, path = self.path_lat[rid].step(now)
-                            held[:] = lo, hi, 2.0 * path
-                        self._acks[rid].append((ack, seq, rid, ack - now, held[2]))
+                        add_ack((ack, seq, now))
                     seq += 1
             if j < len(times):
-                batch[2] = j
+                stretch[2] = j
                 return
             paced.popleft()
 
-    def _put_paced(self, assignments: list[str], first: int, times: list[float]) -> None:
-        """Put the paced sends ``first``, ``first + 1``, ... of a batch, at
-        ``times``, on the path one layer at a time: the whole run through the
-        access link and the bottleneck, then each stretch of it to one
-        receiver through the controller and, less its drops, through that
-        receiver's forward and ack links.  Each layer takes its packets in
-        send order, so each computes what it would send by send."""
+    def _put_paced(self, rid: str, times: list[float]) -> None:
+        """Put a run of paced sends to ``rid``, at ``times``, on the path one
+        layer at a time: the controller, the access link, the bottleneck and,
+        less its drops, the receiver's forward and ack links.  Each layer
+        takes the packets in send order, so each computes what it would send
+        by send."""
         # on_send_run counts each P2P send, and seqs run 0, 1, 2, ...
         seq = self.controller.state.cumulative_sent
+        self.controller.on_send_run(rid, seq, times)
         departures = self.bottleneck.enqueue_many(P2P_FLOW_ID,
                                                   self.access_link.transit_many(times))
-        end = len(times)
-        k = 0
-        while k < end:
-            rid = assignments[first + k]
-            e = k + 1
-            while e < end and assignments[first + e] == rid:
-                e += 1
-            sent = times[k:e]
-            self.controller.on_send_run(rid, seq + k, sent)
-            seqs = range(seq + k, seq + e)
-            delivered = departures[k:e]
-            if None in delivered:
-                kept = [x for x, departure in enumerate(delivered) if departure is not None]
-                seqs = [seqs[x] for x in kept]
-                sent = [sent[x] for x in kept]
-                delivered = [delivered[x] for x in kept]
-            acked = self.ack_links[rid].transit_many(
-                self.forward_links[rid].transit_many(delivered))
-            held = self._base_rtt[rid]
-            lo, hi, base_rtt = held
-            add_ack = self._acks[rid].append
-            for ack, ack_seq, now in zip(acked, seqs, sent):
-                if not lo <= now < hi:
-                    lo, hi, path = self.path_lat[rid].step(now)
-                    base_rtt = 2.0 * path
-                add_ack((ack, ack_seq, rid, ack - now, base_rtt))
-            held[:] = lo, hi, base_rtt
-            k = e
+        seqs = range(seq, seq + len(times))
+        if None in departures:
+            kept = [departure is not None for departure in departures]
+            seqs = compress(seqs, kept)
+            times = compress(times, kept)
+            departures = compress(departures, kept)
+        acked = self.ack_links[rid].transit_many(self.forward_links[rid].transit_many(departures))
+        self._acks[rid].extend(zip(acked, seqs, times))
 
     def _apply_acks(self, until: float) -> None:
+        """Apply the P2P acks strictly before ``until``, each with its
+        queue-free round trip at its send."""
         due = []
-        for acks in self._acks.values():
+        add_due = due.append
+        for rid, acks in self._acks.items():
+            held = self._base_rtt[rid]
+            lo, hi, base_rtt = held
             while acks and acks[0][0] < until:
-                due.append(acks.popleft())
+                ack, seq, sent = acks.popleft()
+                if not lo <= sent < hi:
+                    lo, hi, path = self.path_lat[rid].step(sent)
+                    base_rtt = 2.0 * path
+                add_due((ack, seq, rid, ack - sent, base_rtt))
+            held[:] = lo, hi, base_rtt
         if len(self._acks) > 1:
             due.sort()              # merge the receivers' FIFOs by (ack, seq)
         on_ack = self.controller.on_ack

@@ -27,17 +27,23 @@ class BlockSource:
     _sent_in_block: int = 0
     _next_receiver: int = 0
 
-    def next_packets(self, quota: int) -> list[str]:
-        """The receivers of up to quota packets, in send order, fewer only
-        when the backlog runs out."""
-        out: list[str] = []
+    def next_packets(self, quota: int) -> list[tuple[str, int]]:
+        """Up to quota packets, fewer only when the backlog runs out, as
+        ``(receiver, count)`` stretches in send order.  Consecutive stretches
+        go to different receivers, so a one-receiver source merges its
+        blocks into one stretch."""
+        out: list[tuple[str, int]] = []
         left = quota
         while left > 0:
             if self.backlog_blocks is not None and self._block_id >= self.backlog_blocks:
                 break
             # the rest of the current block's share, or of the quota
             n = min(left, self.block_size - self._sent_in_block)
-            out.extend([self.receiver_ids[self._next_receiver]] * n)
+            rid = self.receiver_ids[self._next_receiver]
+            if out and out[-1][0] == rid:
+                out[-1] = (rid, out[-1][1] + n)
+            else:
+                out.append((rid, n))
             left -= n
             self._sent_in_block += n
             if self._sent_in_block >= self.block_size:

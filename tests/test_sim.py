@@ -1061,7 +1061,8 @@ class EventPacedRun(_Run):
     def _p2p_tick(self, now):
         snapshot = self.controller.control_tick(now)
         self.last_snapshot = snapshot
-        assignments = self.source.next_packets(snapshot.quota)
+        assignments = [rid for rid, n in self.source.next_packets(snapshot.quota)
+                       for _ in range(n)]
         if not assignments:
             return
         spacing = self.T / len(assignments)
@@ -1136,15 +1137,55 @@ def end_state(run_, spurious_acks):
             bn.drops, bn.occupancy, bn.served_bits)
 
 
-@settings(max_examples=200, deadline=None)
-@given(tie_heavy_scenarios())
-def test_on_demand_sender_matches_event_oracle(cfg):
-    # equal metric rows, and equal controller and bottleneck counters at the
-    # end of the run
+def assert_matches_event_oracle(cfg):
+    """Equal metric rows, and equal controller and bottleneck counters at
+    the end of the run, from ``_Run`` and ``EventPacedRun``."""
     new, old = _Run(cfg), EventPacedRun(cfg)
     spurious = [execute_counting_spurious_acks(new), execute_counting_spurious_acks(old)]
     assert new.log.rows == old.log.rows
     assert end_state(new, spurious[0]) == end_state(old, spurious[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_scenarios())
+def test_on_demand_sender_matches_event_oracle(cfg):
+    assert_matches_event_oracle(cfg)
+
+
+@st.composite
+def stepped_latency_scenarios(draw):
+    """Short runs whose latencies step while packets are in flight: the
+    sender and 1-3 receivers redraw theirs every 0.05-0.3 s, so a packet's
+    send and the clock event that applies its ack often fall on different
+    steps of its path latency.  Buffers of 2-60 packets and 0-1 TCP flow."""
+
+    def latency():
+        low = draw(st.integers(1, 20)) / 1000.0
+        return uniform_resample(low, low + draw(st.integers(0, 20)) / 1000.0,
+                                draw(st.integers(1, 6)) * 0.05)
+
+    sender = latency()
+    receivers = [ReceiverConfig(f"r{i + 1}", latency())
+                 for i in range(draw(st.integers(1, 3)))]
+    flows = [TcpFlowConfig("tcp1", draw(st.sampled_from(["reno", "bic"])),
+                           draw(st.sampled_from(receivers)).receiver_id,
+                           draw(st.integers(0, 19)) * 0.1, 2.0)
+             for _ in range(draw(st.integers(0, 1)))]
+    return ScenarioConfig(
+        name="steps", duration=2.0, seed=draw(st.integers(1, 10_000)),
+        controller=ControllerParams(period_T=draw(st.sampled_from([0.05, 0.1]))),
+        sender_latency=sender, receivers=receivers,
+        bottleneck=BottleneckConfig(rate=constant(draw(st.sampled_from([2e6, 8e6, 32e6]))),
+                                    buffer_capacity=draw(st.integers(2, 60))),
+        flows=flows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stepped_latency_scenarios())
+def test_queue_free_round_trip_is_held_at_the_send_instant(cfg):
+    # the oracle reads each P2P packet's path latency when it sends it; the
+    # run applies the ack a clock event later, often on a later step
+    assert_matches_event_oracle(cfg)
 
 
 def test_tcp_send_goes_before_a_paced_send_at_its_instant(monkeypatch):

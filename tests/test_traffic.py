@@ -17,10 +17,16 @@ from p2pcc.traffic import (BIC_BETA, BIC_S_MAX, BlockSource, TcpBicFlow,
 
 # -- block source -----------------------------------------------------------
 
+def expand(stretches):
+    """The receiver of each packet of ``(receiver, count)`` stretches."""
+    return [rid for rid, n in stretches for _ in range(n)]
+
+
 def test_blocks_fill_sequentially_and_rotate_receivers():
     src = BlockSource(block_size=40, receiver_ids=["R1", "R2"])
     out = src.next_packets(100)
-    assert out == ["R1"] * 40 + ["R2"] * 40 + ["R1"] * 20
+    assert out == [("R1", 40), ("R2", 40), ("R1", 20)]
+    assert expand(out) == ["R1"] * 40 + ["R2"] * 40 + ["R1"] * 20
 
 
 def test_zero_quota_yields_nothing():
@@ -31,7 +37,7 @@ def test_zero_quota_yields_nothing():
 def test_finite_backlog_exhausts():
     src = BlockSource(block_size=40, receiver_ids=["R1"], backlog_blocks=1)
     out = src.next_packets(100)
-    assert len(out) == 40
+    assert len(expand(out)) == 40
     assert src.next_packets(10) == []
 
 
@@ -39,7 +45,7 @@ def test_blocks_never_interleave():
     src = BlockSource(block_size=5, receiver_ids=["R1", "R2", "R3"])
     emitted = []
     for quota in (3, 4, 2, 6, 10):
-        emitted.extend(src.next_packets(quota))
+        emitted.extend(expand(src.next_packets(quota)))
     # whole blocks in turn, each to the next receiver, across quota boundaries
     assert emitted == [["R1", "R2", "R3"][i // 5 % 3] for i in range(25)]
 
@@ -77,7 +83,10 @@ def test_next_packets_matches_per_packet_reference(block_size, n_receivers, back
     src = BlockSource(block_size, rids, backlog)
     ref = PerPacketBlockSource(block_size, rids, backlog)
     for quota in quotas:
-        assert src.next_packets(quota) == ref.next_packets(quota)
+        stretches = src.next_packets(quota)
+        assert expand(stretches) == ref.next_packets(quota)
+        assert all(n >= 1 for _, n in stretches)
+        assert all(a[0] != b[0] for a, b in zip(stretches, stretches[1:]))
 
 
 # -- additive-increase / multiplicative-decrease flow -----------------------

@@ -27,8 +27,10 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
 - L (default 500) random long-run scenarios, drawn by ``long_run(i)``: 3-s
   runs at 20-64 Mbps with a stepped rate, a buffer of 2-40 packets,
   resampled latencies and 1-4 receivers, and no TCP flow.  Their paced
-  runs hold up to hundreds of packets, and cross the hops' held steps and
-  the bottleneck's drops, which the tie-heavy cases rarely do;
+  runs cross the hops' held steps and the bottleneck's drops, which the
+  tie-heavy cases rarely do.  A run goes to one receiver, so it holds
+  hundreds of packets in the one-receiver cases and at most a block with
+  more receivers;
 - the queue model: both lemma suites of ``p2pcc verify`` at seeds 1..K
   (default 20), 100 trials each, and 50 K random direct calls of
   ``fluid_queue_trace``, drawn by ``fluid_call(i)``.  A suite's digest
@@ -140,11 +142,12 @@ def long_run(index: int) -> dict:
     ``ScenarioConfig.to_dict`` form.
 
     A bottleneck of 20-64 Mbps, redrawn every 0.3-1 s, behind a buffer of
-    2-40 packets, and no TCP flow, so that each clock event puts a paced run
-    of up to hundreds of packets on the path; the runs cross the rate's
-    steps and fill the buffer.  The sender and 1-4 receivers have latencies
-    of 1-25 ms, redrawn every 0.1-0.5 s.  3-s runs with a control period of
-    50 ms (even indices) or 100 ms (odd ones).
+    2-40 packets, and no TCP flow, so that each clock event puts long paced
+    runs on the path: hundreds of packets with one receiver, up to a block
+    with more.  The runs cross the rate's steps and fill the buffer.  The
+    sender and 1-4 receivers have latencies of 1-25 ms, redrawn every
+    0.1-0.5 s.  3-s runs with a control period of 50 ms (even indices) or
+    100 ms (odd ones).
     """
     rng = random.Random(f"long-run:{index}")
 
