@@ -408,6 +408,17 @@ def test_timeout_deadline_respects_observed_latency():
     assert tick_timeouts(c, 1.2) == 0  # age 0.7 < 2*0.4
 
 
+def test_timeout_deadline_reads_the_last_ack_not_the_peak():
+    params = ControllerParams(initial_qmax_offset=0.05)
+    c = Controller(params, ["r1"])
+    for seq, (sent, acked) in enumerate([(0.0, 0.01), (0.02, 0.42), (0.5, 0.55)]):
+        c.on_send("r1", seq, sent)
+        c.on_ack("r1", seq, acked)       # 10 ms, the 400 ms peak, 50 ms last
+    c.on_send("r1", 3, 0.6)
+    # deadline 2 * max(0.01 + 0.05, 0.05) = 0.12, not 2 * 0.4
+    assert tick_timeouts(c, 0.9) == 1
+
+
 @pytest.mark.parametrize("seq, now", [(4, 2.0), (5, 2.0), (6, 0.9)])
 def test_on_send_rejects_out_of_order_sends(seq, now):
     c = Controller(ControllerParams(), ["r1", "r2"])
