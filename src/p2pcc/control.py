@@ -144,7 +144,7 @@ class ControllerState:
     qdelay_samples: list = field(default_factory=list)   # current interval
 
     def in_flight_total(self) -> int:
-        return sum(len(pending) for pending in self.outstanding.values())
+        return sum(map(len, self.outstanding.values()))
 
 
 @dataclass(slots=True)

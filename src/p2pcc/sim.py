@@ -75,12 +75,10 @@ TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
 
 # A cut of a stretch with fewer paced sends than this goes onto the path send
-# by send: there a run's lists cost more than the calls they save.  Per send,
-# a run of 3 took 1.10 times the host time of the same sends one by one, 4
-# 0.99 and 5 0.93, timed when runs were cut from a tick's sends, not a
-# stretch's.  With every cut taken as a run of its stretch, the benchmark's
-# paper-tcp workload, whose TCP sends cut most runs to one or two sends, lost
-# 3.9 % of its packets per second.
+# by send: there a run's lists cost more than the calls they save.  With every
+# cut taken as a run of its stretch, the benchmark's paper-tcp workload, whose
+# TCP sends cut most runs to one or two sends, lost 3.9 % of its packets per
+# second (0 of 10 pairs).
 SHORT_RUN = 5
 
 
@@ -425,9 +423,9 @@ class _Run:
       ``(ack, seq)``, and gives each its queue-free round trip at its send
       time.  Each receiver's links are FIFO, so its ack instants never
       fall.  Applying an ack late is exact: it changes only controller state
-      and the period's round-trip lists, which only clock events read; a
-      packet sent after the acked one has a higher seq, so the dup-gap walk
-      stops before it; and timeouts run only at ticks.
+      and the period's applied-ack list (``_applied``), which only clock
+      events read; a packet sent after the acked one has a higher seq, so
+      the dup-gap walk stops before it; and timeouts run only at ticks.
     - ``execute`` ends by putting on the path the paced sends at or before the
       duration and applying the acks at or before it.
     """
@@ -476,13 +474,11 @@ class _Run:
             TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
         self.flow_ids = [P2P_FLOW_ID] + [f.flow_id for f in cfg.flows]
 
-        # The period's applied acks, each list in the order they were applied,
-        # so that a sample adds the same operands in the same order as a sum
-        # over the period's acks: round trips, queue-free round trips and, per
-        # receiver, round trip minus queue-free round trip.
-        self._rtts: list[float] = []
-        self._base_rtts: list[float] = []
-        self._drtts: dict[str, list[float]] = {rid: [] for rid in receiver_ids}
+        # The period's applied P2P acks in the order they were applied, so
+        # that a sample adds the same operands in the same order as a sum over
+        # the period's acks: (ack, seq, receiver, round trip, queue-free round
+        # trip).
+        self._applied: list[tuple[float, int, str, float, float]] = []
         # carry-forward values of the sparse columns, and served bits per flow
         self._rtt_avg_ms = self._path_rtt_ms = self._rtt_ref_ms = 0.0
         self._drtt_ms = [0.0] * len(receiver_ids)
@@ -497,18 +493,21 @@ class _Run:
 
         self._ticks = 0             # control ticks filed so far
         self._samples = 0           # metric samples filed so far
-        self._n_samples = int(round(duration / self.T))
         self._file_clock()
 
     def _file_clock(self) -> None:
         """File the next clock event, at the earlier of the next control
         tick, at ``p2p_start + k T`` before the duration, and the next metric
-        sample, at ``j T``, ``j <= round(duration / T)``; it runs both if they
-        are one float."""
+        sample, at ``j T`` up to the duration; it runs both if they are one
+        float.  A ``j T`` that passes the duration only by float rounding
+        (``math.isclose``) is the last period's sample, run at the duration."""
+        duration = self.cfg.duration
         tick = self.cfg.p2p_start + self._ticks * self.T
-        if tick >= self.cfg.duration:
+        if tick >= duration:
             tick = math.inf
-        sample = (self._samples + 1) * self.T if self._samples < self._n_samples else math.inf
+        sample = (self._samples + 1) * self.T
+        if sample > duration:
+            sample = duration if math.isclose(sample, duration) else math.inf
         at = tick if tick < sample else sample
         if at == math.inf:
             return
@@ -611,14 +610,9 @@ class _Run:
         if len(self._acks) > 1:
             due.sort()              # merge the receivers' FIFOs by (ack, seq)
         on_ack = self.controller.on_ack
-        add_rtt = self._rtts.append
-        add_base_rtt = self._base_rtts.append
-        drtts = self._drtts
-        for ack, seq, rid, rtt, base_rtt in due:
+        for ack, seq, rid, _, _ in due:
             on_ack(rid, seq, ack)
-            add_rtt(rtt)
-            add_base_rtt(base_rtt)
-            drtts[rid].append(rtt - base_rtt)
+        self._applied += due
 
     # -- Shared path ------------------------------------------------------
 
@@ -652,26 +646,31 @@ class _Run:
         s_kbit = bottleneck.packet_bits / 1000.0
         state = self.controller.state
 
-        rtts = self._rtts
-        if rtts:
-            self._rtt_avg_ms = 1000.0 * float_total(rtts) / len(rtts)
-            self._path_rtt_ms = 1000.0 * float_total(self._base_rtts) / len(rtts)
-            rtts.clear()
-            self._base_rtts.clear()
+        applied = self._applied
+        if applied:
+            # added left to right from 0.0, as float_total adds, in one pass
+            rtt_total = base_total = 0.0
+            # per receiver, in column order: round trip minus queue-free round trip
+            drtts = {rid: [] for rid in self._acks}
+            for _, _, rid, rtt, base_rtt in applied:
+                rtt_total += rtt
+                base_total += base_rtt
+                drtts[rid].append(rtt - base_rtt)
+            self._rtt_avg_ms = 1000.0 * rtt_total / len(applied)
+            self._path_rtt_ms = 1000.0 * base_total / len(applied)
+            for i, samples in enumerate(drtts.values()):
+                if samples:
+                    self._drtt_ms[i] = 1000.0 * float_total(samples) / len(samples)
+            applied.clear()
         refs = list(rtt_reference(state.receivers, state.d_ref).values())
         if refs:
             self._rtt_ref_ms = 1000.0 * float_total(refs) / len(refs)
-        drtt_ms = self._drtt_ms
-        for i, samples in enumerate(self._drtts.values()):
-            if samples:
-                drtt_ms[i] = 1000.0 * float_total(samples) / len(samples)
-                samples.clear()
 
         row = [now, snap.window * s_kbit, snap.quota * s_kbit,
                snap.ack_rate_pps * s_kbit, snap.est_bandwidth_pps * s_kbit,
                bottleneck.rate(now) / 1000.0, snap.d_ref * 1000.0,
                self._rtt_avg_ms, self._rtt_ref_ms, self._path_rtt_ms,
-               float(bottleneck.occupancy), float(bottleneck.drops), *drtt_ms]
+               float(bottleneck.occupancy), float(bottleneck.drops), *self._drtt_ms]
         served_bits = bottleneck.served_bits
         prev_served = self._prev_served
         for i, fid in enumerate(self.flow_ids):

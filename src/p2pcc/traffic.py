@@ -3,7 +3,7 @@ TCP competitor state machines (Reno, plus an experimental BIC-style flow)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # BIC shaping constants, taken from the usual binary-increase defaults.
 BIC_S_MAX = 32.0
@@ -23,9 +23,9 @@ class BlockSource:
     block_size: int
     receiver_ids: list[str]
     backlog_blocks: int | None = None
-    _block_id: int = 0
-    _sent_in_block: int = 0
-    _next_receiver: int = 0
+    _block_id: int = field(default=0, init=False)
+    _sent_in_block: int = field(default=0, init=False)
+    _next_receiver: int = field(default=0, init=False)
 
     def next_packets(self, quota: int) -> list[tuple[str, int]]:
         """Up to quota packets, fewer only when the backlog runs out, as

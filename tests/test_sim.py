@@ -1079,10 +1079,7 @@ class EventPacedRun(_Run):
 
     def _on_p2p_ack(self, rid, seq, send_time, base_rtt, now):
         self.controller.on_ack(rid, seq, now)
-        rtt = now - send_time
-        self._rtts.append(rtt)
-        self._base_rtts.append(base_rtt)
-        self._drtts[rid].append(rtt - base_rtt)
+        self._applied.append((now, seq, rid, now - send_time, base_rtt))
 
 
 @st.composite
@@ -1225,6 +1222,18 @@ def test_row_count_matches_duration_over_period():
     assert len(log.rows) == 100  # 5 s at 50 ms sampling
 
 
+@pytest.mark.parametrize("duration, period, times", [
+    (0.3, 0.1, [0.1, 0.2, 0.3]),              # 3 * 0.1 is 0.30000000000000004
+    (2.03, 0.05, [j * 0.05 for j in range(1, 41)]),   # 41 * 0.05 is past 2.03
+])
+def test_one_row_per_whole_period_despite_float_rounding(duration, period, times):
+    # a last period that ends past the duration only by float rounding is
+    # sampled at the duration; a part period is not sampled
+    cfg = small_single_receiver(duration=duration)
+    cfg.controller = ControllerParams(period_T=period)
+    assert [row[0] for row in run(cfg).rows] == times
+
+
 def test_measured_latency_tracks_reference_and_respects_path():
     # an uncontended stream settles with its average round trip pinned to the
     # reference, and never reports less than the two-way propagation
@@ -1251,6 +1260,55 @@ def test_four_receiver_delay_columns_track_reference():
         drtt = log.select(f"dRTT_{rid}_ms", 60.0, 100.0)
         assert statistics.mean(drtt) == pytest.approx(
             statistics.mean(d_ref), rel=0.25)
+
+
+class AppliedAckRun(_Run):
+    """A run that keeps, for each metric sample, a copy of the applied acks
+    it reads: ``(ack, seq, receiver, round trip, queue-free round trip)``."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.periods = []
+
+    def _sample(self, now):
+        self.periods.append(list(self._applied))
+        super()._sample(now)
+
+
+def test_rtt_columns_equal_a_recomputation_from_the_applied_acks():
+    # each row's mean round trip, mean queue-free round trip and, per
+    # receiver, mean round trip minus queue-free round trip over the period's
+    # acks, added left to right in apply order; a receiver with no ack in a
+    # period keeps its last value
+    cfg = build_experiment_2("dynamic")
+    cfg.duration = 10.0
+    run_ = AppliedAckRun(cfg)
+    log = run_.execute()
+    rids = [r.receiver_id for r in cfg.receivers]
+    columns = ["rtt_avg_ms", "path_rtt_ms"] + [f"dRTT_{rid}_ms" for rid in rids]
+    expected = dict.fromkeys(columns, 0.0)
+    carried = 0                 # receiver columns carried over a period with acks
+    assert len(run_.periods) == len(log.rows) == 200
+    for period, row in zip(run_.periods, log.rows):
+        if period:
+            rtt_total = base_total = 0.0
+            for _, _, _, rtt, base_rtt in period:
+                rtt_total += rtt
+                base_total += base_rtt
+            expected["rtt_avg_ms"] = 1000.0 * rtt_total / len(period)
+            expected["path_rtt_ms"] = 1000.0 * base_total / len(period)
+        for rid in rids:
+            total, n = 0.0, 0
+            for _, _, ack_rid, rtt, base_rtt in period:
+                if ack_rid == rid:
+                    total += rtt - base_rtt
+                    n += 1
+            if n:
+                expected[f"dRTT_{rid}_ms"] = 1000.0 * total / n
+            elif period and expected[f"dRTT_{rid}_ms"] != 0.0:
+                carried += 1
+        assert [row[log.columns.index(c)] for c in columns] == list(expected.values())
+    assert carried > 0
 
 
 def test_steady_queue_matches_fluid_recursion():
