@@ -88,7 +88,7 @@ class ReceiverStats:
     # no later ack reaches in latency: the front is their peak, the back the
     # last ack
     latency_peaks: deque = field(default_factory=deque)
-    last_sent: tuple = (-math.inf, -math.inf)   # (seq, time) of the last send
+    last_sent: float = -math.inf    # the time of the last send
 
 
 def float_total(values) -> float:
@@ -133,7 +133,7 @@ class ControllerState:
     outstanding: dict
     # rid -> {seq: later acks so far}, for the outstanding seqs that have one
     acks_after: dict
-    cumulative_sent: int = 0
+    cumulative_sent: int = 0        # also the seq of the stream's next send
     cumulative_acked: int = 0
     cumulative_lost: int = 0
     window_w: int = 1
@@ -261,37 +261,37 @@ class Controller:
         self.params = params
         self.state = new_state(receiver_ids)
 
-    def on_send(self, receiver_id: str, seq: int, now: float) -> None:
-        """Track one sent packet: a run of one (see ``on_send_run``)."""
-        self.on_send_run(receiver_id, seq, (now,))
+    def on_send(self, receiver_id: str, now: float) -> int:
+        """Track one sent packet, a run of one (see ``on_send_run``), and
+        return its seq."""
+        return self.on_send_run(receiver_id, (now,))
 
-    def on_send_run(self, receiver_id: str, first_seq: int, times) -> None:
-        """Track a run of packets sent to one receiver, with seqs
-        ``first_seq``, ``first_seq + 1``, ... at the send ``times``.  Per
-        receiver, seqs must rise and send times must not fall: the dup-gap and
+    def on_send_run(self, receiver_id: str, times) -> int:
+        """Track a run of packets sent to one receiver at the send ``times``,
+        and return the first one's seq.  The stream's packets are numbered
+        0, 1, 2, ... in send order, across receivers, so each receiver's seqs
+        rise.  Per receiver, send times must not fall either: the dup-gap and
         timeout walks stop at the first packet they leave alone, so they rely
-        on that order.  A packet out of order raises ValueError, after the
-        packets before it are tracked."""
+        on that order.  A send earlier than its receiver's last send raises
+        ValueError, after the packets before it are tracked."""
         state = self.state
         recv = state.receivers[receiver_id]
         pending = state.outstanding[receiver_id]
-        last_seq, last_time = recv.last_sent
-        seq = first_seq
-        if seq > last_seq:
-            for now in times:
-                if now < last_time:
-                    break
-                pending[seq] = now
-                last_time = now
-                seq += 1
+        last_time = recv.last_sent
+        first_seq = seq = state.cumulative_sent
+        for now in times:
+            if now < last_time:
+                break
+            pending[seq] = now
+            last_time = now
+            seq += 1
+        state.cumulative_sent = seq
+        recv.last_sent = last_time
         n = seq - first_seq
-        if n:
-            recv.last_sent = (seq - 1, last_time)
-            state.cumulative_sent += n
         if n < len(times):
-            last_seq, last_time = recv.last_sent
             raise ValueError(f"receiver {receiver_id!r}: seq {seq} sent at {times[n]} "
-                             f"after seq {last_seq} sent at {last_time}")
+                             f"before its last send, at {last_time}")
+        return first_seq
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> None:
         """Process one ack, and pass to ``on_loss`` each packet that it
@@ -389,8 +389,9 @@ class Controller:
         ack_rate = current_ack_rate(state, params, now)
         state.est_bandwidth_U = estimate_bandwidth(state, ack_rate)
 
-        # until some receiver has a latency sample there is no d_min to aim at
-        if all(r.d_min is None for r in state.receivers.values()):
+        # an ack sets its receiver's d_min, so until one is counted there is
+        # no d_min to aim at
+        if not state.cumulative_acked:
             quota = BOOTSTRAP_QUOTA
         else:
             state.d_ref = compute_dref(qmax, params)

@@ -12,6 +12,14 @@ departure and its ack time.  ``_Run.send`` computes them at once and returns
 them to the sender.  The bottleneck's counters catch up lazily when a metric
 sample reads them.
 
+A run (``_Run``) holds the shared path, the chained clock and the metric
+samples.  The path is the access link, the bottleneck and one
+``ReceiverPath`` per receiver: its forward and ack links, its path latency
+and the streaming sender's acks from it.  Two kinds of sender put packets
+on it: one ``StreamSender``, which owns the controller, the block source and
+the paced sends, and a ``TcpSender`` per competing flow, which holds its
+receiver's ``ReceiverPath``.  The controller numbers the stream's packets.
+
 The periodic sender takes no events either.  Control ticks and metric samples
 form one chained clock: each clock event files its successor, and a tick and
 a sample that fall on one float instant share one event.  A tick files its
@@ -24,10 +32,10 @@ The paced sends go onto the path in runs, one layer at a time.  The block
 source hands out a tick's quota as stretches of sends to one receiver; a run
 is the sends of one stretch strictly before the next clock event (rule 1) or
 the next TCP send (rule 3), the only other places where a run is cut.  The
-whole run passes the controller (``Controller.on_send_run``), the access
-link (``DelayLink.transit_many``), the bottleneck (``Bottleneck.enqueue_many``)
-and, less the packets the bottleneck dropped, the receiver's forward and ack
-links.  Each layer keeps its state across the run and sees its packets in
+whole run passes the controller (``Controller.on_send_run``, which numbers
+it), the access link (``DelayLink.transit_many``), the bottleneck
+(``Bottleneck.enqueue_many``) and, less the packets the bottleneck dropped,
+the receiver's forward and ack links.  Each layer keeps its state across the run and sees its packets in
 send order, so it does the float operations that it would do send by send,
 in the same order.  A run of fewer than ``SHORT_RUN`` sends goes through the
 per-packet forms (``Controller.on_send``, ``transit``, ``enqueue``) one send
@@ -124,7 +132,7 @@ class DelayLink:
     first send it holds nothing."""
 
     def __init__(self, latency):
-        self._latency = latency
+        self.latency = latency
         self._lo = math.inf
         self._hi = -math.inf
         self._delay = 0.0
@@ -132,7 +140,7 @@ class DelayLink:
 
     def transit(self, now: float) -> float:
         if not self._lo <= now < self._hi:
-            self._lo, self._hi, self._delay = self._latency.step(now)
+            self._lo, self._hi, self._delay = self.latency.step(now)
         out = now + self._delay
         if out < self._last_out:
             out = self._last_out
@@ -144,7 +152,7 @@ class DelayLink:
         deliveries = []
         for now in times:
             if not lo <= now < hi:
-                lo, hi, delay = self._latency.step(now)
+                lo, hi, delay = self.latency.step(now)
                 self._lo, self._hi, self._delay = lo, hi, delay
             out = now + delay
             if out < last:
@@ -276,8 +284,8 @@ class TcpSender:
 
     Window growth/decay lives in the traffic-model flow object and loss
     detection in the duplicate-gap rule it shares with the controller; this
-    class owns sequencing, the retransmission timer and pushing packets into
-    the shared path.  ``outstanding`` maps each unacknowledged seq to its
+    class owns sequencing, the retransmission timer and pushing packets onto
+    the shared path, to its receiver's ``ReceiverPath`` (``receiver``).  ``outstanding`` maps each unacknowledged seq to its
     send time, or to ``None`` after a retransmission, whose ack gives no RTT
     sample (Karn's rule, RFC 6298 section 3); ``acks_after`` holds the later
     acks of those that have some.  Retransmissions break seq order, so each
@@ -291,11 +299,11 @@ class TcpSender:
     returns at once.
     """
 
-    def __init__(self, run: "_Run", flow_id: str, kind: str, receiver_id: str,
+    def __init__(self, run: "_Run", flow_id: str, kind: str, receiver: "ReceiverPath",
                  start: float, stop: float):
         self.run = run
         self.flow_id = flow_id
-        self.receiver_id = receiver_id
+        self.receiver = receiver
         self.stop = stop
         # the update functions are looked up when the sender is built, so a
         # tracer that replaces the module attributes beforehand sees the calls
@@ -358,7 +366,7 @@ class TcpSender:
                 seq = self.next_seq
                 self.next_seq += 1
                 outstanding[seq] = now
-            ack = send(self.receiver_id, self.flow_id, seq, now)
+            ack = send(self.receiver, self.flow_id, seq, now)
             if ack is not None:
                 schedule(ack, self.on_ack, seq)
 
@@ -398,36 +406,165 @@ class TcpSender:
         self.rto = min(max(self.srtt + 4.0 * self.rttvar, TCP_RTO_MIN), TCP_RTO_MAX)
 
 
+class ReceiverPath:
+    """One receiver's part of the path, and the stream's acks from it.
+
+    ``forward`` is the receiver's link from the bottleneck.  The ack hop,
+    ``ack_link``, takes the path latency, sender plus receiver, as one
+    delay; its ``latency`` is that schedule.  ``base_rtt`` holds the
+    queue-free round trip, twice the path latency, as ``(lo, hi, value)`` on
+    the step of the path latency it was last read at.  ``acks`` is the FIFO
+    of the stream's acks not yet applied, ``(ack, seq, send time)``; the
+    receiver's links are FIFO, so its ack instants never fall."""
+
+    def __init__(self, rid: str, latency, sender_lat):
+        self.rid = rid
+        self.forward = DelayLink(latency)
+        self.ack_link = DelayLink(schedule_sum(sender_lat, latency))
+        self.base_rtt = (math.inf, -math.inf, 0.0)
+        self.acks: deque[tuple[float, int, float]] = deque()
+
+
+class StreamSender:
+    """The periodic P2P sender: the controller, the block source, the paced
+    sends not yet on the path, the last tick's snapshot and the period's
+    applied acks.  The run's clock drives it; it takes no events of its own.
+
+    - ``tick(now)`` runs a control step and files its quota as the block
+      source's stretches, one entry ``[receiver, send times, next index]``
+      each: the tick's send ``i`` goes at ``tick + i * spacing``.
+    - ``send_paced(until)`` puts on the path the entries' sends strictly
+      before ``until`` (rules 1 and 3), one run per entry, in FIFO order; the
+      run calls it at each clock event and before a TCP send.  The
+      controller numbers and tracks them, and each hop (access link,
+      bottleneck, receiver links) is thus used in time order.  A P2P ack,
+      ``(ack, seq, send time)``, goes into its receiver's FIFO as its packet
+      is put on the path.
+    - ``apply_acks(until)`` applies the acks strictly before ``until``,
+      merged by ``(ack, seq)``, each with its queue-free round trip at its
+      send time, and appends each one's record to ``applied``: ``(ack, seq,
+      receiver, round trip, queue-free round trip)``.  The run's metric
+      sample reads and clears that list.
+
+    Applying an ack late is exact: it changes only controller state and
+    ``applied``, which only clock events read; a packet sent after the acked
+    one has a higher seq, so the dup-gap walk stops before it; and timeouts
+    run only at ticks.
+    """
+
+    def __init__(self, run: "_Run", cfg: ScenarioConfig):
+        self.run = run
+        self.controller = Controller(cfg.controller, list(run.receivers))
+        # the source rotates over the receivers' paths and hands them back
+        self.source = BlockSource(cfg.source.block_size, list(run.receivers.values()),
+                                  cfg.source.backlog_blocks)
+        # the metric samples before the first control tick read zeros
+        self.snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
+        # stretches of paced sends not yet all on the path:
+        # [receiver, send times, next index]
+        self.paced: deque[list] = deque()
+        # the period's applied acks in the order they were applied, so that
+        # a sample adds the same operands in the same order as a sum over
+        # the period's acks
+        self.applied: list[tuple[float, int, str, float, float]] = []
+
+    def tick(self, now: float) -> None:
+        self.snapshot = self.controller.control_tick(now)
+        stretches = self.source.next_packets(self.snapshot.quota)
+        if stretches:
+            spacing = self.run.T / sum(map(itemgetter(1), stretches))
+            i = 0
+            for receiver, n in stretches:
+                self.paced.append([receiver, [now + x * spacing for x in range(i, i + n)], 0])
+                i += n
+
+    def send_paced(self, until: float) -> None:
+        """Put on the path the paced sends strictly before ``until``: each
+        stretch's as one run, or send by send if they are fewer than
+        ``SHORT_RUN``."""
+        paced = self.paced
+        while paced:
+            stretch = paced[0]
+            receiver, times, i = stretch
+            # send times do not fall along a stretch
+            j = bisect_left(times, until, i)
+            if j - i >= SHORT_RUN:
+                self._put_run(receiver, times[i:j])
+            elif j > i:
+                on_send = self.controller.on_send
+                put = self.run._put
+                add_ack = receiver.acks.append
+                for now in times[i:j]:
+                    seq = on_send(receiver.rid, now)
+                    ack = put(receiver, P2P_FLOW_ID, seq, now)
+                    if ack is not None:
+                        add_ack((ack, seq, now))
+            if j < len(times):
+                stretch[2] = j
+                return
+            paced.popleft()
+
+    def _put_run(self, receiver: ReceiverPath, times: list[float]) -> None:
+        """Put a run of paced sends to ``receiver``, at ``times``, on the path
+        one layer at a time: the controller, the access link, the bottleneck
+        and, less its drops, the receiver's forward and ack links.  Each layer
+        takes the packets in send order, so each computes what it would send
+        by send."""
+        seq = self.controller.on_send_run(receiver.rid, times)
+        departures = self.run.bottleneck.enqueue_many(P2P_FLOW_ID,
+                                                      self.run.access_link.transit_many(times))
+        seqs = range(seq, seq + len(times))
+        if None in departures:
+            kept = [departure is not None for departure in departures]
+            seqs = compress(seqs, kept)
+            times = compress(times, kept)
+            departures = compress(departures, kept)
+        acked = receiver.ack_link.transit_many(receiver.forward.transit_many(departures))
+        receiver.acks.extend(zip(acked, seqs, times))
+
+    def apply_acks(self, until: float) -> None:
+        """Apply the P2P acks strictly before ``until``, each with its
+        queue-free round trip at its send."""
+        due = []
+        add_due = due.append
+        for rid, receiver in self.run.receivers.items():
+            acks = receiver.acks
+            lo, hi, base_rtt = receiver.base_rtt
+            while acks and acks[0][0] < until:
+                ack, seq, sent = acks.popleft()
+                if not lo <= sent < hi:
+                    lo, hi, path = receiver.ack_link.latency.step(sent)
+                    base_rtt = 2.0 * path
+                add_due((ack, seq, rid, ack - sent, base_rtt))
+            receiver.base_rtt = lo, hi, base_rtt
+        if len(self.run.receivers) > 1:
+            due.sort()              # merge the receivers' FIFOs by (ack, seq)
+        on_ack = self.controller.on_ack
+        for ack, seq, rid, _, _ in due:
+            on_ack(rid, seq, ack)
+        self.applied += due
+
+
 class _Run:
-    """One simulation run: wiring, event handlers and metrics sampling.
+    """One simulation run: the shared path, the chained clock and the metric
+    samples.
+
+    The path is the access link, the bottleneck and one ``ReceiverPath`` per
+    receiver (``receivers``, in column order).  The streaming sender
+    (``stream``) and the TCP senders put their packets on it: ``send`` puts
+    a TCP packet after the paced sends strictly before it (rule 3), and
+    ``_put`` returns a packet's ack instant, from which the TCP senders file
+    their acks.
 
     The heap holds one clock event and, per TCP sender, its acks and its
     wakeup at the retransmission deadline (and any wakeup it superseded).  A
     clock event stands for the next control tick, the next metric sample, or
-    both where they fall on one float instant; it runs the tick first, so the
-    sample sees that tick's snapshot.  A tick an ulp away from a sample is an
-    event of its own.  The periodic sender stays off the heap:
-
-    - A tick files its quota as the block source's stretches, one entry
-      ``[receiver, send times, next index]`` each: the tick's send ``i``
-      goes at ``tick + i * spacing``.  At each clock event, and in ``send``
-      before a TCP packet, the entries' sends strictly before that instant
-      (rules 1 and 3) go onto the path as one run per entry (``_put_paced``),
-      in FIFO order, and the controller tracks them.  Each hop (access link,
-      bottleneck, receiver links) is thus used in time order.  ``_put``
-      returns a packet's ack instant; the TCP senders file their acks from
-      it.
-    - A P2P ack, ``(ack, seq, send time)``, goes into its receiver's FIFO
-      as its packet is put on the path.  Each clock event, after the paced
-      sends, applies the acks strictly before its instant, merged by
-      ``(ack, seq)``, and gives each its queue-free round trip at its send
-      time.  Each receiver's links are FIFO, so its ack instants never
-      fall.  Applying an ack late is exact: it changes only controller state
-      and the period's applied-ack list (``_applied``), which only clock
-      events read; a packet sent after the acked one has a higher seq, so
-      the dup-gap walk stops before it; and timeouts run only at ticks.
-    - ``execute`` ends by putting on the path the paced sends at or before the
-      duration and applying the acks at or before it.
+    both where they fall on one float instant.  It first catches the stream
+    up to its instant: the paced sends, then the P2P acks, strictly before
+    it.  It then runs the tick and then the sample, so the sample sees that
+    tick's snapshot.  A tick an ulp away from a sample is an event of its
+    own.  ``execute`` ends by putting on the path the paced sends at or
+    before the duration and applying the acks at or before it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -435,59 +572,34 @@ class _Run:
         self.cfg = cfg
         rng = random.Random(cfg.seed)
         self.loop = EventLoop()
-        params = cfg.controller
-        self.T = params.period_T
+        self.T = cfg.controller.period_T
         duration = cfg.duration
 
-        self.sender_lat = cfg.sender_latency.materialize(rng, duration)
-        self.receiver_lat = {r.receiver_id: r.latency.materialize(rng, duration)
-                             for r in cfg.receivers}
+        sender_lat = cfg.sender_latency.materialize(rng, duration)
+        self.receivers = {r.receiver_id: ReceiverPath(r.receiver_id,
+                                                      r.latency.materialize(rng, duration),
+                                                      sender_lat)
+                          for r in cfg.receivers}
         rate = cfg.bottleneck.rate.materialize(rng, duration)
+        self.bottleneck = Bottleneck(rate, cfg.buffer_capacity(), cfg.controller.packet_size_s)
+        self.access_link = DelayLink(sender_lat)
 
-        self.bottleneck = Bottleneck(rate, cfg.buffer_capacity(), params.packet_size_s)
-        self.access_link = DelayLink(self.sender_lat)
-        self.forward_links = {rid: DelayLink(lat) for rid, lat in self.receiver_lat.items()}
-        # per receiver, the path latency: sender plus receiver, which the ack
-        # hop takes as one delay and the ack record doubles
-        self.path_lat = {rid: schedule_sum(self.sender_lat, lat)
-                         for rid, lat in self.receiver_lat.items()}
-        self.ack_links = {rid: DelayLink(path) for rid, path in self.path_lat.items()}
-        # per receiver, the queue-free round trip at send, held as
-        # [lo, hi, value] on the path latency's step
-        self._base_rtt = {rid: [math.inf, -math.inf, 0.0] for rid in self.receiver_lat}
-
-        receiver_ids = [r.receiver_id for r in cfg.receivers]
-        self.controller = Controller(params, receiver_ids)
-        self.source = BlockSource(cfg.source.block_size, receiver_ids,
-                                  cfg.source.backlog_blocks)
-        # the metric samples before the first control tick read zeros
-        self.last_snapshot = TickSnapshot(0, 0, 0.0, 0.0, 0.0)
-        # stretches of paced sends not yet all on the path:
-        # [receiver, send times, next index]
-        self._paced: deque[list] = deque()
-        # per receiver, P2P acks not yet applied: (ack, seq, send time)
-        self._acks: dict[str, deque] = {rid: deque() for rid in receiver_ids}
-
+        self.stream = StreamSender(self, cfg)
         # a sender schedules its own start and files its own acks, so the run
         # needs no reference to it
         for f in cfg.flows:
-            TcpSender(self, f.flow_id, f.kind, f.receiver_id, f.start, f.stop)
+            TcpSender(self, f.flow_id, f.kind, self.receivers[f.receiver_id], f.start, f.stop)
         self.flow_ids = [P2P_FLOW_ID] + [f.flow_id for f in cfg.flows]
 
-        # The period's applied P2P acks in the order they were applied, so
-        # that a sample adds the same operands in the same order as a sum over
-        # the period's acks: (ack, seq, receiver, round trip, queue-free round
-        # trip).
-        self._applied: list[tuple[float, int, str, float, float]] = []
         # carry-forward values of the sparse columns, and served bits per flow
         self._rtt_avg_ms = self._path_rtt_ms = self._rtt_ref_ms = 0.0
-        self._drtt_ms = [0.0] * len(receiver_ids)
+        self._drtt_ms = [0.0] * len(self.receivers)
         self._prev_served = [0.0] * len(self.flow_ids)
 
         columns = ["time", "w_kbits", "u_kbits", "ack_rate_kbps", "U_est_kbps",
                    "capacity_kbps", "d_ref_ms", "rtt_avg_ms", "rtt_ref_ms",
                    "path_rtt_ms", "queue_packets", "cumulative_drops"]
-        columns += [f"dRTT_{rid}_ms" for rid in receiver_ids]
+        columns += [f"dRTT_{rid}_ms" for rid in self.receivers]
         columns += [f"throughput_{fid}_kbps" for fid in self.flow_ids]
         self.log = MetricsLog(columns)
 
@@ -522,109 +634,27 @@ class _Run:
         self._file_clock()
         self._catch_up(now)
         if is_tick:
-            self._p2p_tick(now)
+            self.stream.tick(now)
         if is_sample:
             self._sample(now)
 
     def _catch_up(self, until: float) -> None:
         """Put on the path the paced sends, then apply the P2P acks, strictly
         before ``until``."""
-        self._send_paced(until)
-        self._apply_acks(until)
-
-    # -- P2P side ---------------------------------------------------------
-
-    def _p2p_tick(self, now: float) -> None:
-        snapshot = self.controller.control_tick(now)
-        self.last_snapshot = snapshot
-        stretches = self.source.next_packets(snapshot.quota)
-        if stretches:
-            spacing = self.T / sum(n for _, n in stretches)
-            i = 0
-            for rid, n in stretches:
-                self._paced.append([rid, [now + x * spacing for x in range(i, i + n)], 0])
-                i += n
-
-    def _send_paced(self, until: float) -> None:
-        """Put on the path the paced sends strictly before ``until``: each
-        stretch's as one run, or send by send if they are fewer than
-        ``SHORT_RUN``."""
-        paced = self._paced
-        while paced:
-            stretch = paced[0]
-            rid, times, i = stretch
-            # send times do not fall along a stretch
-            j = bisect_left(times, until, i)
-            if j - i >= SHORT_RUN:
-                self._put_paced(rid, times[i:j])
-            elif j > i:
-                # on_send counts each P2P send, and seqs run 0, 1, 2, ...
-                seq = self.controller.state.cumulative_sent
-                add_ack = self._acks[rid].append
-                for now in times[i:j]:
-                    self.controller.on_send(rid, seq, now)
-                    ack = self._put(rid, P2P_FLOW_ID, seq, now)
-                    if ack is not None:
-                        add_ack((ack, seq, now))
-                    seq += 1
-            if j < len(times):
-                stretch[2] = j
-                return
-            paced.popleft()
-
-    def _put_paced(self, rid: str, times: list[float]) -> None:
-        """Put a run of paced sends to ``rid``, at ``times``, on the path one
-        layer at a time: the controller, the access link, the bottleneck and,
-        less its drops, the receiver's forward and ack links.  Each layer
-        takes the packets in send order, so each computes what it would send
-        by send."""
-        # on_send_run counts each P2P send, and seqs run 0, 1, 2, ...
-        seq = self.controller.state.cumulative_sent
-        self.controller.on_send_run(rid, seq, times)
-        departures = self.bottleneck.enqueue_many(P2P_FLOW_ID,
-                                                  self.access_link.transit_many(times))
-        seqs = range(seq, seq + len(times))
-        if None in departures:
-            kept = [departure is not None for departure in departures]
-            seqs = compress(seqs, kept)
-            times = compress(times, kept)
-            departures = compress(departures, kept)
-        acked = self.ack_links[rid].transit_many(self.forward_links[rid].transit_many(departures))
-        self._acks[rid].extend(zip(acked, seqs, times))
-
-    def _apply_acks(self, until: float) -> None:
-        """Apply the P2P acks strictly before ``until``, each with its
-        queue-free round trip at its send."""
-        due = []
-        add_due = due.append
-        for rid, acks in self._acks.items():
-            held = self._base_rtt[rid]
-            lo, hi, base_rtt = held
-            while acks and acks[0][0] < until:
-                ack, seq, sent = acks.popleft()
-                if not lo <= sent < hi:
-                    lo, hi, path = self.path_lat[rid].step(sent)
-                    base_rtt = 2.0 * path
-                add_due((ack, seq, rid, ack - sent, base_rtt))
-            held[:] = lo, hi, base_rtt
-        if len(self._acks) > 1:
-            due.sort()              # merge the receivers' FIFOs by (ack, seq)
-        on_ack = self.controller.on_ack
-        for ack, seq, rid, _, _ in due:
-            on_ack(rid, seq, ack)
-        self._applied += due
+        self.stream.send_paced(until)
+        self.stream.apply_acks(until)
 
     # -- Shared path ------------------------------------------------------
 
-    def send(self, rid: str, flow_id: str, seq: int, now: float) -> float | None:
+    def send(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
         """Put a TCP packet on the path and return its ack instant, as
         ``_put`` does, after the paced sends strictly before ``now``
         (rule 3)."""
-        if self._paced:
-            self._send_paced(now)
-        return self._put(rid, flow_id, seq, now)
+        if self.stream.paced:
+            self.stream.send_paced(now)
+        return self._put(receiver, flow_id, seq, now)
 
-    def _put(self, rid: str, flow_id: str, seq: int, now: float) -> float | None:
+    def _put(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
         """Put a packet on the access link, the bottleneck and the receiver's
         forward and ack links; return the instant its ack reaches the sender,
         or ``None`` if it is dropped.  Receivers ack every packet on delivery
@@ -635,23 +665,23 @@ class _Run:
                                             self.access_link.transit(now))
         if departure is None:
             return None
-        return self.ack_links[rid].transit(self.forward_links[rid].transit(departure))
+        return receiver.ack_link.transit(receiver.forward.transit(departure))
 
     # -- Metrics ----------------------------------------------------------
 
     def _sample(self, now: float) -> None:
         bottleneck = self.bottleneck
         bottleneck.advance(now)
-        snap = self.last_snapshot
+        snap = self.stream.snapshot
         s_kbit = bottleneck.packet_bits / 1000.0
-        state = self.controller.state
+        state = self.stream.controller.state
 
-        applied = self._applied
+        applied = self.stream.applied
         if applied:
             # added left to right from 0.0, as float_total adds, in one pass
             rtt_total = base_total = 0.0
             # per receiver, in column order: round trip minus queue-free round trip
-            drtts = {rid: [] for rid in self._acks}
+            drtts = {rid: [] for rid in self.receivers}
             for _, _, rid, rtt, base_rtt in applied:
                 rtt_total += rtt
                 base_total += base_rtt
@@ -681,9 +711,8 @@ class _Run:
         self.log.append(row)
 
     def execute(self) -> MetricsLog:
-        duration = self.cfg.duration
-        self.loop.run(duration)
-        self._catch_up(math.nextafter(duration, math.inf))     # at or before the duration
+        self.loop.run(self.cfg.duration)
+        self._catch_up(math.nextafter(self.cfg.duration, math.inf))     # at or before the duration
         return self.log
 
 

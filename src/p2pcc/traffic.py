@@ -16,40 +16,40 @@ class BlockSource:
     """Hands out packets block by block, rotating receivers between blocks.
 
     All packets of a block are emitted before the next block starts; each
-    block targets the next receiver in the rotation.  backlog_blocks is None
-    for an always-backlogged source.
+    block targets the next of ``receivers``, which the stretches hand back as
+    given.  backlog_blocks is None for an always-backlogged source.
     """
 
     block_size: int
-    receiver_ids: list[str]
+    receivers: list
     backlog_blocks: int | None = None
     _block_id: int = field(default=0, init=False)
     _sent_in_block: int = field(default=0, init=False)
     _next_receiver: int = field(default=0, init=False)
 
-    def next_packets(self, quota: int) -> list[tuple[str, int]]:
+    def next_packets(self, quota: int) -> list[tuple[object, int]]:
         """Up to quota packets, fewer only when the backlog runs out, as
         ``(receiver, count)`` stretches in send order.  Consecutive stretches
         go to different receivers, so a one-receiver source merges its
         blocks into one stretch."""
-        out: list[tuple[str, int]] = []
+        out: list[tuple[object, int]] = []
         left = quota
         while left > 0:
             if self.backlog_blocks is not None and self._block_id >= self.backlog_blocks:
                 break
             # the rest of the current block's share, or of the quota
             n = min(left, self.block_size - self._sent_in_block)
-            rid = self.receiver_ids[self._next_receiver]
-            if out and out[-1][0] == rid:
-                out[-1] = (rid, out[-1][1] + n)
+            receiver = self.receivers[self._next_receiver]
+            if out and out[-1][0] == receiver:
+                out[-1] = (receiver, out[-1][1] + n)
             else:
-                out.append((rid, n))
+                out.append((receiver, n))
             left -= n
             self._sent_in_block += n
             if self._sent_in_block >= self.block_size:
                 self._sent_in_block = 0
                 self._block_id += 1
-                self._next_receiver = (self._next_receiver + 1) % len(self.receiver_ids)
+                self._next_receiver = (self._next_receiver + 1) % len(self.receivers)
         return out
 
 

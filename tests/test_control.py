@@ -115,8 +115,8 @@ def test_dref_requires_at_least_one_sample():
     # packets in flight but no ack yet: the tick stays in bootstrap and sets
     # neither d_ref nor the window
     c = Controller(ControllerParams(), ["a", "b"])
-    c.on_send("a", 0, 0.0)
-    c.on_send("b", 1, 0.0)
+    c.on_send("a", 0.0)
+    c.on_send("b", 0.0)
     snap = c.control_tick(0.05)
     assert in_bootstrap(c, snap)
     assert (snap.quota, snap.d_ref, snap.window) == (BOOTSTRAP_QUOTA, 0.0, 1)
@@ -263,20 +263,20 @@ def test_min_window_rejects_bad_gain():
 
 def test_on_ack_initializes_and_tracks_minimum_latency():
     c = Controller(ControllerParams(), ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.020)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.020)
     assert c.state.outstanding["r1"] == {}
-    c.on_send("r1", 1, 0.100)
+    c.on_send("r1", 0.100)
     c.on_ack("r1", 1, 0.118)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.018)
 
 
 def test_duplicate_ack_counted_but_state_unchanged():
     c = Controller(ControllerParams(), ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.020)
-    c.on_send("r1", 1, 0.030)
+    c.on_send("r1", 0.030)
     before = copy.deepcopy(c.state)
     c.on_ack("r1", 0, 0.025)
     assert c.state == before
@@ -284,8 +284,8 @@ def test_duplicate_ack_counted_but_state_unchanged():
 
 def test_gap_of_three_later_acks_declares_loss():
     c = Controller(ControllerParams(), ["r1"])
-    for seq in range(5):
-        c.on_send("r1", seq, 0.0)
+    for _ in range(5):
+        c.on_send("r1", 0.0)
     c.on_ack("r1", 1, 0.02)
     c.on_ack("r1", 2, 0.03)
     assert c.state.cumulative_lost == 0
@@ -299,30 +299,30 @@ def test_gap_of_three_later_acks_declares_loss():
 def test_loss_calibrates_dmax_from_recent_peak_latency():
     c = Controller(ControllerParams(bw_window_tc=1.0), ["r1"])
     # an old ack outside the trailing window must not dominate
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.500)          # latency 500 ms, long ago
-    c.on_send("r1", 1, 10.0)
+    c.on_send("r1", 10.0)
     c.on_ack("r1", 1, 10.020)         # baseline 20 ms
-    c.on_send("r1", 2, 10.1)
+    c.on_send("r1", 10.1)
     c.on_ack("r1", 2, 10.220)         # peak 120 ms inside the window
-    c.on_send("r1", 3, 10.3)
+    c.on_send("r1", 10.3)
     c.on_ack("r1", 3, 10.330)         # 30 ms afterwards
-    c.on_send("r1", 4, 10.4)
+    c.on_send("r1", 10.4)
     c.on_loss("r1", 4, 10.5)
     assert c.state.receivers["r1"].d_max == pytest.approx(0.120)
 
 
 def test_loss_recalibration_can_move_down():
     c = Controller(ControllerParams(bw_window_tc=0.1), ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.120)
-    c.on_send("r1", 1, 0.05)
+    c.on_send("r1", 0.05)
     c.on_loss("r1", 1, 0.2)
     assert c.state.receivers["r1"].d_max == pytest.approx(0.120)
     # much later, shallower latencies only: a new loss lowers the estimate
-    c.on_send("r1", 2, 10.0)
+    c.on_send("r1", 10.0)
     c.on_ack("r1", 2, 10.090)
-    c.on_send("r1", 3, 10.1)
+    c.on_send("r1", 10.1)
     c.on_loss("r1", 3, 10.3)
     assert c.state.receivers["r1"].d_max == pytest.approx(0.090)
 
@@ -332,13 +332,13 @@ def test_loss_dmax_count_cap_binds_inside_the_horizon():
     # peak stays visible for the latest ACK_HISTORY_LEN acks, not one more
     for n, expected in ((ACK_HISTORY_LEN - 1, 0.5), (ACK_HISTORY_LEN, 0.01)):
         c = Controller(ControllerParams(bw_window_tc=10.0), ["r1"])
-        c.on_send("r1", 0, 0.0)
+        c.on_send("r1", 0.0)
         c.on_ack("r1", 0, 0.5)
         for seq in range(1, n + 1):
             t = 0.5 + seq * 1e-3
-            c.on_send("r1", seq, t)
+            c.on_send("r1", t)
             c.on_ack("r1", seq, t + 0.01)
-        c.on_send("r1", n + 1, 3.0)
+        c.on_send("r1", 3.0)
         c.on_loss("r1", n + 1, 3.0)
         assert c.state.receivers["r1"].d_max == pytest.approx(expected)
         assert len(c.state.receivers["r1"].latency_peaks) <= ACK_HISTORY_LEN
@@ -348,25 +348,25 @@ def test_loss_dmax_time_horizon_binds_at_two_bw_windows():
     # the peak acked at t = 1.0 is inside [now - 2 * 0.5, now] up to now = 2.0
     for now, expected in ((2.0, 0.5), (2.0 + 1e-9, 0.05)):
         c = Controller(ControllerParams(bw_window_tc=0.5), ["r1"])
-        c.on_send("r1", 0, 0.5)
+        c.on_send("r1", 0.5)
         c.on_ack("r1", 0, 1.0)           # 500 ms peak
-        c.on_send("r1", 1, 1.95)
+        c.on_send("r1", 1.95)
         c.on_ack("r1", 1, 2.0)           # 50 ms afterwards
-        c.on_send("r1", 2, 2.0)
+        c.on_send("r1", 2.0)
         c.on_loss("r1", 2, now)
         assert c.state.receivers["r1"].d_max == pytest.approx(expected)
 
 
 def test_loss_dmax_falls_back_to_last_ack_latency():
     c = Controller(ControllerParams(bw_window_tc=0.1), ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_loss("r1", 0, 0.1)              # no ack ever: d_max stays unset
     assert c.state.receivers["r1"].d_max is None
-    c.on_send("r1", 1, 0.2)
+    c.on_send("r1", 0.2)
     c.on_ack("r1", 1, 0.5)               # 300 ms
-    c.on_send("r1", 2, 0.95)
+    c.on_send("r1", 0.95)
     c.on_ack("r1", 2, 1.0)               # 50 ms, the last ack
-    c.on_send("r1", 3, 1.0)
+    c.on_send("r1", 1.0)
     c.on_loss("r1", 3, 5.0)              # both acks older than 2 * 0.1 s
     assert c.state.receivers["r1"].d_max == pytest.approx(0.05)
 
@@ -379,7 +379,7 @@ def test_control_tick_bootstrap_quota():
 def test_control_tick_after_first_ack_leaves_bootstrap():
     c = Controller(ControllerParams(), ["r1"])
     c.control_tick(0.05)
-    c.on_send("r1", 0, 0.06)
+    c.on_send("r1", 0.06)
     c.on_ack("r1", 0, 0.08)
     snap = c.control_tick(0.10)
     assert not in_bootstrap(c, snap)
@@ -390,9 +390,9 @@ def test_control_tick_after_first_ack_leaves_bootstrap():
 def test_timeout_expiry_declares_loss():
     params = ControllerParams(initial_qmax_offset=0.1)
     c = Controller(params, ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.020)  # d_min 20 ms -> deadline 2*(0.02+0.1)=0.24
-    c.on_send("r1", 1, 0.1)
+    c.on_send("r1", 0.1)
     assert tick_timeouts(c, 0.5) == 1
     assert c.state.cumulative_lost == 1
 
@@ -402,9 +402,9 @@ def test_timeout_deadline_respects_observed_latency():
     # younger than twice the observed latency must not expire
     params = ControllerParams(initial_qmax_offset=0.05)
     c = Controller(params, ["r1"])
-    c.on_send("r1", 0, 0.0)
+    c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.400)  # observed 400 ms >> 2*(d_min+offset)
-    c.on_send("r1", 1, 0.5)
+    c.on_send("r1", 0.5)
     assert tick_timeouts(c, 1.2) == 0  # age 0.7 < 2*0.4
 
 
@@ -412,22 +412,32 @@ def test_timeout_deadline_reads_the_last_ack_not_the_peak():
     params = ControllerParams(initial_qmax_offset=0.05)
     c = Controller(params, ["r1"])
     for seq, (sent, acked) in enumerate([(0.0, 0.01), (0.02, 0.42), (0.5, 0.55)]):
-        c.on_send("r1", seq, sent)
+        c.on_send("r1", sent)
         c.on_ack("r1", seq, acked)       # 10 ms, the 400 ms peak, 50 ms last
-    c.on_send("r1", 3, 0.6)
+    c.on_send("r1", 0.6)
     # deadline 2 * max(0.01 + 0.05, 0.05) = 0.12, not 2 * 0.4
     assert tick_timeouts(c, 0.9) == 1
 
 
-@pytest.mark.parametrize("seq, now", [(4, 2.0), (5, 2.0), (6, 0.9)])
-def test_on_send_rejects_out_of_order_sends(seq, now):
+@pytest.mark.parametrize("times", [[0.9], [1.0, 0.9], [1.0, 1.5, 0.9, 2.0]])
+def test_on_send_rejects_out_of_order_sends(times):
+    # seqs run 0, 1, 2, ... in send order across receivers; a run returns
+    # its first seq; a send earlier than its receiver's last send raises,
+    # after the sends before it are tracked, and takes no seq
     c = Controller(ControllerParams(), ["r1", "r2"])
-    c.on_send("r1", 5, 1.0)
-    c.on_send("r2", 0, 0.0)              # order is kept per receiver
-    with pytest.raises(ValueError, match=r"'r1'.*seq %d.*seq 5 sent at 1.0" % seq):
-        c.on_send("r1", seq, now)
-    c.on_send("r1", 6, 1.0)              # same instant, higher seq: fine
-    assert list(c.state.outstanding["r1"]) == [5, 6]
+    assert c.on_send("r1", 1.0) == 0
+    assert c.on_send("r2", 0.0) == 1     # order is kept per receiver
+    assert c.on_send_run("r2", [0.0, 0.5]) == 2
+    tracked = times.index(0.9)
+    with pytest.raises(ValueError, match=r"'r1': seq %d sent at 0.9 before its last send, at %s"
+                       % (4 + tracked, ([1.0] + times)[tracked])):
+        c.on_send_run("r1", times)
+    assert list(c.state.outstanding["r1"].items()) == [
+        (0, 1.0), *zip(range(4, 4 + tracked), times[:tracked])]
+    assert c.state.cumulative_sent == 4 + tracked
+    assert c.on_send("r1", 2.0) == 4 + tracked     # no later time: fine
+    assert c.on_send("r2", 0.5) == 5 + tracked     # same instant: fine
+    assert list(c.state.outstanding["r2"]) == [1, 2, 3, 5 + tracked]
 
 
 class CountingOrderedDict(OrderedDict):
@@ -452,7 +462,7 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     c = Controller(ControllerParams(), ["r1"])
     pending = c.state.outstanding["r1"] = CountingOrderedDict()
     for seq in range(n):
-        c.on_send("r1", seq, seq * 1e-4)
+        c.on_send("r1", seq * 1e-4)
     unacked = list(range(0, n, skip_every)) if skip_every else []
     acked = sorted(set(range(n)) - set(unacked))
     for seq in acked:
@@ -475,14 +485,14 @@ def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
     assert type(c.state.outstanding["r1"]) is OrderedDict
     pending = c.state.outstanding["r1"] = CountingOrderedDict()
     for seq in range(window):
-        c.on_send("r1", seq, seq * 1e-4)
+        c.on_send("r1", seq * 1e-4)
     acks = ticks = 0
     for seq in range(window, 5 * window):
         now = seq * 1e-4
         c.on_ack("r1", seq - window, now)
         assert c.state.acks_after["r1"] == {}
         acks += 1
-        c.on_send("r1", seq, now)
+        c.on_send("r1", now)
         if seq % 100 == 0:
             assert tick_timeouts(c, now) == 0
             ticks += 1
@@ -496,9 +506,9 @@ def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
 def test_stale_seqs_behind_a_pending_front():
     c = Controller(ControllerParams(), ["r1"])
     for seq in range(8):
-        c.on_send("r1", seq, seq * 0.001)
-    c.on_send("r1", 8, 0.98)
-    c.on_send("r1", 9, 0.99)
+        c.on_send("r1", seq * 0.001)
+    c.on_send("r1", 0.98)
+    c.on_send("r1", 0.99)
     losses = []
     on_loss = c.on_loss
 
@@ -609,9 +619,10 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
         t += dt
         live = list(c.state.outstanding[rid])
         if op == "send":
-            c.on_send(rid, next_seq, t)
-            ref.send(rid, next_seq, t)
-            sent[rid].append(next_seq)
+            seq = c.on_send(rid, t)
+            assert seq == next_seq      # seqs run 0, 1, 2, ... across receivers
+            ref.send(rid, seq, t)
+            sent[rid].append(seq)
             next_seq += 1
         elif op in ("ack", "reordered-ack") and live:
             seq = live[0] if op == "ack" else live[pick % len(live)]
@@ -677,7 +688,6 @@ def test_property_share_normalization(counts):
 def test_property_counter_conservation(data):
     ids = ["a", "b"]
     c = Controller(ControllerParams(), ids)
-    next_seq = {rid: 0 for rid in ids}
     acked_pool = {rid: [] for rid in ids}
     ops = data.draw(st.lists(
         st.tuples(st.sampled_from(["send", "ack", "loss"]),
@@ -687,9 +697,7 @@ def test_property_counter_conservation(data):
     for op, rid in ops:
         t += 0.01
         if op == "send":
-            c.on_send(rid, next_seq[rid], t)
-            acked_pool[rid].append(next_seq[rid])
-            next_seq[rid] += 1
+            acked_pool[rid].append(c.on_send(rid, t))
         elif op == "ack" and acked_pool[rid]:
             c.on_ack(rid, acked_pool[rid].pop(0), t)
         elif op == "loss" and acked_pool[rid]:
@@ -708,7 +716,7 @@ def test_property_dmin_monotone_non_increasing(latencies):
     seen = []
     for i, lat in enumerate(latencies):
         t = float(i)
-        c.on_send("r1", i, t)
+        c.on_send("r1", t)
         c.on_ack("r1", i, t + lat)
         seen.append(c.state.receivers["r1"].d_min)
     assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))

@@ -37,7 +37,7 @@ def outputs():
     cfg = build_experiment_1()
     cfg.duration = 5.0
     run = sim._Run(cfg)
-    controller = run.controller
+    controller = run.stream.controller
     tick = controller.control_tick
     delays = []
 

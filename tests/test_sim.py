@@ -398,7 +398,7 @@ def test_bottleneck_drops_inside_a_run_and_admits_after():
     assert bn.enqueue_many("p2p", [0.0, 0.0, 0.0, 1.0]) == [1.0, 2.0, None, 3.0]
 
 
-send_runs = st.lists(st.tuples(st.sampled_from(["r1", "r2"]), st.integers(-1, 3),
+send_runs = st.lists(st.tuples(st.sampled_from(["r1", "r2"]),
                                st.lists(st.integers(-2, 6).map(lambda k: k / 4.0),
                                         min_size=1, max_size=8)), max_size=8)
 
@@ -406,35 +406,37 @@ send_runs = st.lists(st.tuples(st.sampled_from(["r1", "r2"]), st.integers(-1, 3)
 @settings(max_examples=300, deadline=None)
 @given(send_runs)
 def test_controller_run_equals_sends_one_by_one(runs):
-    # each run is (receiver, seq step from the last seq sent, times); times
-    # may fall and a step may not rise, and then both forms raise the same
-    # ValueError after tracking the same packets
+    # each run is (receiver, times); times may fall below the receiver's last
+    # send, and then both forms raise the same ValueError after tracking the
+    # same packets; both number the packets they track alike
     params = ControllerParams()
     by_run, by_send = Controller(params, ["r1", "r2"]), Controller(params, ["r1", "r2"])
-    next_seq = 0
-    for rid, step, times in runs:
-        first = next_seq + step
+    for rid, times in runs:
         errors = []
+        first = by_run.state.cumulative_sent
         try:
-            by_run.on_send_run(rid, first, times)
+            assert by_run.on_send_run(rid, times) == first
         except ValueError as exc:
             errors.append(str(exc))
+        seqs = []
         try:
-            for i, now in enumerate(times):
-                by_send.on_send(rid, first + i, now)
+            for now in times:
+                seqs.append(by_send.on_send(rid, now))
         except ValueError as exc:
             errors.append(str(exc))
         assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        assert seqs == list(range(first, first + len(seqs)))
         assert by_run.state == by_send.state
-        next_seq = max(next_seq, first + len(times))
 
 
 def test_controller_run_tracks_the_sends_before_a_falling_time():
     controller = Controller(ControllerParams(), ["r1"])
-    with pytest.raises(ValueError, match="seq 7 sent at 0.5 after seq 6 sent at 1.0"):
-        controller.on_send_run("r1", 5, [0.0, 1.0, 0.5, 2.0])
-    assert list(controller.state.outstanding["r1"].items()) == [(5, 0.0), (6, 1.0)]
-    assert controller.state.cumulative_sent == 2
+    assert controller.on_send_run("r1", [0.0, 0.0]) == 0
+    with pytest.raises(ValueError, match="seq 4 sent at 0.5 before its last send, at 1.0"):
+        controller.on_send_run("r1", [0.0, 1.0, 0.5, 2.0])
+    assert list(controller.state.outstanding["r1"].items()) == [
+        (0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)]
+    assert controller.state.cumulative_sent == 4
 
 
 # -- TCP sender -------------------------------------------------------------
@@ -446,7 +448,7 @@ class RecordingRun:
         self.loop = EventLoop()
         self.sent = []
 
-    def send(self, rid, flow_id, seq, now):
+    def send(self, receiver, flow_id, seq, now):
         self.sent.append(seq)           # the packet is dropped
 
 
@@ -754,7 +756,7 @@ def test_p2p_packets_take_no_events(monkeypatch):
     run_ = _Run(cfg)
     run_.execute()
     assert run_.bottleneck.drops == 0
-    assert run_.controller.state.cumulative_sent > 1000
+    assert run_.stream.controller.state.cumulative_sent > 1000
     ticks, samples = clock_instants(cfg)
     assert len(ticks) == len(samples) == len(run_.log.rows)
     assert calls[0] == len(set(ticks) | set(samples)) == len(ticks) + 1
@@ -776,7 +778,7 @@ def test_ticks_off_the_sample_grid_keep_their_own_events(monkeypatch):
     assert calls[0] == len(set(ticks) | set(samples)) == 640
     old = EventPacedRun(cfg)
     spurious.append(execute_counting_spurious_acks(old))
-    assert old.controller.state.cumulative_sent > 1000
+    assert old.stream.controller.state.cumulative_sent > 1000
     assert new.log.rows == old.log.rows
     assert end_state(new, spurious[0]) == end_state(old, spurious[1])
 
@@ -814,16 +816,18 @@ def held_reads(run_):
     per step it crosses: the access link, the bottleneck and, per receiver,
     the forward link, and the ack link and the ack record's queue-free round
     trip, which both read the path latency."""
-    reads = steps_crossed(run_.sender_lat) + steps_crossed(run_.bottleneck.rate)
-    for rid, lat in run_.receiver_lat.items():
-        reads += steps_crossed(lat) + 2 * steps_crossed(run_.path_lat[rid])
+    reads = steps_crossed(run_.access_link.latency) + steps_crossed(run_.bottleneck.rate)
+    for receiver in run_.receivers.values():
+        path = receiver.ack_link.latency
+        reads += steps_crossed(receiver.forward.latency) + 2 * steps_crossed(path)
     return reads
 
 
 def setup_reads(run_):
     """Reads of building each receiver's path latency: both of its schedules,
     once at each of its breakpoints."""
-    return sum(2 * len(path.times) for path in run_.path_lat.values())
+    return sum(2 * len(receiver.ack_link.latency.times)
+               for receiver in run_.receivers.values())
 
 
 def resampled_latencies(cfg):
@@ -842,7 +846,7 @@ def test_schedule_reads_do_not_grow_with_packets(monkeypatch):
     assert setup == setup_reads(run_) == 10
     run_.execute()
     assert run_.bottleneck.drops == 0
-    sent = run_.controller.state.cumulative_sent
+    sent = run_.stream.controller.state.cumulative_sent
     samples = len(run_.log.rows)
     assert sent > 1000
     assert held_reads(run_) == 21    # 5 + 1 + 5 + 5 + 5: five latency steps
@@ -869,7 +873,7 @@ def test_tcp_schedule_reads_do_not_grow_with_transmissions(monkeypatch):
     run_.execute()
     run_.bottleneck.advance(math.inf)
     assert run_.bottleneck.drops == 0
-    sent = run_.controller.state.cumulative_sent
+    sent = run_.stream.controller.state.cumulative_sent
     assert sent + tcp[0] > 1000 and tcp[0] > 300
     assert calls[0] - setup <= len(run_.log.rows) + held_reads(run_)
 
@@ -1009,7 +1013,7 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
     record_offers(monkeypatch, record)
     run_ = _Run(BUILTIN_SCENARIOS[name]())
     run_.execute()
-    state = run_.controller.state
+    state = run_.stream.controller.state
     assert state.cumulative_sent == (state.cumulative_acked + state.cumulative_lost
                                      + state.in_flight_total())
     assert p2p_drops[0] <= state.cumulative_lost + state.in_flight_total()
@@ -1059,27 +1063,28 @@ class EventPacedRun(_Run):
         return 2 if fn == self._send_p2p else 1
 
     def _p2p_tick(self, now):
-        snapshot = self.controller.control_tick(now)
-        self.last_snapshot = snapshot
-        assignments = [rid for rid, n in self.source.next_packets(snapshot.quota)
+        stream = self.stream
+        snapshot = stream.controller.control_tick(now)
+        stream.snapshot = snapshot
+        assignments = [receiver for receiver, n in stream.source.next_packets(snapshot.quota)
                        for _ in range(n)]
         if not assignments:
             return
         spacing = self.T / len(assignments)
-        for i, rid in enumerate(assignments):
-            self.loop.schedule(now + i * spacing, self._send_p2p, rid)
+        for i, receiver in enumerate(assignments):
+            self.loop.schedule(now + i * spacing, self._send_p2p, receiver)
 
-    def _send_p2p(self, rid, now):
-        seq = self.controller.state.cumulative_sent
-        self.controller.on_send(rid, seq, now)
-        base_rtt = 2.0 * (self.sender_lat(now) + self.receiver_lat[rid](now))
-        ack = self.send(rid, P2P_FLOW_ID, seq, now)
+    def _send_p2p(self, receiver, now):
+        # the stream's paced list stays empty, so send puts this packet alone
+        seq = self.stream.controller.on_send(receiver.rid, now)
+        base_rtt = 2.0 * (self.access_link.latency(now) + receiver.forward.latency(now))
+        ack = self.send(receiver, P2P_FLOW_ID, seq, now)
         if ack is not None:
-            self.loop.schedule(ack, self._on_p2p_ack, rid, seq, now, base_rtt)
+            self.loop.schedule(ack, self._on_p2p_ack, receiver.rid, seq, now, base_rtt)
 
     def _on_p2p_ack(self, rid, seq, send_time, base_rtt, now):
-        self.controller.on_ack(rid, seq, now)
-        self._applied.append((now, seq, rid, now - send_time, base_rtt))
+        self.stream.controller.on_ack(rid, seq, now)
+        self.stream.applied.append((now, seq, rid, now - send_time, base_rtt))
 
 
 @st.composite
@@ -1112,7 +1117,7 @@ def tie_heavy_scenarios(draw):
 def execute_counting_spurious_acks(run_):
     """Execute ``run_``; return how many of the acks it gave its controller
     were for packets no longer outstanding, which the controller ignores."""
-    controller = run_.controller
+    controller = run_.stream.controller
     on_ack = controller.on_ack
     spurious = [0]
 
@@ -1126,7 +1131,7 @@ def execute_counting_spurious_acks(run_):
 
 
 def end_state(run_, spurious_acks):
-    state = run_.controller.state
+    state = run_.stream.controller.state
     bn = run_.bottleneck
     bn.advance(math.inf)
     return (state.cumulative_sent, state.cumulative_acked, state.cumulative_lost,
@@ -1200,7 +1205,7 @@ def test_tcp_send_goes_before_a_paced_send_at_its_instant(monkeypatch):
         order.clear()
 
         def send(run_, now):
-            run_.send("r1", "tcp1", 0, now)
+            run_.send(run_.receivers["r1"], "tcp1", 0, now)
 
         # the tick's quota is 2: paced sends at 0 and 0.05
         run_.loop.schedule(0.05, send, run_)
@@ -1271,7 +1276,7 @@ class AppliedAckRun(_Run):
         self.periods = []
 
     def _sample(self, now):
-        self.periods.append(list(self._applied))
+        self.periods.append(list(self.stream.applied))
         super()._sample(now)
 
 

@@ -23,26 +23,26 @@ def expand(stretches):
 
 
 def test_blocks_fill_sequentially_and_rotate_receivers():
-    src = BlockSource(block_size=40, receiver_ids=["R1", "R2"])
+    src = BlockSource(block_size=40, receivers=["R1", "R2"])
     out = src.next_packets(100)
     assert out == [("R1", 40), ("R2", 40), ("R1", 20)]
     assert expand(out) == ["R1"] * 40 + ["R2"] * 40 + ["R1"] * 20
 
 
 def test_zero_quota_yields_nothing():
-    src = BlockSource(block_size=40, receiver_ids=["R1"])
+    src = BlockSource(block_size=40, receivers=["R1"])
     assert src.next_packets(0) == []
 
 
 def test_finite_backlog_exhausts():
-    src = BlockSource(block_size=40, receiver_ids=["R1"], backlog_blocks=1)
+    src = BlockSource(block_size=40, receivers=["R1"], backlog_blocks=1)
     out = src.next_packets(100)
     assert len(expand(out)) == 40
     assert src.next_packets(10) == []
 
 
 def test_blocks_never_interleave():
-    src = BlockSource(block_size=5, receiver_ids=["R1", "R2", "R3"])
+    src = BlockSource(block_size=5, receivers=["R1", "R2", "R3"])
     emitted = []
     for quota in (3, 4, 2, 6, 10):
         emitted.extend(expand(src.next_packets(quota)))
@@ -54,9 +54,9 @@ class PerPacketBlockSource:
     """The block source handing out one packet per loop pass: the reference
     for ``BlockSource``, which hands out a block's share at once."""
 
-    def __init__(self, block_size, receiver_ids, backlog_blocks):
+    def __init__(self, block_size, receivers, backlog_blocks):
         self.block_size = block_size
-        self.receiver_ids = receiver_ids
+        self.receivers = receivers
         self.backlog_blocks = backlog_blocks
         self.block_id = self.sent_in_block = self.next_receiver = 0
 
@@ -65,12 +65,12 @@ class PerPacketBlockSource:
         while len(out) < quota:
             if self.backlog_blocks is not None and self.block_id >= self.backlog_blocks:
                 break
-            out.append(self.receiver_ids[self.next_receiver])
+            out.append(self.receivers[self.next_receiver])
             self.sent_in_block += 1
             if self.sent_in_block >= self.block_size:
                 self.sent_in_block = 0
                 self.block_id += 1
-                self.next_receiver = (self.next_receiver + 1) % len(self.receiver_ids)
+                self.next_receiver = (self.next_receiver + 1) % len(self.receivers)
         return out
 
 
