@@ -35,11 +35,11 @@ the next TCP send (rule 3), the only other places where a run is cut.  The
 whole run passes the controller (``Controller.on_send_run``, which numbers
 it), the access link (``DelayLink.transit_many``), the bottleneck
 (``Bottleneck.enqueue_many``) and, less the packets the bottleneck dropped,
-the receiver's forward and ack links.  Each layer keeps its state across the run and sees its packets in
-send order, so it does the float operations that it would do send by send,
-in the same order.  A run of fewer than ``SHORT_RUN`` sends goes through the
-per-packet forms (``Controller.on_send``, ``transit``, ``enqueue``) one send
-at a time, and so does every TCP packet.
+the receiver's forward and ack links.  Each layer keeps its state across
+the run and sees its packets in send order, so it does the float operations
+that it would do send by send, in the same order.  A run of fewer than
+``SHORT_RUN`` sends goes through the per-packet forms (``Controller.on_send``,
+``transit``, ``enqueue``) one send at a time, and so does every TCP packet.
 
 One rule orders what happens at one instant:
 
@@ -285,10 +285,11 @@ class TcpSender:
     Window growth/decay lives in the traffic-model flow object and loss
     detection in the duplicate-gap rule it shares with the controller; this
     class owns sequencing, the retransmission timer and pushing packets onto
-    the shared path, to its receiver's ``ReceiverPath`` (``receiver``).  ``outstanding`` maps each unacknowledged seq to its
-    send time, or to ``None`` after a retransmission, whose ack gives no RTT
-    sample (Karn's rule, RFC 6298 section 3); ``acks_after`` holds the later
-    acks of those that have some.  Retransmissions break seq order, so each
+    the shared path, to its receiver's ``ReceiverPath`` (``receiver``).
+    ``outstanding`` maps each unacknowledged seq to its send time, or to
+    ``None`` after a retransmission, whose ack gives no RTT sample (Karn's
+    rule, RFC 6298 section 3); ``acks_after`` holds the later acks of those
+    that have some.  Retransmissions break seq order, so each
     ack passes the rule every lower outstanding seq: O(window) per ack, until
     loss is detected in send order (see ROADMAP.md).
 
@@ -492,7 +493,7 @@ class StreamSender:
                 self._put_run(receiver, times[i:j])
             elif j > i:
                 on_send = self.controller.on_send
-                put = self.run._put
+                put = self.run.put
                 add_ack = receiver.acks.append
                 for now in times[i:j]:
                     seq = on_send(receiver.rid, now)
@@ -553,7 +554,7 @@ class _Run:
     receiver (``receivers``, in column order).  The streaming sender
     (``stream``) and the TCP senders put their packets on it: ``send`` puts
     a TCP packet after the paced sends strictly before it (rule 3), and
-    ``_put`` returns a packet's ack instant, from which the TCP senders file
+    ``put`` returns a packet's ack instant, from which the TCP senders file
     their acks.
 
     The heap holds one clock event and, per TCP sender, its acks and its
@@ -648,13 +649,13 @@ class _Run:
 
     def send(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
         """Put a TCP packet on the path and return its ack instant, as
-        ``_put`` does, after the paced sends strictly before ``now``
+        ``put`` does, after the paced sends strictly before ``now``
         (rule 3)."""
         if self.stream.paced:
             self.stream.send_paced(now)
-        return self._put(receiver, flow_id, seq, now)
+        return self.put(receiver, flow_id, seq, now)
 
-    def _put(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
+    def put(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
         """Put a packet on the access link, the bottleneck and the receiver's
         forward and ack links; return the instant its ack reaches the sender,
         or ``None`` if it is dropped.  Receivers ack every packet on delivery

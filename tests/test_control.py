@@ -419,7 +419,8 @@ def test_timeout_deadline_reads_the_last_ack_not_the_peak():
     assert tick_timeouts(c, 0.9) == 1
 
 
-@pytest.mark.parametrize("times", [[0.9], [1.0, 0.9], [1.0, 1.5, 0.9, 2.0]])
+@pytest.mark.parametrize("times", [[0.9], [1.0, 0.9], [1.0, 1.5, 0.9, 2.0]],
+                         ids=["falls-first", "falls-second", "falls-third"])
 def test_on_send_rejects_out_of_order_sends(times):
     # seqs run 0, 1, 2, ... in send order across receivers; a run returns
     # its first seq; a send earlier than its receiver's last send raises,
