@@ -141,7 +141,10 @@ class ControllerState:
     d_ref: float = 0.0
     avg_queue_delay_d: float = 0.0  # d(kT) of the last closed interval
     ack_arrivals: deque = field(default_factory=deque)   # ack arrival times
-    qdelay_samples: list = field(default_factory=list)   # current interval
+    # the current interval's queue-delay samples (an ack's latency less its
+    # receiver's d_min): their total, added in ack order, and their count
+    qdelay_total: float = 0.0
+    qdelay_count: int = 0
 
     def in_flight_total(self) -> int:
         return sum(map(len, self.outstanding.values()))
@@ -294,36 +297,57 @@ class Controller:
         return first_seq
 
     def on_ack(self, receiver_id: str, seq: int, ack_time: float) -> None:
-        """Process one ack, and pass to ``on_loss`` each packet that it
-        declares lost by the duplicate-gap rule.  An ack of a packet not
-        outstanding (a duplicate, or one already declared lost) is ignored:
-        it changes no state."""
-        state = self.state
-        pending = state.outstanding[receiver_id]
-        send_time = pending.pop(seq, None)
-        if send_time is None:
-            return
-        acks_after = state.acks_after[receiver_id]
-        acks_after.pop(seq, None)
-        recv = state.receivers[receiver_id]
-        latency = ack_time - send_time
-        if recv.d_min is None or latency < recv.d_min:
-            recv.d_min = latency
-        state.qdelay_samples.append(latency - recv.d_min)
-        state.ack_arrivals.append(ack_time)
-        recv.acks += 1
-        peaks = recv.latency_peaks
-        while peaks and peaks[-1][2] <= latency:
-            peaks.pop()
-        peaks.append((recv.acks, ack_time, latency))
-        if peaks[0][0] <= recv.acks - ACK_HISTORY_LEN:
-            peaks.popleft()
-        state.cumulative_acked += 1
+        """Process one ack, a run of one (see ``on_ack_run``)."""
+        self.on_ack_run(((ack_time, seq, receiver_id),))
 
-        # the walk bumps something only if the oldest outstanding seq is lower
-        if pending and next(iter(pending)) < seq:
-            for lost_seq in dupgap_losses(pending, seq, acks_after):
-                self.on_loss(receiver_id, lost_seq, ack_time)
+    def on_ack_run(self, records) -> None:
+        """Process a run of acks in order; the first three fields of a record
+        are ``(ack time, seq, receiver id)``.  Each ack passes to ``on_loss``
+        each packet that it declares lost by the duplicate-gap rule.  An ack
+        of a packet not outstanding (a duplicate, or one already declared
+        lost) is ignored: it changes no state."""
+        state = self.state
+        outstanding = state.outstanding
+        all_acks_after = state.acks_after
+        receivers = state.receivers
+        add_arrival = state.ack_arrivals.append
+        on_loss = self.on_loss
+        # added left to right, as float_total adds the interval's samples
+        qdelay_total = state.qdelay_total
+        acked = 0
+        for record in records:
+            ack_time = record[0]
+            seq = record[1]
+            receiver_id = record[2]
+            pending = outstanding[receiver_id]
+            send_time = pending.pop(seq, None)
+            if send_time is None:
+                continue
+            acks_after = all_acks_after[receiver_id]
+            acks_after.pop(seq, None)
+            recv = receivers[receiver_id]
+            latency = ack_time - send_time
+            d_min = recv.d_min
+            if d_min is None or latency < d_min:
+                recv.d_min = d_min = latency
+            qdelay_total += latency - d_min
+            add_arrival(ack_time)
+            n = recv.acks = recv.acks + 1
+            peaks = recv.latency_peaks
+            while peaks and peaks[-1][2] <= latency:
+                peaks.pop()
+            peaks.append((n, ack_time, latency))
+            if peaks[0][0] <= n - ACK_HISTORY_LEN:
+                peaks.popleft()
+            acked += 1
+
+            # the walk bumps something only if the oldest outstanding seq is lower
+            if pending and next(iter(pending)) < seq:
+                for lost_seq in dupgap_losses(pending, seq, acks_after):
+                    on_loss(receiver_id, lost_seq, ack_time)
+        state.cumulative_acked += acked
+        state.qdelay_total = qdelay_total
+        state.qdelay_count += acked
 
     def on_loss(self, receiver_id: str, seq: int, now: float) -> None:
         """Account a detected loss and recalibrate the receiver's d_max.
@@ -382,9 +406,10 @@ class Controller:
             # a loss is the only way d_max changes here
             qmax = qmax_estimate(state.receivers, params)
 
-        samples = state.qdelay_samples
-        state.avg_queue_delay_d = float_total(samples) / len(samples) if samples else 0.0
-        state.qdelay_samples = []
+        count = state.qdelay_count
+        state.avg_queue_delay_d = state.qdelay_total / count if count else 0.0
+        state.qdelay_total = 0.0
+        state.qdelay_count = 0
 
         ack_rate = current_ack_rate(state, params, now)
         state.est_bandwidth_U = estimate_bandwidth(state, ack_rate)

@@ -25,8 +25,10 @@ form one chained clock: each clock event files its successor, and a tick and
 a sample that fall on one float instant share one event.  A tick files its
 paced sends, which go onto the path on demand, before the next clock event or
 the next TCP send.  A P2P ack waits in its receiver's FIFO, and the next clock
-event applies it.  So a P2P packet takes no event and a TCP packet one (its
-ack; TCP sends happen inside ack and timer handlers).
+event applies it: the event's due acks, merged across receivers, reach the
+controller as one run (``Controller.on_ack_run``).  So a P2P packet takes no
+event and a TCP packet one (its ack; TCP sends happen inside ack and timer
+handlers).
 
 The paced sends go onto the path in runs, one layer at a time.  The block
 source hands out a tick's quota as stretches of sends to one receiver; a run
@@ -443,9 +445,9 @@ class StreamSender:
       is put on the path.
     - ``apply_acks(until)`` applies the acks strictly before ``until``,
       merged by ``(ack, seq)``, each with its queue-free round trip at its
-      send time, and appends each one's record to ``applied``: ``(ack, seq,
-      receiver, round trip, queue-free round trip)``.  The run's metric
-      sample reads and clears that list.
+      send time, to the controller as one run of records ``(ack, seq,
+      receiver, round trip, queue-free round trip)``, and appends them to
+      ``applied``.  The run's metric sample reads and clears that list.
 
     Applying an ack late is exact: it changes only controller state and
     ``applied``, which only clock events read; a packet sent after the acked
@@ -525,7 +527,7 @@ class StreamSender:
 
     def apply_acks(self, until: float) -> None:
         """Apply the P2P acks strictly before ``until``, each with its
-        queue-free round trip at its send."""
+        queue-free round trip at its send, to the controller as one run."""
         due = []
         add_due = due.append
         for rid, receiver in self.run.receivers.items():
@@ -540,9 +542,7 @@ class StreamSender:
             receiver.base_rtt = lo, hi, base_rtt
         if len(self.run.receivers) > 1:
             due.sort()              # merge the receivers' FIFOs by (ack, seq)
-        on_ack = self.controller.on_ack
-        for ack, seq, rid, _, _ in due:
-            on_ack(rid, seq, ack)
+        self.controller.on_ack_run(due)
         self.applied += due
 
 

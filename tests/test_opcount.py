@@ -26,17 +26,22 @@ def test_two_runs_of_one_tree_give_equal_counts():
 
 
 def test_one_more_call_per_packet_raises_the_count_by_the_packets(monkeypatch):
-    # the controller takes each ack by itself, so wrapping on_ack adds one
-    # Python call per acked packet
+    # the controller takes a clock event's acks as one run, so a wrapper of
+    # on_ack_run that makes one call per record adds one Python call per
+    # acked packet
     before = opcount.count("highrate", SECONDS).summary()
-    on_ack = Controller.on_ack
+    on_ack_run = Controller.on_ack_run
     packets = [0]
 
-    def wrapped_on_ack(controller, receiver_id, seq, ack_time):
+    def per_record(record):
         packets[0] += 1
-        return on_ack(controller, receiver_id, seq, ack_time)
 
-    monkeypatch.setattr(Controller, "on_ack", wrapped_on_ack)
+    def wrapped_on_ack_run(controller, records):
+        for record in records:
+            per_record(record)
+        return on_ack_run(controller, records)
+
+    monkeypatch.setattr(Controller, "on_ack_run", wrapped_on_ack_run)
     after = opcount.count("highrate", SECONDS).summary()
     assert packets[0] > 100
     assert after["bytecodes"] - before["bytecodes"] >= packets[0]
