@@ -428,6 +428,12 @@ class ReceiverPath:
         self.acks: deque[tuple[float, int, float]] = deque()
 
 
+# ``Controller.on_ack`` as defined, a run of one.  A controller whose class
+# replaces it (a subclass, or a wrapper patched onto the class, such as a
+# tracer's) gets the stream's acks one by one through its ``on_ack``.
+_RUN_OF_ONE = Controller.on_ack
+
+
 class StreamSender:
     """The periodic P2P sender: the controller, the block source, the paced
     sends not yet on the path, the last tick's snapshot and the period's
@@ -447,7 +453,9 @@ class StreamSender:
       merged by ``(ack, seq)``, each with its queue-free round trip at its
       send time, to the controller as one run of records ``(ack, seq,
       receiver, round trip, queue-free round trip)``, and appends them to
-      ``applied``.  The run's metric sample reads and clears that list.
+      ``applied``.  The run's metric sample reads and clears that list.  If
+      the controller's class replaces ``on_ack``, the acks go to it one by
+      one instead, in the same order.
 
     Applying an ack late is exact: it changes only controller state and
     ``applied``, which only clock events read; a packet sent after the acked
@@ -542,7 +550,12 @@ class StreamSender:
             receiver.base_rtt = lo, hi, base_rtt
         if len(self.run.receivers) > 1:
             due.sort()              # merge the receivers' FIFOs by (ack, seq)
-        self.controller.on_ack_run(due)
+        controller = self.controller
+        if type(controller).on_ack is _RUN_OF_ONE:
+            controller.on_ack_run(due)
+        else:                       # a replaced on_ack sees each ack
+            for ack, seq, rid, _, _ in due:
+                controller.on_ack(rid, seq, ack)
         self.applied += due
 
 

@@ -32,21 +32,6 @@ print(json.dumps({"correct": True, "metrics": {
     "run_s": {"value": 12.0 if seed == 13 else 1.0 / value, "unit": "s"}}}))
 """
 
-# the new side's opcount prints fewer calls than the old side's; it fails
-# for the old side on workload w2; every count appends "checkout workload"
-# to the counts log next to the checkouts
-OPCOUNT_STUB = """
-import json, os, sys
-checkout = os.path.basename(sys.argv[1])
-workload = sys.argv[sys.argv.index("--workload") + 1]
-root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-with open(os.path.join(root, "counts"), "a") as fh:
-    fh.write(f"{checkout} {workload} {sys.argv[-1]}\\n")
-if checkout == "old" and workload == "w2":
-    sys.exit(1)
-print(json.dumps({"bytecodes": 100, "calls": 10 if checkout == "old" else 3, "c_calls": 5}))
-"""
-
 METRICS = [{"name": "pkts_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
            {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.24}]
 
@@ -58,10 +43,6 @@ def checkouts(tmp_path):
         (tmp_path / side / "src" / "p2pcc").mkdir(parents=True)
         (tmp_path / side / "src" / "p2pcc" / "control.py").write_text(side)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB)
-        (tmp_path / side / "tools").mkdir()
-        # only the new checkout's tool is run
-        (tmp_path / side / "tools" / "opcount.py").write_text(
-            OPCOUNT_STUB if side == "new" else "raise SystemExit(3)")
         (tmp_path / side / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": METRICS}))
     return tmp_path
@@ -97,11 +78,6 @@ def test_pairs_alternate_and_summarize(checkouts):
     # lower is better for run_s; seed 13 ties
     run_s = w1["metrics"]["run_s"]
     assert (run_s["change_wins"], run_s["ties"], run_s["better"]) == (3, 1, "lower")
-    # one count per side, after the pairs
-    assert (checkouts / "counts").read_text().splitlines() == ["old w1 --json",
-                                                               "new w1 --json"]
-    assert w1["counts"] == {"parent": {"bytecodes": 100, "calls": 10, "c_calls": 5},
-                            "change": {"bytecodes": 100, "calls": 3, "c_calls": 5}}
 
 
 def test_failed_run_is_listed_and_workloads_merge(checkouts):
@@ -118,9 +94,6 @@ def test_failed_run_is_listed_and_workloads_merge(checkouts):
     assert pkts["parent"]["runs"] == [7, 8]
     assert pkts["change"] == {"median": 14, "q1": 14, "q3": 14, "runs": [14, None]}
     assert pkts["change_wins"] == 1
-    # a failed count is null and listed, but is no failed run
-    assert w2["counts"]["parent"] is None and w2["counts"]["change"]["calls"] == 3
-    assert w2["errors"][-1] == "w2 counts parent: tools/opcount.py failed"
 
 
 def test_refuses_to_merge_other_trees(checkouts):

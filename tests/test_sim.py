@@ -1006,6 +1006,31 @@ def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
     assert len(acked) > 100
 
 
+def test_a_replaced_controller_on_ack_gets_the_stream_acks_one_by_one(monkeypatch):
+    # the stream's acks reach the controller in runs, but a wrapper patched
+    # onto Controller.on_ack, as a tracer's is, gets each of them, merged in
+    # (ack, seq) order and ignored ones included, and the run is unchanged
+    cfg = build_experiment_2("dynamic")
+    cfg.duration = 25.0
+    plain = _Run(cfg)
+    spurious = execute_counting_spurious_acks(plain)
+    seen = []
+    on_ack = Controller.on_ack
+
+    def recording_on_ack(controller, receiver_id, seq, ack_time):
+        seen.append((ack_time, seq, receiver_id))
+        on_ack(controller, receiver_id, seq, ack_time)
+
+    monkeypatch.setattr(Controller, "on_ack", recording_on_ack)
+    wrapped = _Run(cfg)
+    wrapped.execute()
+    assert wrapped.log.rows == plain.log.rows
+    assert end_state(wrapped, spurious) == end_state(plain, spurious)
+    assert seen == sorted(seen)
+    assert spurious > 0
+    assert len(seen) == wrapped.stream.controller.state.cumulative_acked + spurious
+
+
 
 def record_offers(monkeypatch, record):
     """Call ``record(flow_id, seq, arrival, departure)`` for each packet

@@ -16,19 +16,16 @@ FILE gets, for each workload and end-to-end metric of the NEW checkout's
 ``BENCHMARK.json``: every run of each side in pair order, each side's median
 and quartiles (``statistics.quantiles``, method 'inclusive'), the pairs the
 change won and tied, the ratio of the medians, and whether the gap between
-the medians exceeds the parent's interquartile range.  Under ``counts`` it
-gets each side's exact totals for the workload (bytecodes, Python calls and
-C calls), from one run of the NEW checkout's ``tools/opcount.py --json`` on
-each side at that tool's default length, after the pairs (null if it
-failed).  It also records both commits, a digest of each side's ``src`` tree, the seeds, which side went
+the medians exceeds the parent's interquartile range.  It also records both
+commits, a digest of each side's ``src`` tree, the seeds, which side went
 first in each pair, and the environment.  If FILE already holds a summary of
 the same two trees on the same kind of host, the workloads run now are
 added to it (replacing any of the same name), so that workloads can be given
 different pair counts.
 
-Exit status: 0 when every run completed with ``correct: true`` and every
-count was taken, 1 when not (FILE is still written, and the failures are
-listed on stderr), 2 on a usage error.  Uses the standard library only.
+Exit status: 0 when every run completed with ``correct: true``, 1 when some
+did not (FILE is still written, and the failures are listed on stderr), 2
+on a usage error.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -46,8 +43,6 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # perfbench/run.py ends a run within 170 s; allow for its setup on top
 RUN_TIMEOUT_S = 300.0
-# tools/opcount.py runs about 60 times slower than the benchmark
-COUNT_TIMEOUT_S = 1800.0
 PROCEDURE = (
     "one checkout per side; pairs run one after another, both sides of a pair "
     "on the same seed, parent first in even-numbered pairs and change first in "
@@ -113,24 +108,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def count_once(tool: Path, checkout: Path, workload: str) -> dict | None:
-    """The totals that ``tool`` (``tools/opcount.py``) prints with ``--json``
-    for one checkout and workload; None if it fails."""
-    cmd = [sys.executable, str(tool), str(checkout), "--workload", workload, "--json"]
-    env = dict(os.environ)
-    env.pop("PYTHONPATH", None)
-    try:
-        proc = subprocess.run(cmd, cwd=tool.parent, capture_output=True, text=True,
-                              env=env, timeout=COUNT_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    except ValueError:
-        return None
-
-
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -184,8 +161,6 @@ def run_workload(checkouts: dict[str, Path], workload: str, pairs: int,
     errors = [f"{workload} seed {seed} {side}: {result.get('error', 'not correct')}"
               for side in SIDES for seed, result in zip(seeds, results[side])
               if not result["correct"]]
-    tool = checkouts["change"] / "tools" / "opcount.py"
-    counts = {side: count_once(tool, checkouts[side], workload) for side in SIDES}
     summary = {
         "pairs": pairs,
         "seconds": seconds,
@@ -193,12 +168,10 @@ def run_workload(checkouts: dict[str, Path], workload: str, pairs: int,
         "first_in_pair": firsts,
         "all_correct": not errors,
         "failed_runs": len(errors),
-        "errors": errors + [f"{workload} counts {side}: tools/opcount.py failed"
-                            for side in SIDES if counts[side] is None],
+        "errors": errors,
         "loadavg_1m": {side: [r.get("loadavg_1m") for r in results[side]]
                        for side in SIDES},
         "metrics": {},
-        "counts": counts,
     }
     for metric in metrics:
         name = metric["name"]
@@ -244,8 +217,6 @@ def main(argv=None) -> int:
     doc = {"title": None, **head,
            "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
                       "--seconds SECONDS",
-           "counts_command": "python3 tools/opcount.py CHECKOUT --workload WORKLOAD "
-                             "--json, the change's tool on both sides",
            "procedure": PROCEDURE, "claim": None, "workloads": {}}
     if args.out.exists():
         with open(args.out, encoding="utf-8") as fh:
@@ -273,8 +244,6 @@ def main(argv=None) -> int:
             print(f"{workload:12s} {name:14s} parent {m['parent']['median']!s:>22} "
                   f"change {m['change']['median']!s:>22} "
                   f"wins {m['change_wins']}/{args.pairs}")
-        for side, totals in summary["counts"].items():
-            print(f"{workload:12s} counts {side:8s} {totals}")
     for message in errors:
         print(f"FAILED: {message}", file=sys.stderr)
     return 1 if errors else 0

@@ -1,7 +1,7 @@
 """Count the bytecodes a benchmark workload executes and the Python calls it
 makes, per function and per layer, and the C calls it makes.
 
-    python3 tools/opcount.py [CHECKOUT] --workload W [--seconds S] [--json]
+    python3 tools/opcount.py [CHECKOUT] --workload W [--seconds S]
 
 Runs the scenarios of workload W, as ``perfbench/workloads.py`` defines them
 (this checkout's copy, which is only read), with the ``src`` of CHECKOUT
@@ -33,9 +33,8 @@ counting, so that no gc callback runs inside the count.  The counts can
 support a host-time claim but not replace one.  Counting makes a run about
 60 times slower.
 
-Prints the totals, the layers and the TOP functions and C callees; with
-``--json``, only the totals, as one JSON line: ``{"bytecodes": ...,
-"calls": ..., "c_calls": ...}``.  Uses the standard library only.
+Prints the totals, the layers and the TOP functions and C callees.  Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
-import json
 import os
 import sys
 from collections import Counter
@@ -190,8 +188,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=sorted(_workloads().WORKLOADS))
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--json", action="store_true",
-                        help="print only the totals, as one JSON line")
     args = parser.parse_args(argv)
     if not args.seconds > 0.0:
         parser.error("--seconds must be positive")
@@ -201,9 +197,6 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
 
     summary = count(args.workload, args.seconds).summary()
-    if args.json:
-        print(json.dumps({key: summary[key] for key in ("bytecodes", "calls", "c_calls")}))
-        return 0
     print(f"{args.workload} at {args.seconds:g} s, {args.checkout}")
     print(f"bytecodes: {summary['bytecodes']:,}")
     _print_table("by layer:", summary["layers"], summary["bytecodes"])
