@@ -30,18 +30,17 @@ controller as one run (``Controller.on_ack_run``).  So a P2P packet takes no
 event and a TCP packet one (its ack; TCP sends happen inside ack and timer
 handlers).
 
-The paced sends go onto the path in runs, one layer at a time.  The block
-source hands out a tick's quota as stretches of sends to one receiver; a run
-is the sends of one stretch strictly before the next clock event (rule 1) or
-the next TCP send (rule 3), the only other places where a run is cut.  The
-whole run passes the controller (``Controller.on_send_run``, which numbers
-it), the access link (``DelayLink.transit_many``), the bottleneck
-(``Bottleneck.enqueue_many``) and, less the packets the bottleneck dropped,
-the receiver's forward and ack links.  Each layer keeps its state across
-the run and sees its packets in send order, so it does the float operations
-that it would do send by send, in the same order.  A run of fewer than
-``SHORT_RUN`` sends goes through the per-packet forms (``Controller.on_send``,
-``transit``, ``enqueue``) one send at a time, and so does every TCP packet.
+The paced sends go onto the path in runs.  The block source hands out a
+tick's quota as stretches of sends to one receiver; a run is the sends of
+one stretch strictly before the next clock event (rule 1) or the next TCP
+send (rule 3), the only other places where a run is cut.  The controller
+numbers the whole run (``Controller.on_send_run``), and ``_Run.put_run``
+takes it across the path in one pass: each send in turn crosses the access
+link, the bottleneck and, unless dropped, the receiver's forward and ack
+links, and its ack record goes onto the receiver's FIFO.  The pass holds
+each hop's state across the run and does the float operations that the
+per-packet forms (``transit``, ``enqueue``) would do send by send, in the
+same order.  Every TCP packet takes the per-packet forms, through ``put``.
 
 One rule orders what happens at one instant:
 
@@ -70,7 +69,6 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 
 from .control import (Controller, TickSnapshot, dupgap_losses, float_total,
@@ -83,13 +81,6 @@ from .traffic import (BlockSource, TcpBicFlow, TcpRenoFlow, bic_on_ack,
 # TCP retransmission timer bounds (seconds).
 TCP_RTO_MIN = 0.2
 TCP_RTO_MAX = 3.0
-
-# A cut of a stretch with fewer paced sends than this goes onto the path send
-# by send: there a run's lists cost more than the calls they save.  With every
-# cut taken as a run of its stretch, the benchmark's paper-tcp workload, whose
-# TCP sends cut most runs to one or two sends, lost 3.9 % of its packets per
-# second (0 of 10 pairs).
-SHORT_RUN = 5
 
 
 class EventLoop:
@@ -123,15 +114,12 @@ class DelayLink:
     instant; delivery order is FIFO even across a latency decrease (in-flight
     packets keep their assigned delay).
 
-    ``transit_many(times)`` takes a run of send instants (a cut of the paced
-    sends, rules 1 and 3 of the module) and returns their delivery
-    instants; ``transit(now)`` takes one send, and does what a run of one
-    does.  It keeps its own copy of the run's loop body, because a TCP
-    packet passes each hop alone: delegating to ``transit_many`` cost the
-    benchmark's paper-tcp workload 14 % of its packets per second.  The link
-    holds its delay on ``[lo, hi)``, the schedule's step at the last send it
-    read it at, and reads it again only for a send outside it.  Before the
-    first send it holds nothing."""
+    ``transit(now)`` takes one send and returns its delivery instant.  The
+    link holds its delay on ``[lo, hi)``, the schedule's step at the last
+    send it read it at, and reads it again only for a send outside it.
+    Before the first send it holds nothing.  A paced run does not call
+    ``transit``: ``_Run.put_run`` holds this state in locals across the run
+    and does what ``transit`` does for each send."""
 
     def __init__(self, latency):
         self.latency = latency
@@ -149,21 +137,6 @@ class DelayLink:
         self._last_out = out
         return out
 
-    def transit_many(self, times) -> list[float]:
-        lo, hi, delay, last = self._lo, self._hi, self._delay, self._last_out
-        deliveries = []
-        for now in times:
-            if not lo <= now < hi:
-                lo, hi, delay = self.latency.step(now)
-                self._lo, self._hi, self._delay = lo, hi, delay
-            out = now + delay
-            if out < last:
-                out = last
-            last = out
-            deliveries.append(out)
-        self._last_out = last
-        return deliveries
-
 
 # the keys of a bottleneck record (arrival, departure, flow)
 _arrival = itemgetter(0)
@@ -175,13 +148,11 @@ class Bottleneck:
     ``PiecewiseConstant``; every packet is ``packet_bits`` long.  A packet's
     fate is computed when it is sent.
 
-    ``enqueue_many(flow_id, arrivals)`` takes a run of one flow's packets,
-    cut as the paced sends are (rules 1 and 3), with their arrivals at the
-    queue in send order, and returns each one's departure, or ``None`` for a
-    drop; a drop leaves a gap in the run that goes on to the receiver's
-    links.  ``enqueue(pkt, arrival)`` takes one packet, and does what a run
-    of one does, with its own copy of the loop body for the same reason as
-    ``DelayLink.transit``.  Earlier packets arrive no later, so for each
+    ``enqueue(pkt, arrival)`` takes one packet and returns its departure,
+    or ``None`` for a drop.  A paced run does not call it:
+    ``_Run.put_run`` holds the queue's state (the held step and the queued
+    departures) in locals across the run and does what ``enqueue`` does for
+    each of its packets.  Earlier packets arrive no later, so for each
     arrival the queue first forgets the queued departures at or before it
     (rule 2) and decides admission against what is left.  An admitted
     packet's service starts at the previous departure, or at its arrival if
@@ -237,30 +208,6 @@ class Bottleneck:
         queued.append(departure)
         self._records.append((arrival, departure, pkt.flow_id))
         return departure
-
-    def enqueue_many(self, flow_id: str, arrivals) -> list[float | None]:
-        queued = self._queued
-        capacity = self.capacity
-        lo, hi, service = self._lo, self._hi, self._service
-        add_record = self._records.append
-        departures = []
-        for arrival in arrivals:
-            while queued and queued[0] <= arrival:
-                queued.popleft()
-            if len(queued) >= capacity:
-                self._dropped.append(arrival)
-                departures.append(None)
-                continue
-            start = queued[-1] if queued else arrival
-            if not lo <= start < hi:
-                lo, hi, rate = self.rate.step(start)
-                service = self.packet_bits / rate
-                self._lo, self._hi, self._service = lo, hi, service
-            departure = start + service
-            queued.append(departure)
-            add_record((arrival, departure, flow_id))
-            departures.append(departure)
-        return departures
 
     def advance(self, now: float) -> None:
         """Count the arrivals and departures strictly before ``now``."""
@@ -416,16 +363,22 @@ class ReceiverPath:
     ``ack_link``, takes the path latency, sender plus receiver, as one
     delay; its ``latency`` is that schedule.  ``base_rtt`` holds the
     queue-free round trip, twice the path latency, as ``(lo, hi, value)`` on
-    the step of the path latency it was last read at.  ``acks`` is the FIFO
-    of the stream's acks not yet applied, ``(ack, seq, send time)``; the
-    receiver's links are FIFO, so its ack instants never fall."""
+    the step of the path latency it was last read at, at a send.  ``acks``
+    is the FIFO of the stream's acks not yet applied, a list of finished
+    records ``(ack, seq, receiver id, round trip, queue-free round trip at
+    the send)`` in ack order: the receiver's links are FIFO, so its ack
+    instants never fall."""
 
     def __init__(self, rid: str, latency, sender_lat):
         self.rid = rid
         self.forward = DelayLink(latency)
         self.ack_link = DelayLink(schedule_sum(sender_lat, latency))
         self.base_rtt = (math.inf, -math.inf, 0.0)
-        self.acks: deque[tuple[float, int, float]] = deque()
+        self.acks: list[tuple[float, int, str, float, float]] = []
+
+
+# the key of an ack record
+_ack_time = itemgetter(0)
 
 
 # ``Controller.on_ack`` as defined, a run of one.  A controller whose class
@@ -446,16 +399,14 @@ class StreamSender:
       before ``until`` (rules 1 and 3), one run per entry, in FIFO order; the
       run calls it at each clock event and before a TCP send.  The
       controller numbers and tracks them, and each hop (access link,
-      bottleneck, receiver links) is thus used in time order.  A P2P ack,
-      ``(ack, seq, send time)``, goes into its receiver's FIFO as its packet
-      is put on the path.
+      bottleneck, receiver links) is thus used in time order.  A P2P ack's
+      record goes into its receiver's FIFO as its packet is put on the path.
     - ``apply_acks(until)`` applies the acks strictly before ``until``,
-      merged by ``(ack, seq)``, each with its queue-free round trip at its
-      send time, to the controller as one run of records ``(ack, seq,
-      receiver, round trip, queue-free round trip)``, and appends them to
-      ``applied``.  The run's metric sample reads and clears that list.  If
-      the controller's class replaces ``on_ack``, the acks go to it one by
-      one instead, in the same order.
+      merged by ``(ack, seq)``, to the controller as one run of their
+      records ``(ack, seq, receiver, round trip, queue-free round trip)``,
+      and appends them to ``applied``.  The run's metric sample reads and
+      clears that list.  If the controller's class replaces ``on_ack``, the
+      acks go to it one by one instead, in the same order.
 
     Applying an ack late is exact: it changes only controller state and
     ``applied``, which only clock events read; a packet sent after the acked
@@ -490,64 +441,35 @@ class StreamSender:
                 i += n
 
     def send_paced(self, until: float) -> None:
-        """Put on the path the paced sends strictly before ``until``: each
-        stretch's as one run, or send by send if they are fewer than
-        ``SHORT_RUN``."""
+        """Put on the path the paced sends strictly before ``until``, each
+        stretch's as one run: the controller numbers it, and
+        ``_Run.put_run`` takes it across the path."""
         paced = self.paced
         while paced:
             stretch = paced[0]
             receiver, times, i = stretch
             # send times do not fall along a stretch
             j = bisect_left(times, until, i)
-            if j - i >= SHORT_RUN:
-                self._put_run(receiver, times[i:j])
-            elif j > i:
-                on_send = self.controller.on_send
-                put = self.run.put
-                add_ack = receiver.acks.append
-                for now in times[i:j]:
-                    seq = on_send(receiver.rid, now)
-                    ack = put(receiver, P2P_FLOW_ID, seq, now)
-                    if ack is not None:
-                        add_ack((ack, seq, now))
+            if j > i:
+                run_times = times[i:j]
+                self.run.put_run(receiver, self.controller.on_send_run(receiver.rid, run_times),
+                                 run_times)
             if j < len(times):
                 stretch[2] = j
                 return
             paced.popleft()
 
-    def _put_run(self, receiver: ReceiverPath, times: list[float]) -> None:
-        """Put a run of paced sends to ``receiver``, at ``times``, on the path
-        one layer at a time: the controller, the access link, the bottleneck
-        and, less its drops, the receiver's forward and ack links.  Each layer
-        takes the packets in send order, so each computes what it would send
-        by send."""
-        seq = self.controller.on_send_run(receiver.rid, times)
-        departures = self.run.bottleneck.enqueue_many(P2P_FLOW_ID,
-                                                      self.run.access_link.transit_many(times))
-        seqs = range(seq, seq + len(times))
-        if None in departures:
-            kept = [departure is not None for departure in departures]
-            seqs = compress(seqs, kept)
-            times = compress(times, kept)
-            departures = compress(departures, kept)
-        acked = receiver.ack_link.transit_many(receiver.forward.transit_many(departures))
-        receiver.acks.extend(zip(acked, seqs, times))
-
     def apply_acks(self, until: float) -> None:
-        """Apply the P2P acks strictly before ``until``, each with its
-        queue-free round trip at its send, to the controller as one run."""
+        """Apply the P2P acks strictly before ``until`` to the controller as
+        one run.  Each receiver's due acks are the head of its FIFO, found by
+        bisection (rule 1: an ack at ``until`` waits)."""
         due = []
-        add_due = due.append
-        for rid, receiver in self.run.receivers.items():
+        for receiver in self.run.receivers.values():
             acks = receiver.acks
-            lo, hi, base_rtt = receiver.base_rtt
-            while acks and acks[0][0] < until:
-                ack, seq, sent = acks.popleft()
-                if not lo <= sent < hi:
-                    lo, hi, path = receiver.ack_link.latency.step(sent)
-                    base_rtt = 2.0 * path
-                add_due((ack, seq, rid, ack - sent, base_rtt))
-            receiver.base_rtt = lo, hi, base_rtt
+            n = bisect_left(acks, until, key=_ack_time)
+            if n:
+                due += acks[:n]
+                del acks[:n]
         if len(self.run.receivers) > 1:
             due.sort()              # merge the receivers' FIFOs by (ack, seq)
         controller = self.controller
@@ -680,6 +602,71 @@ class _Run:
         if departure is None:
             return None
         return receiver.ack_link.transit(receiver.forward.transit(departure))
+
+    def put_run(self, receiver: ReceiverPath, seq: int, times) -> None:
+        """Put a run of the stream's paced sends to ``receiver``, numbered
+        from ``seq``, at the send ``times``, on the path in one pass.  Each
+        send crosses the access link, the bottleneck and, unless dropped,
+        the receiver's forward and ack links, doing what ``put`` does; its
+        ack record, ``(ack, seq, receiver, round trip, queue-free round trip
+        at the send)``, goes onto the receiver's FIFO.  Every hop's held
+        step and FIFO state live in locals for the run and are written back
+        at its end."""
+        access, bottleneck = self.access_link, self.bottleneck
+        forward, ack_link = receiver.forward, receiver.ack_link
+        a_lo, a_hi, a_delay, a_last = access._lo, access._hi, access._delay, access._last_out
+        b_lo, b_hi, service = bottleneck._lo, bottleneck._hi, bottleneck._service
+        f_lo, f_hi, f_delay, f_last = forward._lo, forward._hi, forward._delay, forward._last_out
+        k_lo, k_hi, k_delay, k_last = ack_link._lo, ack_link._hi, ack_link._delay, ack_link._last_out
+        r_lo, r_hi, base_rtt = receiver.base_rtt
+        queued = bottleneck._queued
+        capacity = bottleneck.capacity
+        add_record = bottleneck._records.append
+        add_drop = bottleneck._dropped.append
+        add_ack = receiver.acks.append
+        rid = receiver.rid
+        for now in times:
+            if not a_lo <= now < a_hi:
+                a_lo, a_hi, a_delay = access.latency.step(now)
+            arrival = now + a_delay
+            if arrival < a_last:
+                arrival = a_last
+            a_last = arrival
+            while queued and queued[0] <= arrival:
+                queued.popleft()
+            if len(queued) >= capacity:
+                add_drop(arrival)
+                seq += 1
+                continue
+            start = queued[-1] if queued else arrival
+            if not b_lo <= start < b_hi:
+                b_lo, b_hi, rate = bottleneck.rate.step(start)
+                service = bottleneck.packet_bits / rate
+            departure = start + service
+            queued.append(departure)
+            add_record((arrival, departure, P2P_FLOW_ID))
+            if not f_lo <= departure < f_hi:
+                f_lo, f_hi, f_delay = forward.latency.step(departure)
+            delivery = departure + f_delay
+            if delivery < f_last:
+                delivery = f_last
+            f_last = delivery
+            if not k_lo <= delivery < k_hi:
+                k_lo, k_hi, k_delay = ack_link.latency.step(delivery)
+            ack = delivery + k_delay
+            if ack < k_last:
+                ack = k_last
+            k_last = ack
+            if not r_lo <= now < r_hi:
+                r_lo, r_hi, path = ack_link.latency.step(now)
+                base_rtt = 2.0 * path
+            add_ack((ack, seq, rid, ack - now, base_rtt))
+            seq += 1
+        access._lo, access._hi, access._delay, access._last_out = a_lo, a_hi, a_delay, a_last
+        bottleneck._lo, bottleneck._hi, bottleneck._service = b_lo, b_hi, service
+        forward._lo, forward._hi, forward._delay, forward._last_out = f_lo, f_hi, f_delay, f_last
+        ack_link._lo, ack_link._hi, ack_link._delay, ack_link._last_out = k_lo, k_hi, k_delay, k_last
+        receiver.base_rtt = r_lo, r_hi, base_rtt
 
     # -- Metrics ----------------------------------------------------------
 

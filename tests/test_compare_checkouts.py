@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from p2pcc.scenarios import ScenarioConfig
-from p2pcc.sim import Bottleneck, run
+from p2pcc.sim import _Run, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,16 +34,18 @@ def test_long_run_cases_put_long_runs_with_drops_inside_on_the_path(monkeypatch)
                                                   ROOT / "tools" / "compare_checkouts.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    enqueue_many = Bottleneck.enqueue_many
+    put_run = _Run.put_run
     longest, dropped_inside = [0], [0]
 
-    def recording_enqueue_many(bottleneck, flow_id, arrivals):
-        departures = enqueue_many(bottleneck, flow_id, arrivals)
-        longest[0] = max(longest[0], len(arrivals))
-        dropped_inside[0] += None in departures[:-1] and departures[-1] is not None
-        return departures
+    def recording_put_run(run_, receiver, seq, times):
+        dropped = len(run_.bottleneck._dropped)
+        put_run(run_, receiver, seq, times)
+        longest[0] = max(longest[0], len(times))
+        # a drop, and the run's last send admitted: its ack record is the last
+        last_admitted = bool(receiver.acks) and receiver.acks[-1][1] == seq + len(times) - 1
+        dropped_inside[0] += len(run_.bottleneck._dropped) > dropped and last_admitted
 
-    monkeypatch.setattr(Bottleneck, "enqueue_many", recording_enqueue_many)
+    monkeypatch.setattr(_Run, "put_run", recording_put_run)
     for i in range(6):
         run(ScenarioConfig.from_dict(tool.long_run(i)))
     assert longest[0] >= 100

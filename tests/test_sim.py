@@ -1,10 +1,13 @@
 """Event loop, bottleneck queue, delay links and whole-run properties."""
 
 import bisect
+import heapq
 import itertools
 import math
 import statistics
 from collections import deque
+from operator import itemgetter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,8 +22,8 @@ from p2pcc.scenarios import (BUILTIN_SCENARIOS, P2P_FLOW_ID, BottleneckConfig,
                              TcpFlowConfig, build_experiment_1, build_experiment_2,
                              build_experiment_3, constant, schedule_sum,
                              uniform_resample)
-from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, Bottleneck,
-                       DelayLink, EventLoop, SimPacket, TcpSender, _Run, run)
+from p2pcc.sim import (TCP_RTO_MAX, TCP_RTO_MIN, Bottleneck, DelayLink, EventLoop,
+                       ReceiverPath, SimPacket, TcpSender, _Run, run)
 from p2pcc.traffic import (TcpBicFlow, TcpRenoFlow, bic_on_ack, bic_on_loss,
                            reno_on_ack, reno_on_loss)
 
@@ -352,50 +355,91 @@ def cut_into_runs(draw, items):
     return [items[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), schedules(latencies))
-def test_link_run_equals_transits_one_by_one(data, latency):
-    # the same deliveries and the same held step and last delivery, for send
-    # times in any order that cross the schedule's steps and tie at them
-    runs = data.draw(cut_into_runs(data.draw(query_times(latency))))
-    by_run, by_send = DelayLink(latency), DelayLink(latency)
-    for times in runs:
-        assert by_run.transit_many(times) == [by_send.transit(now) for now in times]
-        assert vars(by_run) == vars(by_send)
-
-
-# arrivals on a 1/8-s grid against services of 1/4, 1 or 3 s, so that a
-# run of arrivals overfills a buffer of up to 40 packets, drops fall inside
+# sends on a 1/8-s grid against services of 1/4, 1 or 3 s, so that a
+# run of sends overfills a buffer of up to 40 packets, drops fall inside
 # runs and arrivals tie with departures
 rates = st.sampled_from([4 * PACKET_BITS, PACKET_BITS, PACKET_BITS / 3])
 
 
+def bare_path(sender_lat, receiver_lats, rate, capacity):
+    """The part of a run that ``_Run.put`` and ``_Run.put_run`` use: the
+    access link, the bottleneck and a ``ReceiverPath`` per receiver."""
+    return SimpleNamespace(
+        access_link=DelayLink(sender_lat),
+        bottleneck=Bottleneck(rate, capacity, PACKET_BITS),
+        receivers={rid: ReceiverPath(rid, latency, sender_lat)
+                   for rid, latency in receiver_lats.items()})
+
+
+def put_one_by_one(path, receiver, seq, times):
+    """A paced run put send by send through ``_Run.put``, each ack's record
+    built with the queue-free round trip read afresh at its send: the oracle
+    of ``_Run.put_run``."""
+    for now in times:
+        ack = _Run.put(path, receiver, P2P_FLOW_ID, seq, now)
+        if ack is not None:
+            lo, hi, latency = receiver.ack_link.latency.step(now)
+            receiver.base_rtt = lo, hi, 2.0 * latency
+            receiver.acks.append((ack, seq, receiver.rid, ack - now, 2.0 * latency))
+        seq += 1
+
+
+def assert_same_path(a, b):
+    assert vars(a.access_link) == vars(b.access_link)
+    assert vars(a.bottleneck) == vars(b.bottleneck)
+    for rid, receiver in a.receivers.items():
+        other = b.receivers[rid]
+        assert vars(receiver.forward) == vars(other.forward)
+        assert vars(receiver.ack_link) == vars(other.ack_link)
+        assert receiver.base_rtt == other.base_rtt
+        assert receiver.acks == other.acks
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data(), schedules(rates), st.integers(1, 40))
-def test_bottleneck_run_equals_enqueues_one_by_one(data, rate, capacity):
-    # the same departures and drops and the same state: held step, queued
-    # departures, records and dropped arrivals, and the counters after a
-    # sample
-    arrivals = sorted(data.draw(query_times(rate))
-                      + data.draw(st.lists(st.integers(0, 48).map(lambda k: k / 8.0),
-                                           max_size=60)))
-    runs = data.draw(cut_into_runs(arrivals))
-    by_run, by_send = Bottleneck(rate, capacity, PACKET_BITS), Bottleneck(rate, capacity, PACKET_BITS)
-    seqs = itertools.count()
-    for run_arrivals in runs:
-        flow_id = data.draw(st.sampled_from(["p2p", "tcp1"]))
-        assert by_run.enqueue_many(flow_id, run_arrivals) == [
-            by_send.enqueue(SimPacket(next(seqs), flow_id), arrival) for arrival in run_arrivals]
-        assert vars(by_run) == vars(by_send)
+@given(st.data(), schedules(latencies), schedules(latencies), schedules(latencies),
+       schedules(rates), st.integers(1, 40))
+def test_put_run_equals_puts_one_by_one(data, sender_lat, r1_lat, r2_lat, rate, capacity):
+    # paced runs to either receiver, with TCP puts between them: the same
+    # ack records and drops, and the same state of every hop (held steps,
+    # last deliveries, queued departures, records, the held queue-free
+    # round trip), as the same sends put one by one; send times cross every
+    # schedule's steps and tie at them
+    receiver_lats = {"r1": r1_lat, "r2": r2_lat}
+    by_run = bare_path(sender_lat, receiver_lats, rate, capacity)
+    by_send = bare_path(sender_lat, receiver_lats, rate, capacity)
+    for rid, receiver in by_send.receivers.items():
+        # one summed schedule on both sides, which vars compare by identity
+        receiver.ack_link.latency = by_run.receivers[rid].ack_link.latency
+    times = sorted(data.draw(query_times(sender_lat, r1_lat, r2_lat, rate))
+                   + data.draw(st.lists(st.integers(0, 48).map(lambda k: k / 8.0),
+                                        max_size=60)))
+    seq = 0
+    for run_times in data.draw(cut_into_runs(times)):
+        rid = data.draw(st.sampled_from(["r1", "r2"]))
+        if data.draw(st.booleans()):
+            _Run.put_run(by_run, by_run.receivers[rid], seq, run_times)
+            put_one_by_one(by_send, by_send.receivers[rid], seq, run_times)
+        else:
+            for now in run_times:
+                assert (_Run.put(by_run, by_run.receivers[rid], "tcp1", seq, now)
+                        == _Run.put(by_send, by_send.receivers[rid], "tcp1", seq, now))
+        seq += len(run_times)
+        assert_same_path(by_run, by_send)
     now = data.draw(st.sampled_from([2.5, 6.0, math.inf]))
-    by_run.advance(now)
-    by_send.advance(now)
-    assert vars(by_run) == vars(by_send)
+    by_run.bottleneck.advance(now)
+    by_send.bottleneck.advance(now)
+    assert vars(by_run.bottleneck) == vars(by_send.bottleneck)
 
 
-def test_bottleneck_drops_inside_a_run_and_admits_after():
-    bn = Bottleneck(fixed(PACKET_BITS), 2, PACKET_BITS)
-    assert bn.enqueue_many("p2p", [0.0, 0.0, 0.0, 1.0]) == [1.0, 2.0, None, 3.0]
+def test_put_run_drops_inside_a_run_and_admits_after():
+    # a buffer of 2 and a 1-s service: the third send is dropped, and the
+    # fourth, a second later, is admitted with its own seq
+    path = bare_path(fixed(0.0), {"r1": fixed(0.0)}, fixed(PACKET_BITS), 2)
+    receiver = path.receivers["r1"]
+    _Run.put_run(path, receiver, 10, [0.0, 0.0, 0.0, 1.0])
+    assert receiver.acks == [(1.0, 10, "r1", 1.0, 0.0), (2.0, 11, "r1", 2.0, 0.0),
+                             (3.0, 13, "r1", 2.0, 0.0)]
+    assert path.bottleneck._dropped == [0.0]
 
 
 send_runs = st.lists(st.tuples(st.sampled_from(["r1", "r2"]),
@@ -1034,25 +1078,32 @@ def test_a_replaced_controller_on_ack_gets_the_stream_acks_one_by_one(monkeypatc
 
 def record_offers(monkeypatch, record):
     """Call ``record(flow_id, seq, arrival, departure)`` for each packet
-    offered to a bottleneck, whether one by one (``enqueue``) or in a run
-    (``enqueue_many``), after the bottleneck has decided its fate.  A run
-    carries no seqs, so ``seq`` is None for its packets."""
+    offered to a bottleneck, one by one (``enqueue``) or in a paced run
+    (``_Run.put_run``), after the bottleneck has decided its fate.  A run's
+    offers are read from the records and drops the pass added to the
+    bottleneck, which only a metric sample trims."""
     enqueue = Bottleneck.enqueue
-    enqueue_many = Bottleneck.enqueue_many
+    put_run = _Run.put_run
 
     def recording_enqueue(bottleneck, pkt, arrival):
         departure = enqueue(bottleneck, pkt, arrival)
         record(pkt.flow_id, pkt.seq, arrival, departure)
         return departure
 
-    def recording_enqueue_many(bottleneck, flow_id, arrivals):
-        departures = enqueue_many(bottleneck, flow_id, arrivals)
-        for arrival, departure in zip(arrivals, departures):
-            record(flow_id, None, arrival, departure)
-        return departures
+    def recording_put_run(run_, receiver, seq, times):
+        bottleneck = run_.bottleneck
+        admitted, dropped = len(bottleneck._records), len(bottleneck._dropped)
+        put_run(run_, receiver, seq, times)
+        # in arrival order; at one arrival the queue admits before it drops
+        offers = list(heapq.merge([entry[:2] for entry in bottleneck._records[admitted:]],
+                                  [(arrival, None) for arrival in bottleneck._dropped[dropped:]],
+                                  key=itemgetter(0)))
+        assert len(offers) == len(times)
+        for seq, (arrival, departure) in enumerate(offers, seq):
+            record(P2P_FLOW_ID, seq, arrival, departure)
 
     monkeypatch.setattr(Bottleneck, "enqueue", recording_enqueue)
-    monkeypatch.setattr(Bottleneck, "enqueue_many", recording_enqueue_many)
+    monkeypatch.setattr(_Run, "put_run", recording_put_run)
 
 
 def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
@@ -1065,7 +1116,7 @@ def test_bottleneck_conserves_packets_over_a_run(monkeypatch):
     def record(flow_id, seq, arrival, departure):
         arrivals.append(arrival)
         admitted[0] += departure is not None
-        runs[0] += seq is None
+        runs[0] += flow_id == P2P_FLOW_ID       # the stream's packets go in runs
 
     def checked_advance(bottleneck, now):
         advance(bottleneck, now)
@@ -1344,9 +1395,8 @@ def test_tcp_send_goes_before_a_paced_send_at_its_instant(monkeypatch):
     cfg = small_single_receiver(duration=0.2)
     cfg.controller = ControllerParams(period_T=0.1)
     order = []
-    # a run carries no seqs; P2P packets reach the bottleneck in seq order
     record_offers(monkeypatch, lambda flow_id, seq, arrival, departure: order.append(
-        (flow_id, sum(f == P2P_FLOW_ID for f, _ in order) if seq is None else seq)))
+        (flow_id, seq)))
     orders = []
     for model in (_Run, EventPacedRun):
         run_ = model(cfg)
