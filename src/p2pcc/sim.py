@@ -490,7 +490,7 @@ class _Run:
     (``stream``) and the TCP senders put their packets on it: ``send`` puts
     a TCP packet after the paced sends strictly before it (rule 3), and
     ``put`` returns a packet's ack instant, from which the TCP senders file
-    their acks.
+    their acks; ``put_run`` puts a run of the stream's paced sends.
 
     The heap holds one clock event and, per TCP sender, its acks and its
     wakeup at the retransmission deadline (and any wakeup it superseded).  A
@@ -614,10 +614,13 @@ class _Run:
         at its end."""
         access, bottleneck = self.access_link, self.bottleneck
         forward, ack_link = receiver.forward, receiver.ack_link
+        # the held steps: a_ the access link's, b_ the bottleneck's, f_ the
+        # forward link's, k_ the ack link's and r_ the queue-free round trip's
         a_lo, a_hi, a_delay, a_last = access._lo, access._hi, access._delay, access._last_out
         b_lo, b_hi, service = bottleneck._lo, bottleneck._hi, bottleneck._service
         f_lo, f_hi, f_delay, f_last = forward._lo, forward._hi, forward._delay, forward._last_out
-        k_lo, k_hi, k_delay, k_last = ack_link._lo, ack_link._hi, ack_link._delay, ack_link._last_out
+        k_lo, k_hi, k_delay, k_last = (ack_link._lo, ack_link._hi, ack_link._delay,
+                                       ack_link._last_out)
         r_lo, r_hi, base_rtt = receiver.base_rtt
         queued = bottleneck._queued
         capacity = bottleneck.capacity
@@ -665,7 +668,8 @@ class _Run:
         access._lo, access._hi, access._delay, access._last_out = a_lo, a_hi, a_delay, a_last
         bottleneck._lo, bottleneck._hi, bottleneck._service = b_lo, b_hi, service
         forward._lo, forward._hi, forward._delay, forward._last_out = f_lo, f_hi, f_delay, f_last
-        ack_link._lo, ack_link._hi, ack_link._delay, ack_link._last_out = k_lo, k_hi, k_delay, k_last
+        ack_link._lo, ack_link._hi, ack_link._delay = k_lo, k_hi, k_delay
+        ack_link._last_out = k_last
         receiver.base_rtt = r_lo, r_hi, base_rtt
 
     # -- Metrics ----------------------------------------------------------
