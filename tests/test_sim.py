@@ -396,6 +396,76 @@ def assert_same_path(a, b):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(latencies), schedules(latencies),
+       schedules(st.sampled_from([1e9 * PACKET_BITS, 4 * PACKET_BITS, PACKET_BITS])),
+       st.integers(1, 40))
+def test_link_run_equals_transits_one_by_one(data, sender_lat, receiver_lat, rate, capacity):
+    # each link of the pass (access, forward and ack) delivers what the same
+    # link fed the same inputs through transit one by one delivers, and ends
+    # holding the same step and last delivery, for send times in any order
+    # that cross the schedules' steps and tie at them; dropped sends reach
+    # only the access link, and a fast rate leaves the forward link
+    # departures close enough for a falling latency to be clamped
+    path = bare_path(sender_lat, {"r1": receiver_lat}, rate, capacity)
+    receiver, bottleneck = path.receivers["r1"], path.bottleneck
+    access, forward = DelayLink(sender_lat), DelayLink(receiver_lat)
+    ack_link = DelayLink(receiver.ack_link.latency)
+    seq = 0
+    for times in data.draw(cut_into_runs(data.draw(query_times(sender_lat, receiver_lat)))):
+        records, drops, acks = (len(bottleneck._records), len(bottleneck._dropped),
+                                len(receiver.acks))
+        _Run.put_run(path, receiver, seq, times)
+        # arrivals never fall, so the run's admitted and dropped arrivals,
+        # merged, are the access link's deliveries in order
+        admitted = bottleneck._records[records:]
+        assert (sorted([arrival for arrival, _, _ in admitted] + bottleneck._dropped[drops:])
+                == [access.transit(now) for now in times])
+        assert ([record[0] for record in receiver.acks[acks:]]
+                == [ack_link.transit(forward.transit(departure)) for _, departure, _ in admitted])
+        seq += len(times)
+        assert vars(path.access_link) == vars(access)
+        assert vars(receiver.forward) == vars(forward)
+        assert vars(receiver.ack_link) == vars(ack_link)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), schedules(rates), st.integers(1, 40))
+def test_bottleneck_run_equals_enqueues_one_by_one(data, rate, capacity):
+    # the pass's bottleneck takes each send as enqueue takes it: the same
+    # departures and drops, and the same state (held step, queued
+    # departures, records and dropped arrivals, and the counters after a
+    # sample), with TCP packets put between the runs; links of no delay
+    # put each ack at its departure, and a send's arrival at its send, or
+    # at the access link's last delivery if that is later
+    path = bare_path(fixed(0.0), {"r1": fixed(0.0)}, rate, capacity)
+    receiver = path.receivers["r1"]
+    by_send, access = Bottleneck(rate, capacity, PACKET_BITS), DelayLink(fixed(0.0))
+    times = sorted(data.draw(query_times(rate))
+                      + data.draw(st.lists(st.integers(0, 48).map(lambda k: k / 8.0),
+                                           max_size=60)))
+    seq = 0
+    for run_times in data.draw(cut_into_runs(times)):
+        seqs = range(seq, seq + len(run_times))
+        if data.draw(st.booleans()):
+            acks = len(receiver.acks)
+            _Run.put_run(path, receiver, seq, run_times)
+            departures = [by_send.enqueue(SimPacket(s, P2P_FLOW_ID), access.transit(now))
+                          for s, now in zip(seqs, run_times)]
+            assert [(record[0], record[1]) for record in receiver.acks[acks:]] == [
+                (departure, s) for s, departure in zip(seqs, departures) if departure is not None]
+        else:
+            for s, now in zip(seqs, run_times):
+                assert (_Run.put(path, receiver, "tcp1", s, now)
+                        == by_send.enqueue(SimPacket(s, "tcp1"), access.transit(now)))
+        seq += len(run_times)
+        assert vars(path.bottleneck) == vars(by_send)
+    now = data.draw(st.sampled_from([2.5, 6.0, math.inf]))
+    path.bottleneck.advance(now)
+    by_send.advance(now)
+    assert vars(path.bottleneck) == vars(by_send)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data(), schedules(latencies), schedules(latencies), schedules(latencies),
        schedules(rates), st.integers(1, 40))
 def test_put_run_equals_puts_one_by_one(data, sender_lat, r1_lat, r2_lat, rate, capacity):
