@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 # Quota used while no acknowledgement has ever arrived, so the feedback
 # loop has something to start from.
@@ -66,20 +67,20 @@ class ControllerParams:
             raise ValueError("gamma2: must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha: must be in (0, 1)")
-        if self.period_T <= 0.0:
+        if not self.period_T > 0.0:
             raise ValueError("period_T: must be positive")
-        if self.bw_window_tc < self.period_T:
+        if not self.bw_window_tc >= self.period_T:
             raise ValueError("bw_window_tc: must be >= period_T")
-        if self.initial_qmax_offset <= 0.0:
+        if not self.initial_qmax_offset > 0.0:
             raise ValueError("initial_qmax_offset: must be positive")
-        if self.packet_size_s <= 0.0:
+        if not self.packet_size_s > 0.0:
             raise ValueError("packet_size_s: must be positive")
 
 
 @dataclass
-class ReceiverStats:
-    """Per-receiver latency tracking; its unacknowledged packets' send times
-    are ``ControllerState.outstanding[rid]``, in send order."""
+class ReceiverState:
+    """The controller's state for one receiver: its latency tracking, and its
+    unacknowledged packets with their later-ack counts."""
 
     d_min: float | None = None      # lowest observed ack round trip (RTT proxy)
     d_max: float | None = None      # loss-calibrated full-queue latency proxy
@@ -89,6 +90,14 @@ class ReceiverStats:
     # last ack
     latency_peaks: deque = field(default_factory=deque)
     last_sent: float = -math.inf    # the time of the last send
+    # seq -> send time of the unacknowledged packets, in send order; its walk
+    # follows a linked list, so deleted keys leave no slots to skip at its front
+    outstanding: OrderedDict = field(default_factory=OrderedDict)
+    # seq -> later acks so far, for the outstanding seqs that have one
+    acks_after: dict = field(default_factory=dict)
+
+
+_outstanding = attrgetter("outstanding")
 
 
 def float_total(values) -> float:
@@ -125,14 +134,11 @@ def dupgap_losses(seqs, seq, acks_after) -> list[int]:
 
 @dataclass
 class ControllerState:
-    """Mutable controller state; one instance per sender."""
+    """Mutable controller state; one instance per sender.  ``receivers``
+    holds each receiver's record, in the order of the receiver ids it was
+    built from; it is the only state kept per receiver."""
 
-    receivers: dict[str, ReceiverStats]
-    # rid -> OrderedDict {seq: send time} in send order; its walk follows a
-    # linked list, so deleted keys leave no slots to skip at its front
-    outstanding: dict
-    # rid -> {seq: later acks so far}, for the outstanding seqs that have one
-    acks_after: dict
+    receivers: dict[str, ReceiverState]
     cumulative_sent: int = 0        # also the seq of the stream's next send
     cumulative_acked: int = 0
     cumulative_lost: int = 0
@@ -147,7 +153,16 @@ class ControllerState:
     qdelay_count: int = 0
 
     def in_flight_total(self) -> int:
-        return sum(map(len, self.outstanding.values()))
+        # maps, not a generator, whose frame would resume once per receiver
+        return sum(map(len, map(_outstanding, self.receivers.values())))
+
+    @property
+    def outstanding(self) -> dict:
+        """``{rid: its record's outstanding packets}``, built on each read.
+        It exists only for the ack wrapper of ``perfbench/tracing.py``, and
+        ROADMAP item 10 deletes it.  Read it only: a write to the view lands
+        in a throwaway dict."""
+        return {rid: r.outstanding for rid, r in self.receivers.items()}
 
 
 @dataclass(slots=True)
@@ -162,9 +177,7 @@ class TickSnapshot:
 
 
 def new_state(receiver_ids) -> ControllerState:
-    return ControllerState(receivers={rid: ReceiverStats() for rid in receiver_ids},
-                           outstanding={rid: OrderedDict() for rid in receiver_ids},
-                           acks_after={rid: {} for rid in receiver_ids})
+    return ControllerState(receivers={rid: ReceiverState() for rid in receiver_ids})
 
 
 def compute_send_quota(state: ControllerState, params: ControllerParams) -> int:
@@ -181,11 +194,11 @@ def lambda_squared_shares(state: ControllerState) -> dict[str, float]:
     """Each receiver's share of the currently unacknowledged packets."""
     total = state.in_flight_total()
     if total <= 0:
-        return {rid: 0.0 for rid in state.outstanding}
-    return {rid: len(pending) / total for rid, pending in state.outstanding.items()}
+        return dict.fromkeys(state.receivers, 0.0)
+    return {rid: len(r.outstanding) / total for rid, r in state.receivers.items()}
 
 
-def qmax_estimate(receivers: dict[str, ReceiverStats],
+def qmax_estimate(receivers: dict[str, ReceiverState],
                   params: ControllerParams) -> float:
     """Estimated maximum queue delay.
 
@@ -246,7 +259,7 @@ def estimate_bandwidth(state: ControllerState, raw: float) -> float:
     return state.est_bandwidth_U
 
 
-def rtt_reference(receivers: dict[str, ReceiverStats],
+def rtt_reference(receivers: dict[str, ReceiverState],
                   d_ref: float) -> dict[str, float]:
     """Per-receiver RTT-level operating target d_min + d_ref."""
     return {rid: r.d_min + d_ref for rid, r in receivers.items()
@@ -279,7 +292,7 @@ class Controller:
         ValueError, after the packets before it are tracked."""
         state = self.state
         recv = state.receivers[receiver_id]
-        pending = state.outstanding[receiver_id]
+        pending = recv.outstanding
         last_time = recv.last_sent
         first_seq = seq = state.cumulative_sent
         for now in times:
@@ -307,8 +320,6 @@ class Controller:
         of a packet not outstanding (a duplicate, or one already declared
         lost) is ignored: it changes no state."""
         state = self.state
-        outstanding = state.outstanding
-        all_acks_after = state.acks_after
         receivers = state.receivers
         add_arrival = state.ack_arrivals.append
         on_loss = self.on_loss
@@ -319,13 +330,13 @@ class Controller:
             ack_time = record[0]
             seq = record[1]
             receiver_id = record[2]
-            pending = outstanding[receiver_id]
+            recv = receivers[receiver_id]
+            pending = recv.outstanding
             send_time = pending.pop(seq, None)
             if send_time is None:
                 continue
-            acks_after = all_acks_after[receiver_id]
+            acks_after = recv.acks_after
             acks_after.pop(seq, None)
-            recv = receivers[receiver_id]
             latency = ack_time - send_time
             d_min = recv.d_min
             if d_min is None or latency < d_min:
@@ -358,9 +369,9 @@ class Controller:
         and the timeout rule.
         """
         state = self.state
-        state.outstanding[receiver_id].pop(seq, None)
-        state.acks_after[receiver_id].pop(seq, None)
         recv = state.receivers[receiver_id]
+        recv.outstanding.pop(seq, None)
+        recv.acks_after.pop(seq, None)
         state.cumulative_lost += 1
         # time never goes back, so a peak that left the window is gone for
         # good; the last ack stays, the fallback for a window with no ack
@@ -374,8 +385,7 @@ class Controller:
     def _expire_timeouts(self, now: float, qmax: float) -> int:
         state = self.state
         count = 0
-        for rid, pending in state.outstanding.items():
-            recv = state.receivers[rid]
+        for rid, recv in state.receivers.items():
             base = recv.d_min if recv.d_min is not None else self.params.initial_qmax_offset
             # the observed latency guards against spurious timeouts while the
             # actual queue delay exceeds the calibrated maximum (e.g. right
@@ -386,7 +396,7 @@ class Controller:
             # send times never fall along the send order, so the expired are
             # a prefix of it
             expired = []
-            for seq, send_time in pending.items():
+            for seq, send_time in recv.outstanding.items():
                 if now - send_time > deadline:
                     expired.append(seq)
                 else:

@@ -22,14 +22,14 @@ def make_state(receiver_ids=("r1",)):
 
 
 def set_in_flight(state, rid, n):
-    state.outstanding[rid] = dict.fromkeys(range(n), 0.0)
+    state.receivers[rid].outstanding = OrderedDict.fromkeys(range(n), 0.0)
 
 
 def seed_counts(state, sent, acked):
     state.cumulative_sent = sent
     state.cumulative_acked = acked
     # the in-flight difference is outstanding at the first receiver
-    set_in_flight(state, next(iter(state.outstanding)), sent - acked)
+    set_in_flight(state, next(iter(state.receivers)), sent - acked)
 
 
 def in_bootstrap(c, snap):
@@ -266,7 +266,7 @@ def test_on_ack_initializes_and_tracks_minimum_latency():
     c.on_send("r1", 0.0)
     c.on_ack("r1", 0, 0.020)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.020)
-    assert c.state.outstanding["r1"] == {}
+    assert c.state.receivers["r1"].outstanding == {}
     c.on_send("r1", 0.100)
     c.on_ack("r1", 1, 0.118)
     assert c.state.receivers["r1"].d_min == pytest.approx(0.018)
@@ -289,11 +289,11 @@ def test_gap_of_three_later_acks_declares_loss():
     c.on_ack("r1", 1, 0.02)
     c.on_ack("r1", 2, 0.03)
     assert c.state.cumulative_lost == 0
-    assert c.state.acks_after["r1"] == {0: 2}
+    assert c.state.receivers["r1"].acks_after == {0: 2}
     c.on_ack("r1", 3, 0.04)
     assert c.state.cumulative_lost == 1
-    assert list(c.state.outstanding["r1"]) == [4]
-    assert c.state.acks_after["r1"] == {}
+    assert list(c.state.receivers["r1"].outstanding) == [4]
+    assert c.state.receivers["r1"].acks_after == {}
 
 
 def test_loss_calibrates_dmax_from_recent_peak_latency():
@@ -433,12 +433,12 @@ def test_on_send_rejects_out_of_order_sends(times):
     with pytest.raises(ValueError, match=r"'r1': seq %d sent at 0.9 before its last send, at %s"
                        % (4 + tracked, ([1.0] + times)[tracked])):
         c.on_send_run("r1", times)
-    assert list(c.state.outstanding["r1"].items()) == [
+    assert list(c.state.receivers["r1"].outstanding.items()) == [
         (0, 1.0), *zip(range(4, 4 + tracked), times[:tracked])]
     assert c.state.cumulative_sent == 4 + tracked
     assert c.on_send("r1", 2.0) == 4 + tracked     # no later time: fine
     assert c.on_send("r2", 0.5) == 5 + tracked     # same instant: fine
-    assert list(c.state.outstanding["r2"]) == [1, 2, 3, 5 + tracked]
+    assert list(c.state.receivers["r2"].outstanding) == [1, 2, 3, 5 + tracked]
 
 
 class CountingOrderedDict(OrderedDict):
@@ -461,7 +461,7 @@ class CountingOrderedDict(OrderedDict):
 def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     n = 5000
     c = Controller(ControllerParams(), ["r1"])
-    pending = c.state.outstanding["r1"] = CountingOrderedDict()
+    pending = c.state.receivers["r1"].outstanding = CountingOrderedDict()
     for seq in range(n):
         c.on_send("r1", seq * 1e-4)
     unacked = list(range(0, n, skip_every)) if skip_every else []
@@ -473,8 +473,8 @@ def test_dupgap_walk_visits_constant_entries_per_ack(skip_every):
     assert 0 < pending.visits <= 2 * len(acked) + n
     # every unacked seq has seen three later acks and is lost
     assert c.state.cumulative_lost == len(unacked)
-    assert not c.state.outstanding["r1"]
-    assert c.state.acks_after["r1"] == {}
+    assert not c.state.receivers["r1"].outstanding
+    assert c.state.receivers["r1"].acks_after == {}
 
 
 def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
@@ -483,15 +483,15 @@ def test_in_order_acks_visit_constant_entries_of_the_outstanding_set():
     # the OrderedDict's walk follows its links and visits only live entries
     window = 1000
     c = Controller(ControllerParams(), ["r1"])
-    assert type(c.state.outstanding["r1"]) is OrderedDict
-    pending = c.state.outstanding["r1"] = CountingOrderedDict()
+    assert type(c.state.receivers["r1"].outstanding) is OrderedDict
+    pending = c.state.receivers["r1"].outstanding = CountingOrderedDict()
     for seq in range(window):
         c.on_send("r1", seq * 1e-4)
     acks = ticks = 0
     for seq in range(window, 5 * window):
         now = seq * 1e-4
         c.on_ack("r1", seq - window, now)
-        assert c.state.acks_after["r1"] == {}
+        assert c.state.receivers["r1"].acks_after == {}
         acks += 1
         c.on_send("r1", now)
         if seq % 100 == 0:
@@ -522,20 +522,20 @@ def test_stale_seqs_behind_a_pending_front():
     c.on_ack("r1", 1, 0.021)
     c.on_ack("r1", 2, 0.022)
     assert c.state.cumulative_lost == 0
-    assert c.state.acks_after["r1"] == {0: 2}
+    assert c.state.receivers["r1"].acks_after == {0: 2}
     c.on_ack("r1", 3, 0.023)
     assert c.state.cumulative_lost == 1
-    assert c.state.acks_after["r1"] == {}
+    assert c.state.receivers["r1"].acks_after == {}
     c.on_ack("r1", 5, 0.025)
     assert c.state.cumulative_lost == 1
-    assert c.state.acks_after["r1"] == {4: 1}
-    assert list(c.state.outstanding["r1"]) == [4, 6, 7, 8, 9]
+    assert c.state.receivers["r1"].acks_after == {4: 1}
+    assert list(c.state.receivers["r1"].outstanding) == [4, 6, 7, 8, 9]
     assert losses == [0]
     # deadline ~2 * 20 ms: 4, 6 and 7 expire, the acked 5 between them is
     # passed over, and 8 and 9 are too young
     assert tick_timeouts(c, 1.0) == 3
     assert losses == [0, 4, 6, 7]
-    assert list(c.state.outstanding["r1"]) == [8, 9]
+    assert list(c.state.receivers["r1"].outstanding) == [8, 9]
     assert c.state.cumulative_lost == 4
 
 
@@ -618,7 +618,7 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
     t = 0.0
     for op, rid, dt, pick in ops:
         t += dt
-        live = list(c.state.outstanding[rid])
+        live = list(c.state.receivers[rid].outstanding)
         if op == "send":
             seq = c.on_send(rid, t)
             assert seq == next_seq      # seqs run 0, 1, 2, ... across receivers
@@ -639,9 +639,9 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
             assert tick_timeouts(c, t) == ref.timeouts(t)
         for r in ids:
             assert c.state.receivers[r].d_max == ref.d_max[r]
-            assert list(c.state.outstanding[r]) == list(ref.pending[r])
+            assert list(c.state.receivers[r].outstanding) == list(ref.pending[r])
             # later-ack counts are kept only where they are non-zero
-            assert c.state.acks_after[r] == {s: rec[1] for s, rec in ref.pending[r].items()
+            assert c.state.receivers[r].acks_after == {s: rec[1] for s, rec in ref.pending[r].items()
                                              if rec[1]}
 
 
@@ -651,9 +651,12 @@ def test_property_loss_bookkeeping_matches_full_scan(data):
     {"gamma": 0.0}, {"gamma": 1.5}, {"alpha": 0.0}, {"alpha": 1.0},
     {"period_T": 0.0}, {"bw_window_tc": 0.01}, {"initial_qmax_offset": 0.0},
     {"packet_size_s": 0.0}, {"gamma2": -1.0},
+    {"period_T": math.nan}, {"bw_window_tc": math.nan},
+    {"initial_qmax_offset": math.nan}, {"packet_size_s": math.nan},
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name}: "):
         ControllerParams(**kwargs)
 
 

@@ -550,13 +550,13 @@ class PerAckController(Controller):
 
     def on_ack(self, receiver_id, seq, ack_time):
         state = self.state
-        pending = state.outstanding[receiver_id]
+        recv = state.receivers[receiver_id]
+        pending = recv.outstanding
         send_time = pending.pop(seq, None)
         if send_time is None:
             return
-        acks_after = state.acks_after[receiver_id]
+        acks_after = recv.acks_after
         acks_after.pop(seq, None)
-        recv = state.receivers[receiver_id]
         latency = ack_time - send_time
         if recv.d_min is None or latency < recv.d_min:
             recv.d_min = latency
@@ -623,7 +623,7 @@ def test_controller_run_equals_acks_one_by_one(data):
     for op, rid, dt, pick in ops:
         t += dt
         in_run = {seq for _, seq, r, _, _ in records if r == rid}
-        live = [seq for seq in by_run.state.outstanding[rid] if seq not in in_run]
+        live = [seq for seq in by_run.state.receivers[rid].outstanding if seq not in in_run]
         lost = sorted({seq for r, seq, _ in losses[0] if r == rid})
         seq = None
         if op == "ack" and live:
@@ -658,7 +658,7 @@ def test_controller_run_tracks_the_sends_before_a_falling_time():
     assert controller.on_send_run("r1", [0.0, 0.0]) == 0
     with pytest.raises(ValueError, match="seq 4 sent at 0.5 before its last send, at 1.0"):
         controller.on_send_run("r1", [0.0, 1.0, 0.5, 2.0])
-    assert list(controller.state.outstanding["r1"].items()) == [
+    assert list(controller.state.receivers["r1"].outstanding.items()) == [
         (0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)]
     assert controller.state.cumulative_sent == 4
 
@@ -1279,7 +1279,7 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
     assert served(bn) == admitted[0]
     assert bn.occupancy == 0
     assert len(senders) == len(run_.cfg.flows)
-    counted = [(state.acks_after[rid], state.outstanding[rid]) for rid in state.receivers]
+    counted = [(r.acks_after, r.outstanding) for r in state.receivers.values()]
     counted += [(sender.acks_after, sender.outstanding) for sender in senders]
     for acks_after, outstanding in counted:
         assert acks_after.keys() <= outstanding.keys()
@@ -1394,7 +1394,7 @@ def end_state(run_, spurious_acks):
     bn = run_.bottleneck
     bn.advance(math.inf)
     return (state.cumulative_sent, state.cumulative_acked, state.cumulative_lost,
-            spurious_acks, {rid: list(p) for rid, p in state.outstanding.items()},
+            spurious_acks, {rid: list(r.outstanding) for rid, r in state.receivers.items()},
             bn.drops, bn.occupancy, bn.served_bits)
 
 
