@@ -38,13 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="control period T, seconds")
     run_p.add_argument("--tc", type=float, default=None,
                        help="bandwidth-estimate horizon, seconds")
+    run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the lemma property suites")
     verify_p.add_argument("--trials", type=int, default=100)
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--lemma", choices=["1", "2", "both"], default="both")
+    verify_p.set_defaults(func=_cmd_verify)
 
-    sub.add_parser("list", help="list built-in scenario names")
+    sub.add_parser("list", help="list built-in scenario names").set_defaults(func=_cmd_list)
     return parser
 
 
@@ -103,7 +105,7 @@ def _cmd_verify(args) -> int:
     return 0 if violations == 0 else 3
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for name in BUILTIN_SCENARIOS:
         print(name)
     return 0
@@ -113,11 +115,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_list()
+        return args.func(args)
     except (ScenarioError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except OSError as exc:

@@ -98,6 +98,7 @@ class ReceiverState:
 
 
 _outstanding = attrgetter("outstanding")
+_acks = attrgetter("acks")
 
 
 def float_total(values) -> float:
@@ -140,7 +141,6 @@ class ControllerState:
 
     receivers: dict[str, ReceiverState]
     cumulative_sent: int = 0        # also the seq of the stream's next send
-    cumulative_acked: int = 0
     cumulative_lost: int = 0
     window_w: int = 1
     est_bandwidth_U: float = 0.0    # packets per second
@@ -174,10 +174,6 @@ class TickSnapshot:
     est_bandwidth_pps: float
     ack_rate_pps: float
     d_ref: float
-
-
-def new_state(receiver_ids) -> ControllerState:
-    return ControllerState(receivers={rid: ReceiverState() for rid in receiver_ids})
 
 
 def compute_send_quota(state: ControllerState, params: ControllerParams) -> int:
@@ -275,7 +271,8 @@ class Controller:
 
     def __init__(self, params: ControllerParams, receiver_ids):
         self.params = params
-        self.state = new_state(receiver_ids)
+        self.state = ControllerState(
+            receivers={rid: ReceiverState() for rid in receiver_ids})
 
     def on_send(self, receiver_id: str, now: float) -> int:
         """Track one sent packet, a run of one (see ``on_send_run``), and
@@ -356,7 +353,6 @@ class Controller:
             if pending and next(iter(pending)) < seq:
                 for lost_seq in dupgap_losses(pending, seq, acks_after):
                     on_loss(receiver_id, lost_seq, ack_time)
-        state.cumulative_acked += acked
         state.qdelay_total = qdelay_total
         state.qdelay_count += acked
 
@@ -425,8 +421,8 @@ class Controller:
         state.est_bandwidth_U = estimate_bandwidth(state, ack_rate)
 
         # an ack sets its receiver's d_min, so until one is counted there is
-        # no d_min to aim at
-        if not state.cumulative_acked:
+        # no d_min to aim at; a map, as in in_flight_total, not a generator
+        if not any(map(_acks, state.receivers.values())):
             quota = BOOTSTRAP_QUOTA
         else:
             state.d_ref = compute_dref(qmax, params)

@@ -69,7 +69,10 @@ def _from_json(tp, value, path: str = ""):
         (item,) = typing.get_args(tp)
         return [_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if want is not dict:
-        return float(value) if want is float else value
+        try:
+            return float(value) if want is float else value
+        except OverflowError:       # an int too large for a float
+            raise ScenarioError(f"{path}: must be a finite number") from None
     known = {f.name: f for f in fields(tp)}
     for key in value:
         if key not in known:
@@ -103,7 +106,9 @@ class Schedule:
     high: float = 0.0
     interval: float = 10.0
 
-    def validate(self, name: str) -> None:
+    def validate(self, name: str, duration: float) -> None:
+        """Range checks for a run of ``duration`` seconds; each error message
+        starts with the field path ``name``."""
         if self.kind == "constant":
             if self.value < 0.0:
                 raise ScenarioError(f"{name}.value: must be >= 0")
@@ -114,6 +119,9 @@ class Schedule:
                 raise ScenarioError(f"{name}.high: must be >= low")
             if self.interval <= 0.0:
                 raise ScenarioError(f"{name}.interval: must be positive")
+            if duration / self.interval > MAX_SCHEDULE_STEPS:
+                raise ScenarioError(f"{name}.interval: must be at least duration / "
+                                    f"{MAX_SCHEDULE_STEPS:,}")
         else:
             raise ScenarioError(f"{name}.kind: unknown schedule kind {self.kind!r}")
 
@@ -242,13 +250,13 @@ class ScenarioConfig:
                                 f"{MAX_SCHEDULE_STEPS:,}")
         if not self.receivers:
             raise ScenarioError("receivers: at least one receiver is required")
-        self._validate_schedule(self.sender_latency, "sender_latency")
+        self.sender_latency.validate("sender_latency", self.duration)
         ids = []
         for i, r in enumerate(self.receivers):
             _claim_id(ids, r.receiver_id, f"receivers[{i}].receiver_id")
-            self._validate_schedule(r.latency, f"receivers[{i}].latency")
+            r.latency.validate(f"receivers[{i}].latency", self.duration)
         rate = self.bottleneck.rate
-        self._validate_schedule(rate, "bottleneck.rate")
+        rate.validate("bottleneck.rate", self.duration)
         if rate.kind == "constant" and rate.value <= 0.0:
             raise ScenarioError("bottleneck.rate.value: must be positive")
         if rate.kind == "uniform_resample" and rate.low <= 0.0:
@@ -279,13 +287,6 @@ class ScenarioConfig:
         except OverflowError:       # math.ceil of an infinite bound
             raise ScenarioError("bottleneck.buffer_capacity: the default is not "
                                 "finite; give one") from None
-
-    def _validate_schedule(self, schedule: Schedule, name: str) -> None:
-        schedule.validate(name)
-        if (schedule.kind == "uniform_resample"
-                and self.duration / schedule.interval > MAX_SCHEDULE_STEPS):
-            raise ScenarioError(f"{name}.interval: must be at least duration / "
-                                f"{MAX_SCHEDULE_STEPS:,}")
 
     def buffer_capacity(self) -> int:
         """The configured buffer, or by default twice the minimum-window bound
@@ -413,12 +414,13 @@ def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
     )
 
 
+# each builder takes no argument or a seed; the default seed is its builder's
 BUILTIN_SCENARIOS = {
     "exp1": build_experiment_1,
-    "exp2-static": lambda seed=2: build_experiment_2("static", seed),
-    "exp2-dynamic": lambda seed=2: build_experiment_2("dynamic", seed),
-    "exp3-reno-p2pfirst": lambda seed=3: build_experiment_3("reno", "p2pfirst", seed),
-    "exp3-reno-tcpfirst": lambda seed=3: build_experiment_3("reno", "tcpfirst", seed),
-    "exp3-bic-p2pfirst": lambda seed=3: build_experiment_3("bic", "p2pfirst", seed),
-    "exp3-bic-tcpfirst": lambda seed=3: build_experiment_3("bic", "tcpfirst", seed),
+    "exp2-static": functools.partial(build_experiment_2, "static"),
+    "exp2-dynamic": functools.partial(build_experiment_2, "dynamic"),
+    "exp3-reno-p2pfirst": functools.partial(build_experiment_3, "reno", "p2pfirst"),
+    "exp3-reno-tcpfirst": functools.partial(build_experiment_3, "reno", "tcpfirst"),
+    "exp3-bic-p2pfirst": functools.partial(build_experiment_3, "bic", "p2pfirst"),
+    "exp3-bic-tcpfirst": functools.partial(build_experiment_3, "bic", "tcpfirst"),
 }

@@ -174,6 +174,10 @@ def _repeat_receiver(data):
     # finite inputs whose default buffer is not
     (_set(["sender_latency", "value"], 1e308), [], "bottleneck.buffer_capacity"),
     (_set(["controller", "gamma"], 5e-324), [], "bottleneck.buffer_capacity"),
+    # an integer too large for a float
+    (_set(["duration"], 10**400), [], "duration"),
+    (_set(["controller", "gamma2"], 10**400), [], "controller.gamma2"),
+    (_set(["flows"], [_flow(stop=10**400)]), [], "flows[0].stop"),
 ])
 def test_malformed_scenario_is_usage_error_naming_the_field(
         tmp_path, capsys, mutate, extra_args, field_path):

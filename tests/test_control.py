@@ -13,12 +13,12 @@ from p2pcc.control import (ACK_HISTORY_LEN, BOOTSTRAP_QUOTA,
                            ControllerParams, compute_dref, compute_send_quota,
                            compute_window, current_ack_rate,
                            estimate_bandwidth, lambda_squared_shares,
-                           new_state, qmax_estimate, rtt_reference)
+                           qmax_estimate, rtt_reference)
 from p2pcc.fluid import lemma2_min_window
 
 
 def make_state(receiver_ids=("r1",)):
-    return new_state(list(receiver_ids))
+    return Controller(ControllerParams(), receiver_ids).state
 
 
 def set_in_flight(state, rid, n):
@@ -27,9 +27,10 @@ def set_in_flight(state, rid, n):
 
 def seed_counts(state, sent, acked):
     state.cumulative_sent = sent
-    state.cumulative_acked = acked
-    # the in-flight difference is outstanding at the first receiver
-    set_in_flight(state, next(iter(state.receivers)), sent - acked)
+    # the acks and the in-flight difference are at the first receiver
+    first = next(iter(state.receivers))
+    state.receivers[first].acks = acked
+    set_in_flight(state, first, sent - acked)
 
 
 def in_bootstrap(c, snap):
@@ -708,8 +709,8 @@ def test_property_counter_conservation(data):
             c.on_loss(rid, acked_pool[rid].pop(0), t)
         state = c.state
         in_flight = state.in_flight_total()
-        assert (state.cumulative_sent - state.cumulative_acked
-                - state.cumulative_lost) == in_flight
+        acked = sum(r.acks for r in state.receivers.values())
+        assert state.cumulative_sent - acked - state.cumulative_lost == in_flight
         assert in_flight >= 0
 
 

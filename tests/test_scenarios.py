@@ -36,12 +36,16 @@ def test_resampled_schedule_steps_on_interval_grid():
 
 def test_schedule_validation():
     with pytest.raises(ScenarioError):
-        Schedule(kind="nope").validate("x")
+        Schedule(kind="nope").validate("x", 100.0)
     with pytest.raises(ScenarioError):
-        Schedule(kind="uniform_resample", low=5.0, high=2.0).validate("x")
+        Schedule(kind="uniform_resample", low=5.0, high=2.0).validate("x", 100.0)
     with pytest.raises(ScenarioError):
         Schedule(kind="uniform_resample", low=1.0, high=2.0,
-                 interval=0.0).validate("x")
+                 interval=0.0).validate("x", 100.0)
+    # the step cap: duration / interval may not exceed MAX_SCHEDULE_STEPS
+    with pytest.raises(ScenarioError, match=r"^x\.interval: must be at least duration"):
+        Schedule(kind="uniform_resample", low=1.0, high=2.0,
+                 interval=1e-5).validate("x", 100.0)
 
 
 # sorted breakpoints from 0.0, repeats allowed; one breakpoint is a constant

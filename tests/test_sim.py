@@ -570,7 +570,6 @@ class PerAckController(Controller):
         peaks.append((recv.acks, ack_time, latency))
         if peaks[0][0] <= recv.acks - ACK_HISTORY_LEN:
             peaks.popleft()
-        state.cumulative_acked += 1
         if pending and next(iter(pending)) < seq:
             for lost_seq in dupgap_losses(pending, seq, acks_after):
                 self.on_loss(receiver_id, lost_seq, ack_time)
@@ -1142,7 +1141,7 @@ def test_a_replaced_controller_on_ack_gets_the_stream_acks_one_by_one(monkeypatc
     assert end_state(wrapped, spurious) == end_state(plain, spurious)
     assert seen == sorted(seen)
     assert spurious > 0
-    assert len(seen) == wrapped.stream.controller.state.cumulative_acked + spurious
+    assert len(seen) == acks_counted(wrapped.stream.controller.state) + spurious
 
 
 
@@ -1270,7 +1269,7 @@ def test_run_end_state_conserves_packets(name, monkeypatch):
     run_ = _Run(BUILTIN_SCENARIOS[name]())
     run_.execute()
     state = run_.stream.controller.state
-    assert state.cumulative_sent == (state.cumulative_acked + state.cumulative_lost
+    assert state.cumulative_sent == (acks_counted(state) + state.cumulative_lost
                                      + state.in_flight_total())
     assert p2p_drops[0] <= state.cumulative_lost + state.in_flight_total()
     assert (p2p_drops[0] > 0) == (name in P2P_DROPPING)
@@ -1370,19 +1369,26 @@ def tie_heavy_scenarios(draw):
         flows=flows, p2p_start=draw(st.integers(0, 20)) * 0.05)
 
 
+def acks_counted(state):
+    """The acks the controller did not ignore: the total of its receivers'
+    ``acks``."""
+    return sum(r.acks for r in state.receivers.values())
+
+
 def execute_counting_spurious_acks(run_):
     """Execute ``run_``; return how many of the acks it gave its controller
     were for packets no longer outstanding, which the controller ignores.
     Every ack reaches the controller through ``on_ack_run``, ``on_ack`` as
-    a run of one, and each one it does not ignore is counted as acked."""
+    a run of one, and each one it does not ignore is counted in its
+    receiver's ``acks``."""
     controller = run_.stream.controller
     on_ack_run = controller.on_ack_run
     spurious = [0]
 
     def counting_on_ack_run(records):
-        acked = controller.state.cumulative_acked
+        acked = acks_counted(controller.state)
         on_ack_run(records)
-        spurious[0] += len(records) - (controller.state.cumulative_acked - acked)
+        spurious[0] += len(records) - (acks_counted(controller.state) - acked)
 
     controller.on_ack_run = counting_on_ack_run
     run_.execute()
@@ -1393,7 +1399,7 @@ def end_state(run_, spurious_acks):
     state = run_.stream.controller.state
     bn = run_.bottleneck
     bn.advance(math.inf)
-    return (state.cumulative_sent, state.cumulative_acked, state.cumulative_lost,
+    return (state.cumulative_sent, acks_counted(state), state.cumulative_lost,
             spurious_acks, {rid: list(r.outstanding) for rid, r in state.receivers.items()},
             bn.drops, bn.occupancy, bn.served_bits)
 
