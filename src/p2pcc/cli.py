@@ -2,7 +2,10 @@
 list built-ins.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error, 3 lemma
-verification violations.
+verification violations.  Each subparser names its command's function, and
+``main`` calls it: a configuration error (a ``ValueError``, such as a
+``ScenarioError``) exits 2 with a message that names the field, and an
+I/O error exits 1.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:       # ScenarioError among them
         parser.exit(2, f"error: {exc}\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

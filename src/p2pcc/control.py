@@ -5,6 +5,20 @@ current window into an injection quota, the quota is paced over the period, and
 acknowledgements feed back latency samples, an ack-rate bandwidth estimate and
 (on loss) a recalibration of the maximum-queue-delay estimate that anchors the
 queue-delay reference.
+
+Each receiver's record (``ReceiverState``) is the only state kept per
+receiver, so an ack looks its receiver up once.  It holds the receiver's
+outstanding packets, seq to send time, and a second map of later-ack counts
+for only those that have seen a later ack; no object is built per packet.
+The controller keeps no in-flight counter, since a receiver's in-flight
+count is the size of its outstanding set and each tick computes the
+window's shares from those sets, and no global ack count, since each record
+counts its own acks and the tick's bootstrap test reads the records.
+
+The loss bookkeeping costs O(1) amortized per ack at any window: an ack
+walks the outstanding prefix below its seq only when the oldest outstanding
+seq is lower, a timeout walks only the expired prefix, and the record's
+latency peaks give d_max at a loss.
 """
 
 from __future__ import annotations
@@ -92,6 +106,7 @@ class ReceiverState:
     last_sent: float = -math.inf    # the time of the last send
     # seq -> send time of the unacknowledged packets, in send order; its walk
     # follows a linked list, so deleted keys leave no slots to skip at its front
+    # (a plain dict's walk skips about a window of them per ack under churn)
     outstanding: OrderedDict = field(default_factory=OrderedDict)
     # seq -> later acks so far, for the outstanding seqs that have one
     acks_after: dict = field(default_factory=dict)

@@ -3,6 +3,14 @@
 A scenario pins everything a run needs: topology and latency/rate schedules,
 controller parameters, the block source, competing TCP flows and the seed.
 Identical scenario + seed must reproduce identical metrics.
+
+A scenario round-trips through JSON (``to_dict``, ``from_dict``), and the
+load is strict: an unknown or missing key, a value of the wrong type or a
+non-finite number raises ``ScenarioError`` naming the field.  Each
+``Schedule`` checks its own fields and its step cap over the run.
+``BUILTIN_SCENARIOS`` binds each builder's variant, so each default seed is
+written once, in its builder.  A schedule is materialized as a
+``PiecewiseConstant``, and ``schedule_sum`` adds two of them into one.
 """
 
 from __future__ import annotations
@@ -230,7 +238,7 @@ class ScenarioConfig:
     controller: ControllerParams = field(default_factory=ControllerParams)
     sender_latency: Schedule = field(default_factory=lambda: constant(0.020))
     receivers: list[ReceiverConfig] = field(default_factory=list)
-    bottleneck: BottleneckConfig = field(default_factory=lambda: BottleneckConfig(constant(4_000_000.0)))
+    bottleneck: BottleneckConfig = field(kw_only=True)
     source: BlockSourceConfig = field(default_factory=BlockSourceConfig)
     flows: list[TcpFlowConfig] = field(default_factory=list)
     p2p_start: float = 0.0
@@ -313,8 +321,6 @@ class ScenarioConfig:
         A scenario must state its bottleneck; other absent sections take
         their defaults.  Malformed input raises ScenarioError naming the field.
         """
-        if isinstance(data, dict) and "bottleneck" not in data:
-            raise ScenarioError("bottleneck: missing required key")
         cfg = _from_json(cls, data)
         cfg.validate()
         return cfg

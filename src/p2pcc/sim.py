@@ -40,7 +40,10 @@ link, the bottleneck and, unless dropped, the receiver's forward and ack
 links, and its ack record goes onto the receiver's FIFO.  The pass holds
 each hop's state across the run and does the float operations that the
 per-packet forms (``transit``, ``enqueue``) would do send by send, in the
-same order.  Every TCP packet takes the per-packet forms, through ``put``.
+same order.  Every TCP packet takes the per-packet forms, through ``send``.
+With the acks' runs as well, the benchmark's one-receiver ``highrate``
+scenario makes about 11k Python calls in 15 s of simulated time, not the
+~560k it made when each packet and each ack took calls of its own.
 
 One rule orders what happens at one instant:
 
@@ -361,13 +364,14 @@ class ReceiverPath:
 
     ``forward`` is the receiver's link from the bottleneck.  The ack hop,
     ``ack_link``, takes the path latency, sender plus receiver, as one
-    delay; its ``latency`` is that schedule.  ``base_rtt`` holds the
-    queue-free round trip, twice the path latency, as ``(lo, hi, value)`` on
-    the step of the path latency it was last read at, at a send.  ``acks``
-    is the FIFO of the stream's acks not yet applied, a list of finished
-    records ``(ack, seq, receiver id, round trip, queue-free round trip at
-    the send)`` in ack order: the receiver's links are FIFO, so its ack
-    instants never fall."""
+    delay; its ``latency`` is that schedule, summed once, when the run is
+    built (``schedule_sum``).  ``base_rtt`` holds the queue-free round
+    trip, twice the path latency, as ``(lo, hi, value)`` on the step of the
+    path latency it was last read at, at a send.  ``acks`` is the FIFO of
+    the stream's acks not yet applied, a list of finished records ``(ack,
+    seq, receiver id, round trip, queue-free round trip at the send)`` in
+    ack order: the receiver's links are FIFO, so its ack instants never
+    fall."""
 
     def __init__(self, rid: str, latency, sender_lat):
         self.rid = rid
@@ -488,9 +492,10 @@ class _Run:
     The path is the access link, the bottleneck and one ``ReceiverPath`` per
     receiver (``receivers``, in column order).  The streaming sender
     (``stream``) and the TCP senders put their packets on it: ``send`` puts
-    a TCP packet after the paced sends strictly before it (rule 3), and
-    ``put`` returns a packet's ack instant, from which the TCP senders file
-    their acks; ``put_run`` puts a run of the stream's paced sends.
+    a TCP packet after the paced sends strictly before it (rule 3) and
+    returns its ack instant, or ``None`` for a drop, from which the TCP
+    sender files its own acks, so no ack is dispatched on the flow id;
+    ``put_run`` puts a run of the stream's paced sends.
 
     The heap holds one clock event and, per TCP sender, its acks and its
     wakeup at the retransmission deadline (and any wakeup it superseded).  A
@@ -583,20 +588,15 @@ class _Run:
     # -- Shared path ------------------------------------------------------
 
     def send(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
-        """Put a TCP packet on the path and return its ack instant, as
-        ``put`` does, after the paced sends strictly before ``now``
-        (rule 3)."""
+        """Put a TCP packet on the access link, the bottleneck and the
+        receiver's forward and ack links, after the paced sends strictly
+        before ``now`` (rule 3); return the instant its ack reaches the
+        sender, or ``None`` if it is dropped.  Receivers ack every packet on
+        delivery and the return path is uncongested, so the ack is fixed at
+        departure.  Departures keep send order, so each receiver's links see
+        the deliveries in order."""
         if self.stream.paced:
             self.stream.send_paced(now)
-        return self.put(receiver, flow_id, seq, now)
-
-    def put(self, receiver: ReceiverPath, flow_id: str, seq: int, now: float) -> float | None:
-        """Put a packet on the access link, the bottleneck and the receiver's
-        forward and ack links; return the instant its ack reaches the sender,
-        or ``None`` if it is dropped.  Receivers ack every packet on delivery
-        and the return path is uncongested, so the ack is fixed at departure.
-        Departures keep send order, so each receiver's links see the
-        deliveries in order."""
         departure = self.bottleneck.enqueue(SimPacket(seq, flow_id),
                                             self.access_link.transit(now))
         if departure is None:
@@ -607,11 +607,11 @@ class _Run:
         """Put a run of the stream's paced sends to ``receiver``, numbered
         from ``seq``, at the send ``times``, on the path in one pass.  Each
         send crosses the access link, the bottleneck and, unless dropped,
-        the receiver's forward and ack links, doing what ``put`` does; its
-        ack record, ``(ack, seq, receiver, round trip, queue-free round trip
-        at the send)``, goes onto the receiver's FIFO.  Every hop's held
-        step and FIFO state live in locals for the run and are written back
-        at its end."""
+        the receiver's forward and ack links, as ``send`` takes a TCP
+        packet; its ack record, ``(ack, seq, receiver, round trip,
+        queue-free round trip at the send)``, goes onto the receiver's FIFO.
+        Every hop's held step and FIFO state live in locals for the run and
+        are written back at its end."""
         access, bottleneck = self.access_link, self.bottleneck
         forward, ack_link = receiver.forward, receiver.ack_link
         # the held steps: a_ the access link's, b_ the bottleneck's, f_ the

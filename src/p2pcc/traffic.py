@@ -1,5 +1,11 @@
 """Application traffic sources: the sequential block source and loss-based
-TCP competitor state machines (Reno, plus an experimental BIC-style flow)."""
+TCP competitor state machines (Reno, plus an experimental BIC-style flow).
+
+The block source hands out a quota as ``(receiver, count)`` stretches in
+send order.  A window machine takes each ack as ``reno_on_ack(flow)`` or
+``bic_on_ack(flow)`` and each loss as ``reno_on_loss(flow, timeout)`` or
+``bic_on_loss(flow, timeout)``, where ``timeout`` is a flag, not a string.
+"""
 
 from __future__ import annotations
 

@@ -89,6 +89,13 @@ def test_verify_prints_each_violation_and_exits_3(monkeypatch, capsys):
     assert sum("2 trials, 2 violations" in line for line in lines) == 2
 
 
+@pytest.mark.parametrize("lemma", ["1", "2"])
+def test_verify_one_lemma_prints_its_summary_alone(capsys, lemma):
+    assert main(["verify", "--lemma", lemma, "--trials", "5"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"lemma{lemma}: 5 trials, 0 violations")
+
+
 def test_verify_rejects_non_positive_trials():
     assert main(["verify", "--trials", "0"]) == 2
 
@@ -105,6 +112,13 @@ def test_output_directory_env_used_for_default_path(tmp_path, monkeypatch, capsy
     path = short_scenario_file(tmp_path, duration=1.0)
     assert main(["run", path]) == 0
     assert (tmp_path / "exp1.csv").exists()
+
+
+def test_run_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    path = short_scenario_file(tmp_path, duration=1.0)
+    assert main(["run", path, "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write metrics CSV")
 
 
 def _set(path, value):
@@ -193,3 +207,14 @@ def test_malformed_scenario_is_usage_error_naming_the_field(
     (line,) = capsys.readouterr().err.splitlines()
     # the message starts with the path of the field, or of one inside it
     assert re.match(rf"error: {re.escape(field_path)}[.\[:]", line)
+
+
+def test_scenario_without_a_bottleneck_names_the_missing_key(tmp_path, capsys):
+    data = build_experiment_1().to_dict()
+    del data["bottleneck"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: bottleneck: missing required key\n"

@@ -1,16 +1,24 @@
 """The checkout comparison script ``tools/compare_checkouts.py``, run on a
-few cases of each family with this checkout on both sides, and what its
-long-run family's cases put on the path."""
+few cases of each family with this checkout on both sides, its list of the
+built-ins, and what its long-run family's cases put on the path."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-from p2pcc.scenarios import ScenarioConfig
+from p2pcc.scenarios import BUILTIN_SCENARIOS, ScenarioConfig
 from p2pcc.sim import _Run, run
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_checkouts",
+                                                  ROOT / "tools" / "compare_checkouts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_this_checkout_matches_itself():
@@ -25,15 +33,17 @@ def test_this_checkout_matches_itself():
             in lines)
 
 
+def test_the_built_in_family_runs_every_built_in():
+    # the tool lists the built-ins itself, since it runs either checkout's
+    assert _tool().BUILTINS == list(BUILTIN_SCENARIOS)
+
+
 def test_long_run_cases_put_long_runs_with_drops_inside_on_the_path(monkeypatch):
     # the long-run family exists for what the other families rarely reach:
     # paced runs of hundreds of packets that the bottleneck drops inside of.
     # A run goes to one receiver, so with more receivers it is at most a
     # block; cases 0-4 have more than one, case 5 has one
-    spec = importlib.util.spec_from_file_location("compare_checkouts",
-                                                  ROOT / "tools" / "compare_checkouts.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
     put_run = _Run.put_run
     longest, dropped_inside = [0], [0]
 

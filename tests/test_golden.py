@@ -14,12 +14,21 @@ from pathlib import Path
 
 import pytest
 
+from p2pcc.cli import _build_parser
 from p2pcc.metrics import emit_csv
 from p2pcc.scenarios import BUILTIN_SCENARIOS
 from p2pcc.sim import run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _csv_digest(cfg, path):
@@ -34,9 +43,15 @@ def test_builtin_csv_matches_golden_digest(tmp_path, name):
 
 
 def test_highrate_csv_matches_golden_digest(tmp_path):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    cfg = workloads.build_config("highrate", 1)
+    cfg = _workloads().build_config("highrate", 1)
     assert _csv_digest(cfg, tmp_path / "highrate.csv") == GOLDEN["highrate"]
+
+
+def test_benchmark_default_seeds_are_the_builders():
+    # the benchmark's repetition 0 runs each built-in at its seed from
+    # DEFAULT_SEEDS, a copy of the builders' default seeds, and
+    # queue-model at `p2pcc verify`'s default seed
+    seeds = _workloads().DEFAULT_SEEDS
+    assert {name: seeds[name] for name in BUILTIN_SCENARIOS} == {
+        name: build().seed for name, build in BUILTIN_SCENARIOS.items()}
+    assert seeds["queue-model"] == _build_parser().parse_args(["verify"]).seed

@@ -159,7 +159,8 @@ def test_default_buffer_is_twice_the_window_bound():
 def base_config(**overrides):
     cfg = ScenarioConfig(
         name="v", duration=10.0, seed=0,
-        receivers=[ReceiverConfig("r1", constant(0.010))])
+        receivers=[ReceiverConfig("r1", constant(0.010))],
+        bottleneck=BottleneckConfig(rate=constant(4_000_000.0)))
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg

@@ -362,9 +362,11 @@ rates = st.sampled_from([4 * PACKET_BITS, PACKET_BITS, PACKET_BITS / 3])
 
 
 def bare_path(sender_lat, receiver_lats, rate, capacity):
-    """The part of a run that ``_Run.put`` and ``_Run.put_run`` use: the
-    access link, the bottleneck and a ``ReceiverPath`` per receiver."""
+    """The part of a run that ``_Run.send`` and ``_Run.put_run`` use: the
+    access link, the bottleneck, a ``ReceiverPath`` per receiver, and a
+    stream with no paced send waiting."""
     return SimpleNamespace(
+        stream=SimpleNamespace(paced=None),
         access_link=DelayLink(sender_lat),
         bottleneck=Bottleneck(rate, capacity, PACKET_BITS),
         receivers={rid: ReceiverPath(rid, latency, sender_lat)
@@ -372,11 +374,11 @@ def bare_path(sender_lat, receiver_lats, rate, capacity):
 
 
 def put_one_by_one(path, receiver, seq, times):
-    """A paced run put send by send through ``_Run.put``, each ack's record
+    """A paced run put send by send through ``_Run.send``, each ack's record
     built with the queue-free round trip read afresh at its send: the oracle
     of ``_Run.put_run``."""
     for now in times:
-        ack = _Run.put(path, receiver, P2P_FLOW_ID, seq, now)
+        ack = _Run.send(path, receiver, P2P_FLOW_ID, seq, now)
         if ack is not None:
             lo, hi, latency = receiver.ack_link.latency.step(now)
             receiver.base_rtt = lo, hi, 2.0 * latency
@@ -455,7 +457,7 @@ def test_bottleneck_run_equals_enqueues_one_by_one(data, rate, capacity):
                 (departure, s) for s, departure in zip(seqs, departures) if departure is not None]
         else:
             for s, now in zip(seqs, run_times):
-                assert (_Run.put(path, receiver, "tcp1", s, now)
+                assert (_Run.send(path, receiver, "tcp1", s, now)
                         == by_send.enqueue(SimPacket(s, "tcp1"), access.transit(now)))
         seq += len(run_times)
         assert vars(path.bottleneck) == vars(by_send)
@@ -491,8 +493,8 @@ def test_put_run_equals_puts_one_by_one(data, sender_lat, r1_lat, r2_lat, rate, 
             put_one_by_one(by_send, by_send.receivers[rid], seq, run_times)
         else:
             for now in run_times:
-                assert (_Run.put(by_run, by_run.receivers[rid], "tcp1", seq, now)
-                        == _Run.put(by_send, by_send.receivers[rid], "tcp1", seq, now))
+                assert (_Run.send(by_run, by_run.receivers[rid], "tcp1", seq, now)
+                        == _Run.send(by_send, by_send.receivers[rid], "tcp1", seq, now))
         seq += len(run_times)
         assert_same_path(by_run, by_send)
     now = data.draw(st.sampled_from([2.5, 6.0, math.inf]))
