@@ -4,7 +4,9 @@ The expected SHA-256 digests are the benchmark's (``perfbench/golden.json``);
 a change that alters any of them changes the simulator's output.  The
 benchmark-only ``highrate`` scenario is built by ``perfbench/workloads.py``;
 its ~900-packet window is the only one that keeps deep outstanding sets,
-which churn on every ack.
+which churn on every ack.  The benchmark's repetition 0 runs each scenario
+at its seed from ``DEFAULT_SEEDS`` there, so those seeds must stay the
+builders' defaults.
 """
 
 import hashlib
