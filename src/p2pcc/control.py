@@ -393,10 +393,8 @@ class Controller:
         if peaks:
             recv.d_max = peaks[0][2]
 
-    def _expire_timeouts(self, now: float, qmax: float) -> int:
-        state = self.state
-        count = 0
-        for rid, recv in state.receivers.items():
+    def _expire_timeouts(self, now: float, qmax: float) -> None:
+        for rid, recv in self.state.receivers.items():
             base = recv.d_min if recv.d_min is not None else self.params.initial_qmax_offset
             # the observed latency guards against spurious timeouts while the
             # actual queue delay exceeds the calibrated maximum (e.g. right
@@ -414,8 +412,6 @@ class Controller:
                     break
             for seq in expired:
                 self.on_loss(rid, seq, now)
-                count += 1
-        return count
 
     def control_tick(self, now: float) -> TickSnapshot:
         """One control epoch: close the interval's queue-delay average,
@@ -423,7 +419,9 @@ class Controller:
         state = self.state
         params = self.params
         qmax = qmax_estimate(state.receivers, params)
-        if self._expire_timeouts(now, qmax):
+        lost = state.cumulative_lost
+        self._expire_timeouts(now, qmax)
+        if state.cumulative_lost > lost:
             # a loss is the only way d_max changes here
             qmax = qmax_estimate(state.receivers, params)
 

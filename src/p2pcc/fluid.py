@@ -5,7 +5,9 @@ The recursion mirrors the controller's period-level model: the sender injects
 scheduled amount, and acknowledgements for packets served toward receiver p
 arrive ``n_p`` periods later.  This is the independent oracle used to check
 that the queue stays below w (upper-bound lemma) and, with a large enough
-window, stays positive (non-empty lemma).
+window, stays positive (non-empty lemma).  Both suites run one trial loop,
+``_run_suite``; they differ only in how a trial's window is chosen and in
+the scan of its trace for violations.
 
 The recursion is the lemma suites' whole cost, so its loop is written for
 few interpreter steps: each ack term reads the served history from its end,
@@ -125,9 +127,11 @@ def _sample_topology(rng: random.Random):
     return shares, delays, u_max
 
 
-def verify_lemma1(trials: int = 100, seed: int = 0) -> LemmaReport:
-    """Queue never reaches w: random gains, topologies and service schedules
-    driven through the recursion; any y(lT) >= w is a violation."""
+def _run_suite(lemma: int, trials: int, seed: int, window, violations) -> LemmaReport:
+    """The trial loop both suites share.  Each trial draws a gain, a topology,
+    its window ``window(rng, gamma, shares, delays, u_max)`` and a service
+    schedule, in that order, runs the recursion and lists what
+    ``violations(trace, w, delays)`` finds in its trace."""
     start = time.perf_counter()
     rng = random.Random(seed)
     rand = rng.random
@@ -135,37 +139,41 @@ def verify_lemma1(trials: int = 100, seed: int = 0) -> LemmaReport:
     for i in range(trials):
         gamma = rng.uniform(0.05, 1.0)
         shares, delays, u_max = _sample_topology(rng)
-        w = rng.uniform(10.0, 500.0)
+        w = window(rng, gamma, shares, delays, u_max)
         # the float rng.uniform(0.0, u_max) returns, from the same draw
         schedule = [u_max * rand() for _ in range(PERIODS)]
         trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
-        trial = LemmaTrial(i, gamma, w, shares, delays, u_max)
-        bound = w + _EPS
-        if not max(trace) < bound:          # not <, so that a NaN is looked at
-            trial.violations = [(l, y) for l, y in enumerate(trace) if y >= bound]
-        out.append(trial)
-    return LemmaReport(1, out, time.perf_counter() - start)
+        out.append(LemmaTrial(i, gamma, w, shares, delays, u_max,
+                              violations(trace, w, delays)))
+    return LemmaReport(lemma, out, time.perf_counter() - start)
+
+
+def _at_or_above_window(trace, w, delays):
+    bound = w + _EPS
+    if not max(trace) < bound:          # not <, so that a NaN is looked at
+        return [(l, y) for l, y in enumerate(trace) if y >= bound]
+    return []
+
+
+def _empty_past_round_trip(trace, w, delays):
+    first = max(delays) + 2             # the first period checked
+    checked = trace[first:]
+    if checked and not min(checked) > _EPS:     # not >, so that a NaN is looked at
+        return [(l, y) for l, y in enumerate(checked, first) if y <= _EPS]
+    return []
+
+
+def verify_lemma1(trials: int = 100, seed: int = 0) -> LemmaReport:
+    """Queue never reaches w: random gains, topologies and service schedules
+    driven through the recursion; any y(lT) >= w is a violation."""
+    return _run_suite(1, trials, seed, lambda rng, *_: rng.uniform(10.0, 500.0),
+                      _at_or_above_window)
 
 
 def verify_lemma2(trials: int = 100, seed: int = 0) -> LemmaReport:
     """Queue stays positive once past the longest round trip when the window
     strictly exceeds the minimum-window bound and the sender is always
     backlogged; any y(lT) <= 0 for l > n_m + 1 is a violation."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    rand = rng.random
-    out = []
-    for i in range(trials):
-        gamma = rng.uniform(0.05, 1.0)
-        shares, delays, u_max = _sample_topology(rng)
-        w = lemma2_min_window(u_max, shares, delays, gamma) + 1.0
-        schedule = [u_max * rand() for _ in range(PERIODS)]
-        trace, _ = fluid_queue_trace(gamma, w, shares, delays, schedule)
-        first = max(delays) + 2             # the first period checked
-        checked = trace[first:]
-        trial = LemmaTrial(i, gamma, w, shares, delays, u_max)
-        if checked and not min(checked) > _EPS:     # not >, so that a NaN is looked at
-            trial.violations = [(l, y) for l, y in enumerate(checked, first)
-                                if y <= _EPS]
-        out.append(trial)
-    return LemmaReport(2, out, time.perf_counter() - start)
+    def window(rng, gamma, shares, delays, u_max):
+        return lemma2_min_window(u_max, shares, delays, gamma) + 1.0
+    return _run_suite(2, trials, seed, window, _empty_past_round_trip)

@@ -246,10 +246,14 @@ class TcpSender:
     loss is detected in send order (see ROADMAP.md).
 
     The retransmission timer is one pending wakeup at the deadline
-    ``last_progress + rto`` (RFC 6298, section 5).  A wakeup that finds the
-    deadline moved later by progress files one at the new deadline; an RTT
-    sample that moves it earlier files an earlier wakeup, and the later one
-    returns at once.
+    ``last_progress + rto`` (RFC 6298, section 5).  The flow's start is its
+    first wakeup, which sends the first window and files the timer.  A
+    wakeup that finds the deadline moved later by progress files one at the
+    new deadline; an RTT sample that moves it earlier files an earlier
+    wakeup, and the later one returns at once.  Every wakeup ends with
+    ``try_send``, but only the start and a timeout send anything: after any
+    handler that runs before the stop, the always-backlogged sender's window
+    is full.
     """
 
     def __init__(self, run: "_Run", flow_id: str, kind: str, receiver: "ReceiverPath",
@@ -273,13 +277,10 @@ class TcpSender:
         self.rttvar = 0.0
         self.rto = 1.0
         self.last_progress = start
-        # the instant of the pending wakeup; one at another instant is superseded
-        self._wakeup = math.inf
-        run.loop.schedule(start, self._activate)
-
-    def _activate(self, now: float) -> None:
-        self.try_send(now)
-        self._file_wakeup()
+        # the instant of the pending wakeup; one at another instant is
+        # superseded.  The start is the first wakeup.
+        self._wakeup = start
+        run.loop.schedule(start, self._timer)
 
     def _file_wakeup(self) -> None:
         self._wakeup = self.last_progress + self.rto
@@ -299,7 +300,11 @@ class TcpSender:
             self.acks_after.clear()
             self.last_progress = now
             self.rto = min(self.rto * 2.0, TCP_RTO_MAX)
-            self.try_send(now)
+        # every handler that runs before the stop ends with try_send, and the
+        # window changes only in a handler, so at a wakeup that is neither the
+        # start nor a timeout a backlogged sender's window is full and this
+        # sends nothing
+        self.try_send(now)
         self._file_wakeup()
 
     def try_send(self, now: float) -> None:

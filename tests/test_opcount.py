@@ -2,7 +2,12 @@
 short runs of this checkout."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from p2pcc.control import Controller
 
@@ -58,3 +63,21 @@ def test_shortening_keeps_each_flow_after_its_start():
         for (start, stop), flow in zip(flows, short.flows):
             assert (flow.start, flow.stop) == (start / 50.0, stop / 50.0)
             assert flow.stop > flow.start
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the pipe's read end is closed before the tool starts, so its first
+    # write (or, with buffered output, its flush) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, str(TOOL), "--workload", "paper-tcp",
+                               "--seconds", str(SECONDS)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr.decode()
+    assert b"Broken pipe" not in done.stderr
+    assert done.returncode == 1

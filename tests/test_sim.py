@@ -5,7 +5,7 @@ import heapq
 import itertools
 import math
 import statistics
-from collections import deque
+from collections import Counter, deque
 from operator import itemgetter
 from types import SimpleNamespace
 from unittest import mock
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2pcc import sim
 from p2pcc.control import (ACK_HISTORY_LEN, DUPACK_LOSS_THRESHOLD, Controller,
                            ControllerParams, dupgap_losses)
 from p2pcc.fluid import fluid_queue_trace
@@ -1119,6 +1120,48 @@ def test_tcp_acks_reach_the_sender_through_its_on_ack(monkeypatch):
     run_ = _Run(cfg)
     run_.execute()
     assert len(acked) > 100
+
+
+def test_a_tcp_wakeup_sends_only_at_the_start_and_at_a_timeout(monkeypatch):
+    # every TCP handler before the stop ends with try_send, so a wakeup that
+    # is neither the flow's start nor a timeout finds the window full; a
+    # one-packet buffer makes reno and bic time out
+    cfg = small_single_receiver(duration=5.0)
+    cfg.bottleneck.buffer_capacity = 1
+    cfg.p2p_start = cfg.duration
+    cfg.flows = [TcpFlowConfig("tcp1", "reno", "r1", 0.0, 5.0),
+                 TcpFlowConfig("tcp2", "bic", "r1", 0.5, 5.0)]
+    starts = {flow.flow_id: flow.start for flow in cfg.flows}
+    timeouts = Counter()        # per loss function
+    sends = [0]
+    wakeups = []                # (flow, now, timed out, segments sent)
+
+    for name in ("reno_on_loss", "bic_on_loss"):
+        def counting_loss(cc, timeout, name=name, on_loss=getattr(sim, name)):
+            timeouts[name] += timeout
+            on_loss(cc, timeout)
+        monkeypatch.setattr(sim, name, counting_loss)
+    send = _Run.send
+
+    def counting_send(run_, *args):
+        sends[0] += 1
+        return send(run_, *args)
+
+    timer = TcpSender._timer
+
+    def recording_timer(sender, now):
+        before = (timeouts.total(), sends[0])
+        timer(sender, now)
+        wakeups.append((sender.flow_id, now, timeouts.total() > before[0],
+                        sends[0] - before[1]))
+
+    monkeypatch.setattr(_Run, "send", counting_send)
+    monkeypatch.setattr(TcpSender, "_timer", recording_timer)
+    _Run(cfg).execute()
+    assert timeouts["reno_on_loss"] > 0 and timeouts["bic_on_loss"] > 0
+    quiet = [w for w in wakeups if not w[2] and w[1] != starts[w[0]]]
+    assert len(quiet) > 10
+    assert all(sent == 0 for *_, sent in quiet)
 
 
 def test_a_replaced_controller_on_ack_gets_the_stream_acks_one_by_one(monkeypatch):

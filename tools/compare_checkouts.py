@@ -1,7 +1,7 @@
 """Compare the outputs of two checkouts of p2pcc, case by case.
 
-    python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N] [--random M]
-                                       [--clock C] [--long L] [--lemma K]
+    python3 tools/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT
+        [--seeds N] [--random M] [--clock C] [--long L] [--lemma K]
 
 Each checkout's ``src`` runs in its own child process, and both children run
 at once.  For every case a child prints the SHA-256 digest of what it
@@ -40,10 +40,11 @@ rows, which is stricter than the 6-digit CSV).  The cases are:
   report fields.
 
 It prints the count of differing cases, then that count per family
-(built-in, tie-heavy, clock-offset, long-run, lemma, fluid), and, for each differing
-case, its index and what it is, and exits with status 1 if any case differs, or 2, naming the checkout,
-if a child fails.  Runtime on a 2-vCPU host is
-a few minutes at the defaults, so the test suite runs it only on a few cases.
+(built-in, tie-heavy, clock-offset, long-run, lemma, fluid), and, for each
+differing case, its index and what it is, and exits with status 1 if any
+case differs, or 2, naming the checkout, if a child fails.  Runtime on a
+2-vCPU host is a few minutes at the defaults, so the test suite runs it
+only on a few cases.
 """
 
 from __future__ import annotations

@@ -33,8 +33,10 @@ counting, so that no gc callback runs inside the count.  The counts can
 support a host-time claim but not replace one.  Counting makes a run about
 60 times slower.
 
-Prints the totals, the layers and the TOP functions and C callees.  Uses
-the standard library only.
+Prints the totals, the layers and the TOP functions and C callees, and
+exits 0.  If its stdout is closed before the report is written (a reader
+that went away), it exits 1 without a traceback.  Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -197,16 +199,23 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
 
     summary = count(args.workload, args.seconds).summary()
-    print(f"{args.workload} at {args.seconds:g} s, {args.checkout}")
-    print(f"bytecodes: {summary['bytecodes']:,}")
-    _print_table("by layer:", summary["layers"], summary["bytecodes"])
-    _print_table("by function:", summary["functions"], summary["bytecodes"])
-    print(f"Python calls: {summary['calls']:,} (a generator's resumptions count too)")
-    _print_table("by layer:", summary["call_layers"], summary["calls"])
-    _print_table("by function:", summary["call_functions"], summary["calls"])
-    print(f"C calls: {summary['c_calls']:,}")
-    _print_table("by caller layer:", summary["c_call_layers"], summary["c_calls"])
-    _print_table("by callee:", summary["c_callees"], summary["c_calls"])
+    try:
+        print(f"{args.workload} at {args.seconds:g} s, {args.checkout}")
+        print(f"bytecodes: {summary['bytecodes']:,}")
+        _print_table("by layer:", summary["layers"], summary["bytecodes"])
+        _print_table("by function:", summary["functions"], summary["bytecodes"])
+        print(f"Python calls: {summary['calls']:,} (a generator's resumptions count too)")
+        _print_table("by layer:", summary["call_layers"], summary["calls"])
+        _print_table("by function:", summary["call_functions"], summary["calls"])
+        print(f"C calls: {summary['c_calls']:,}")
+        _print_table("by caller layer:", summary["c_call_layers"], summary["c_calls"])
+        _print_table("by callee:", summary["c_callees"], summary["c_calls"])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at os.devnull so that the flush
+        # at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
