@@ -4,8 +4,9 @@ list built-ins.
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error, 3 lemma
 verification violations.  Each subparser names its command's function, and
 ``main`` calls it: a configuration error (a ``ValueError``, such as a
-``ScenarioError``) exits 2 with a message that names the field, and an
-I/O error exits 1.
+``ScenarioError``) exits 2 with a message that names the field, or the file
+that is not JSON, and an I/O error exits 1.  A run's parameters are set in
+its scenario: ``--dump-config`` writes a built-in's as JSON to edit.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="output CSV path")
     run_p.add_argument("--dump-config", default=None, metavar="PATH",
                        help="write the scenario as JSON and exit without running")
-    run_p.add_argument("--gamma", type=float, default=None)
-    run_p.add_argument("--gamma2", type=float, default=None)
-    run_p.add_argument("--alpha", type=float, default=None)
-    run_p.add_argument("--period", type=float, default=None,
-                       help="control period T, seconds")
-    run_p.add_argument("--tc", type=float, default=None,
-                       help="bandwidth-estimate horizon, seconds")
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the lemma property suites")
@@ -63,12 +57,6 @@ def _load(args) -> "ScenarioConfig":
             f"unknown scenario {args.scenario!r}; see 'p2pcc list' or pass a JSON path")
     if args.seed is not None:
         cfg.seed = args.seed
-    overrides = {"gamma": args.gamma, "gamma2": args.gamma2, "alpha": args.alpha,
-                 "period_T": args.period, "bw_window_tc": args.tc}
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg.controller, name, value)
-    cfg.validate()
     return cfg
 
 

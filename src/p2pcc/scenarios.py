@@ -332,8 +332,14 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ScenarioConfig.from_dict(json.load(fh))
+    """The scenario in the JSON file at ``path``; a file that is not UTF-8
+    JSON raises ScenarioError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:       # UnicodeDecodeError or JSONDecodeError
+        raise ScenarioError(f"{path}: {exc}") from None
+    return ScenarioConfig.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +398,15 @@ def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
                        seed: int = 3) -> ScenarioConfig:
     """Experiment-2 topology plus one competing TCP flow to receiver 1 on a
     fixed 4 Mbps link, alpha = 0.75."""
-    if tcp not in ("reno", "bic"):
-        raise ScenarioError(f"unknown TCP kind {tcp!r}")
-    if ordering not in ("p2pfirst", "tcpfirst"):
-        raise ScenarioError(f"unknown ordering {ordering!r}")
-    duration = 100.0
-    if ordering == "p2pfirst":
-        p2p_start = 0.0
-        window = (15.0, 75.0) if tcp == "reno" else (40.0, 100.0)
-    else:
-        window = (0.0, duration) if tcp == "reno" else (0.0, 60.0)
-        p2p_start = 25.0 if tcp == "reno" else 30.0
+    # (P2P start, TCP start, TCP stop) of each variant
+    variants = {("reno", "p2pfirst"): (0.0, 15.0, 75.0), ("bic", "p2pfirst"): (0.0, 40.0, 100.0),
+                ("reno", "tcpfirst"): (25.0, 0.0, 100.0), ("bic", "tcpfirst"): (30.0, 0.0, 60.0)}
+    if (tcp, ordering) not in variants:
+        raise ScenarioError(f"unknown TCP kind or ordering: {tcp!r}, {ordering!r}")
+    p2p_start, tcp_start, tcp_stop = variants[tcp, ordering]
     return ScenarioConfig(
         name=f"exp3-{tcp}-{ordering}",
-        duration=duration,
+        duration=100.0,
         seed=seed,
         controller=ControllerParams(alpha=0.75),
         sender_latency=constant(0.020),
@@ -415,7 +416,7 @@ def build_experiment_3(tcp: str = "reno", ordering: str = "p2pfirst",
         # enough that TCP cannot monopolize the queue
         bottleneck=BottleneckConfig(rate=constant(4000.0 * _KBPS),
                                     buffer_capacity=116),
-        flows=[TcpFlowConfig("tcp1", tcp, "r1", window[0], window[1])],
+        flows=[TcpFlowConfig("tcp1", tcp, "r1", tcp_start, tcp_stop)],
         p2p_start=p2p_start,
     )
 

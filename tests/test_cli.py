@@ -1,6 +1,7 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import os
 import re
 
 import pytest
@@ -40,11 +41,26 @@ def test_unknown_scenario_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_invalid_parameter_override_is_usage_error(tmp_path):
-    path = short_scenario_file(tmp_path)
+def test_invalid_parameter_override_is_usage_error(tmp_path, capsys):
+    # a run's parameters are set in its scenario file alone
+    out = tmp_path / "dumped.json"
     with pytest.raises(SystemExit) as exc:
-        main(["run", path, "--gamma", "2.0"])
+        main(["run", "exp1", "--gamma", "0.8", "--dump-config", str(out)])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma 0.8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"name": ', b"\xff{}"], ids=["truncated", "not-utf8"])
+def test_scenario_file_that_is_not_json_is_usage_error_naming_the_file(
+        tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ")
 
 
 def test_dump_config_writes_json_without_running(tmp_path):
@@ -53,15 +69,6 @@ def test_dump_config_writes_json_without_running(tmp_path):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["name"] == "exp1"
     assert not list(tmp_path.glob("*.csv"))
-
-
-def test_parameter_override_lands_in_dumped_config(tmp_path):
-    out = tmp_path / "dumped.json"
-    assert main(["run", "exp3-reno-p2pfirst", "--alpha", "0.75",
-                 "--dump-config", str(out)]) == 0
-    data = json.loads(out.read_text(encoding="utf-8"))
-    assert data["controller"]["alpha"] == 0.75
-    assert data["flows"][0]["start"] == 15.0
 
 
 def test_verify_clean_suites_exit_zero(capsys):
@@ -154,7 +161,7 @@ def _repeat_receiver(data):
     (_set(["duration"], "NaN"), [], "duration"),
     (_set(["receivers", 0, "latency", "high"], float("nan")), [],
      "receivers[0].latency.high"),
-    (lambda data: None, ["--gamma2", "nan"], "controller.gamma2"),
+    (lambda data: data["controller"].update(gamma2=float("nan")), [], "controller.gamma2"),
     (_add_flows("tcp1", "tcp1"), [], "flows[1].flow_id"),
     (_add_flows("p2p"), [], "flows[0].flow_id"),
     (_set(["flows"], [_flow(kind="cubic")]), [], "flows[0].kind"),
@@ -169,9 +176,11 @@ def _repeat_receiver(data):
     (_repeat_receiver, [], "receivers[1].receiver_id"),
     (_set(["receivers"], []), [], "receivers"),
     (_set(["controller", "gamma"], 2.0), [], "controller.gamma"),
-    (lambda data: None, ["--gamma", "2.0"], "controller.gamma"),
+    (lambda data: data["controller"].update(gamma=0.0), [], "controller.gamma"),
     (_set(["source", "backlog_blocks"], -1), [], "source.backlog_blocks"),
-    (lambda data: None, ["--gamma2", "-50"], "controller.gamma2"),
+    # neither --seed nor --dump-config (further down) lets a malformed file through
+    (lambda data: data["controller"].update(gamma2=-50.0), ["--seed", "7"],
+     "controller.gamma2"),
     # ids name CSV columns
     (_set(["receivers", 0, "receiver_id"], "r,1"), [], "receivers[0].receiver_id"),
     (_add_flows("tcp\n1"), [], "flows[0].flow_id"),
@@ -183,8 +192,9 @@ def _repeat_receiver(data):
     (_set(["bottleneck", "rate"], {"kind": "uniform_resample", "low": 1e6, "high": 4e6,
                                    "interval": 1e-12}), [], "bottleneck.rate.interval"),
     # a CSV row per period, capped as a schedule's steps are
-    (lambda data: None, ["--period", "5e-324"], "controller.period_T"),
-    (lambda data: None, ["--period", "1e-9"], "controller.period_T"),
+    (lambda data: data["controller"].update(period_T=5e-324), [], "controller.period_T"),
+    (lambda data: data["controller"].update(period_T=1e-9), ["--dump-config", os.devnull],
+     "controller.period_T"),
     # finite inputs whose default buffer is not
     (_set(["sender_latency", "value"], 1e308), [], "bottleneck.buffer_capacity"),
     (_set(["controller", "gamma"], 5e-324), [], "bottleneck.buffer_capacity"),

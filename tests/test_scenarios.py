@@ -107,20 +107,18 @@ def test_variable_rate_builtin():
 
 
 def test_coexistence_builtin_windows():
-    cfg = build_experiment_3("reno", "p2pfirst")
-    assert cfg.controller.alpha == 0.75
-    (flow,) = cfg.flows
-    assert (flow.kind, flow.start, flow.stop) == ("reno", 15.0, 75.0)
-    assert cfg.p2p_start == 0.0
-
-    cfg = build_experiment_3("bic", "p2pfirst")
-    (flow,) = cfg.flows
-    assert (flow.start, flow.stop) == (40.0, 100.0)
-
-    cfg = build_experiment_3("reno", "tcpfirst")
-    assert cfg.p2p_start == 25.0
-    cfg = build_experiment_3("bic", "tcpfirst")
-    assert cfg.p2p_start == 30.0
+    # (P2P start, TCP start, TCP stop) of each variant
+    expected = {("reno", "p2pfirst"): (0.0, 15.0, 75.0),
+                ("bic", "p2pfirst"): (0.0, 40.0, 100.0),
+                ("reno", "tcpfirst"): (25.0, 0.0, 100.0),
+                ("bic", "tcpfirst"): (30.0, 0.0, 60.0)}
+    for (tcp, ordering), window in expected.items():
+        cfg = build_experiment_3(tcp, ordering)
+        assert cfg.name == f"exp3-{tcp}-{ordering}"
+        assert (cfg.duration, cfg.controller.alpha) == (100.0, 0.75)
+        (flow,) = cfg.flows
+        assert (flow.kind, flow.receiver_id) == (tcp, "r1")
+        assert (cfg.p2p_start, flow.start, flow.stop) == window
 
     with pytest.raises(ScenarioError):
         build_experiment_3("cubic", "p2pfirst")
